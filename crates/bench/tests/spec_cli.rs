@@ -80,6 +80,28 @@ fn unknown_axis_and_workload_keys_are_distinct_errors() {
 }
 
 #[test]
+fn sim_specs_that_would_panic_at_run_time_exit_2() {
+    // A degenerate floor or a rate with no 802.11a modulation used to
+    // parse and then panic mid-run (exit 101); both are spec errors.
+    let dir = tmpdir("simvalues");
+    let sim = |line: &str| format!("workload = \"sim\"\nname = \"x\"\n{line}\n");
+    let err = sweep_spec_fails(&dir, "floor", &sim("floor = [0.0, 90.0]"));
+    assert!(err.contains("line 3"), "{err}");
+    assert!(
+        err.contains("'floor' sides must be positive and finite"),
+        "{err}"
+    );
+    let err = sweep_spec_fails(&dir, "sweep-rate", &sim("sweep_rates = [7.0]"));
+    assert!(
+        err.contains("no 802.11a rate 7.0 Mbps in 'sweep_rates'"),
+        "{err}"
+    );
+    let err = sweep_spec_fails(&dir, "fixed-rate", &sim("rates = [\"fixed(7.0)\"]"));
+    assert!(err.contains("no 802.11a rate 7.0 Mbps in 'rates'"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn hash_mismatch_on_load_is_its_own_error() {
     let dir = tmpdir("hash");
     // A wrong pinned hash is a distinct error telling the user what to do.

@@ -78,6 +78,14 @@ pub const RATES_11A: [Bitrate; 8] = [
     },
 ];
 
+/// The 802.11a rate of `mbps` Mbit/s, if there is one.
+pub fn rate_11a(mbps: f64) -> Option<Bitrate> {
+    RATES_11A
+        .iter()
+        .find(|r| (r.mbps - mbps).abs() < 1e-9)
+        .copied()
+}
+
 /// A set of available bitrates, sorted ascending by rate.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RateTable {
@@ -99,13 +107,10 @@ impl RateTable {
         }
     }
 
-    /// A single fixed rate (for fixed-bitrate baselines).
+    /// A single fixed rate (for fixed-bitrate baselines). Panics unless
+    /// `mbps` is an 802.11a rate (see [`rate_11a`]).
     pub fn fixed(mbps: f64) -> Self {
-        let r = RATES_11A
-            .iter()
-            .find(|r| (r.mbps - mbps).abs() < 1e-9)
-            .copied()
-            .unwrap_or_else(|| panic!("no 802.11a rate {mbps} Mbps"));
+        let r = rate_11a(mbps).unwrap_or_else(|| panic!("no 802.11a rate {mbps} Mbps"));
         RateTable { rates: vec![r] }
     }
 
@@ -160,6 +165,14 @@ impl RateTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn rate_11a_finds_only_real_rates() {
+        assert_eq!(rate_11a(24.0), Some(RATES_11A[4]));
+        for bogus in [7.0, 0.0, -6.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(rate_11a(bogus), None, "{bogus}");
+        }
+    }
 
     #[test]
     fn tables_sorted_and_consistent() {

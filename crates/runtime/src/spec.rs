@@ -56,6 +56,11 @@
 //! seed = 7
 //! ```
 //!
+//! Values the simulator cannot run are refused at parse time rather than
+//! left to panic mid-sweep: both `floor` sides must be positive and
+//! finite, and every `sweep_rates` entry and `fixed(...)` rate must be
+//! an 802.11a rate (6, 9, 12, 18, 24, 36, 48 or 54 Mbit/s).
+//!
 //! Either family may also pin `expect_hash = "<16 hex digits>"`: after
 //! parsing, the spec's canonical hash is verified against it, so a file
 //! edited after its hash was recorded fails loudly instead of silently
@@ -65,6 +70,7 @@ use crate::scenario::{PolicyAxis, Sweep, Topology};
 use crate::simsweep::{RateAxis, SimSweep};
 use crate::workload::{AnyWorkload, WorkloadKind, WorkloadSpec};
 use wcs_capacity::npair::Placement;
+use wcs_capacity::rates::{rate_11a, RATES_11A};
 use wcs_capacity::shannon::CapacityModel;
 use wcs_core::params::StreamLayout;
 
@@ -131,6 +137,20 @@ pub enum SpecErrorKind {
         /// The hash the spec actually parses to.
         computed: u64,
     },
+    /// A sim `floor` whose sides are not both positive and finite
+    /// (testbed nodes are placed uniformly over the floor).
+    BadFloor {
+        /// Human-readable description.
+        detail: String,
+    },
+    /// A sim bitrate — in `sweep_rates` or a `fixed(...)` rate policy —
+    /// that is not one of the 802.11a rates.
+    UnsupportedRate {
+        /// The key the rate appeared under.
+        key: String,
+        /// Human-readable description.
+        detail: String,
+    },
 }
 
 impl SpecError {
@@ -140,7 +160,9 @@ impl SpecError {
         match &self.kind {
             SpecErrorKind::Io { detail }
             | SpecErrorKind::Syntax { detail }
-            | SpecErrorKind::BadValue { detail } => detail.clone(),
+            | SpecErrorKind::BadValue { detail }
+            | SpecErrorKind::BadFloor { detail }
+            | SpecErrorKind::UnsupportedRate { detail, .. } => detail.clone(),
             SpecErrorKind::UnknownKey { key } => format!("unknown key '{key}'"),
             SpecErrorKind::DuplicateKey { key } => format!("duplicate key '{key}'"),
             SpecErrorKind::MissingKey { key } => format!("missing required key '{key}'"),
@@ -165,6 +187,8 @@ impl SpecError {
             SpecErrorKind::BadValue { .. } => "bad_value",
             SpecErrorKind::UnknownWorkload { .. } => "unknown_workload",
             SpecErrorKind::HashMismatch { .. } => "hash_mismatch",
+            SpecErrorKind::BadFloor { .. } => "bad_floor",
+            SpecErrorKind::UnsupportedRate { .. } => "unsupported_rate",
         }
     }
 
@@ -173,7 +197,9 @@ impl SpecError {
         match &self.kind {
             SpecErrorKind::UnknownKey { key }
             | SpecErrorKind::DuplicateKey { key }
-            | SpecErrorKind::MissingKey { key } => Some(key),
+            | SpecErrorKind::MissingKey { key }
+            | SpecErrorKind::UnsupportedRate { key, .. } => Some(key),
+            SpecErrorKind::BadFloor { .. } => Some("floor"),
             SpecErrorKind::UnknownWorkload { .. } => Some("workload"),
             SpecErrorKind::HashMismatch { .. } => Some("expect_hash"),
             _ => None,
@@ -683,6 +709,24 @@ pub fn to_sim_spec_toml(sweep: &SimSweep) -> String {
     )
 }
 
+/// Reject a sim bitrate the simulator has no 802.11a modulation for.
+fn check_11a_rate(mbps: f64, key: &str, lineno: usize) -> Result<(), SpecError> {
+    if rate_11a(mbps).is_some() {
+        return Ok(());
+    }
+    let known: Vec<String> = RATES_11A.iter().map(|r| r.mbps.to_string()).collect();
+    Err(SpecError {
+        line: lineno,
+        kind: SpecErrorKind::UnsupportedRate {
+            key: key.to_string(),
+            detail: format!(
+                "no 802.11a rate {mbps:?} Mbps in '{key}' (802.11a rates: {})",
+                known.join(", ")
+            ),
+        },
+    })
+}
+
 /// Parse a sim-workload spec document into a [`SimSweep`]. Same line
 /// discipline as [`parse_spec_toml`]: comments, blanks and `[sweep]`
 /// headers are ignored, `name` is required, everything else defaults to
@@ -725,7 +769,20 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
                 _ => return Err(err(lineno, "'testbeds' must be an array of integer seeds")),
             },
             "nodes" => sweep.n_nodes = positive_int(value)? as usize,
-            "floor" => sweep.floor = float_pair(value)?,
+            "floor" => {
+                let (width, height) = float_pair(value)?;
+                if !(width > 0.0 && width.is_finite() && height > 0.0 && height.is_finite()) {
+                    return Err(SpecError {
+                        line: lineno,
+                        kind: SpecErrorKind::BadFloor {
+                            detail: format!(
+                                "'floor' sides must be positive and finite, got [{width:?}, {height:?}]"
+                            ),
+                        },
+                    });
+                }
+                sweep.floor = (width, height);
+            }
             "window" => {
                 let (lo, hi) = float_pair(value)?;
                 if !(0.0..=1.0).contains(&lo) || !(0.0..=1.0).contains(&hi) || lo > hi {
@@ -745,20 +802,30 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
                 sweep.rates = items
                     .iter()
                     .map(|s| {
-                        RateAxis::from_label(s).ok_or_else(|| {
+                        let rate = RateAxis::from_label(s).ok_or_else(|| {
                             err(
                                 lineno,
                                 format!(
                                     "unknown rate policy '{s}' (try \"best-fixed\", \"fixed(6.0)\" or \"samplerate\")"
                                 ),
                             )
-                        })
+                        })?;
+                        if let RateAxis::Fixed(mbps) = rate {
+                            check_11a_rate(mbps, key, lineno)?;
+                        }
+                        Ok(rate)
                     })
                     .collect::<Result<_, _>>()?;
             }
             "points" => sweep.points = positive_int(value)? as usize,
             "run_secs" => sweep.run_secs = positive_int(value)?,
-            "sweep_rates" => sweep.sweep_rates_mbps = float_axis(value, key, lineno)?,
+            "sweep_rates" => {
+                let rates = float_axis(value, key, lineno)?;
+                for &mbps in &rates {
+                    check_11a_rate(mbps, key, lineno)?;
+                }
+                sweep.sweep_rates_mbps = rates;
+            }
             "payload" => sweep.payload_bytes = positive_int(value)? as usize,
             "seed" => match value {
                 Value::Int(n) => sweep.seed = n,
@@ -1004,7 +1071,7 @@ mod tests {
             .rates(&[
                 RateAxis::BestFixed,
                 RateAxis::Fixed(6.0),
-                RateAxis::Fixed(13.5),
+                RateAxis::Fixed(18.0),
                 RateAxis::Adaptive,
             ])
             .points(3)
@@ -1113,6 +1180,38 @@ mod tests {
         // A sim key in a model spec is equally loud.
         let e = parse_any_spec_toml("name = \"x\"\nccas = [13.0]\n").unwrap_err();
         assert!(e.to_string().contains("unknown key 'ccas'"), "{e}");
+    }
+
+    #[test]
+    fn sim_specs_that_would_panic_at_run_time_are_rejected() {
+        // Each of these used to parse, then panic inside testbed
+        // generation or rate lookup — killing a serve worker.
+        let sim = |line: &str| format!("workload = \"sim\"\nname = \"x\"\n{line}\n");
+        for floor in [
+            "[0.0, 90.0]",
+            "[180.0, -1.0]",
+            "[inf, 90.0]",
+            "[180.0, NaN]",
+        ] {
+            let e = parse_any_spec_toml(&sim(&format!("floor = {floor}"))).unwrap_err();
+            assert_eq!(e.code(), "bad_floor", "{floor}: {e}");
+            assert_eq!(e.field(), Some("floor"));
+            assert_eq!(e.line, 3);
+            assert!(e.message().contains("positive and finite"), "{e}");
+        }
+        for (line, key) in [
+            ("sweep_rates = [6.0, 7.0]", "sweep_rates"),
+            ("rates = [\"best-fixed\", \"fixed(7.0)\"]", "rates"),
+        ] {
+            let e = parse_any_spec_toml(&sim(line)).unwrap_err();
+            assert_eq!(e.code(), "unsupported_rate", "{line}: {e}");
+            assert_eq!(e.field(), Some(key));
+            assert!(e.message().contains("no 802.11a rate 7.0 Mbps"), "{e}");
+            assert!(e.message().contains("6, 9, 12, 18, 24, 36, 48, 54"), "{e}");
+        }
+        // Real rates and positive floors still parse.
+        let ok = sim("floor = [0.5, 1e3]\nsweep_rates = [54]\nrates = [\"fixed(36.0)\"]");
+        assert!(parse_any_spec_toml(&ok).is_ok());
     }
 
     #[test]

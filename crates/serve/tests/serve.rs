@@ -257,6 +257,21 @@ fn malformed_specs_get_structured_400_bodies() {
     assert_eq!(status, 400);
     assert_eq!(json_str(&body, "code").as_deref(), Some("unknown_workload"));
     assert_eq!(json_str(&body, "field").as_deref(), Some("workload"));
+
+    // A sim spec whose values would panic a worker mid-run is refused
+    // at the door, and the daemon keeps answering.
+    let (status, body) = http(
+        server.addr(),
+        "POST",
+        "/v1/jobs",
+        &[],
+        "workload = \"sim\"\nname = \"x\"\nfloor = [0.0, 90.0]\n",
+    );
+    assert_eq!(status, 400);
+    assert_eq!(json_str(&body, "code").as_deref(), Some("bad_floor"));
+    assert_eq!(json_str(&body, "field").as_deref(), Some("floor"));
+    let (status, _) = http(server.addr(), "GET", "/v1/jobs", &[], "");
+    assert_eq!(status, 200);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,6 @@ use crate::time::SimTime;
 use crate::world::{NodeId, World};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wcs_capacity::rates::Bitrate;
 
 /// What a frame is, MAC-wise.
@@ -98,14 +97,16 @@ impl Default for PhyConfig {
 }
 
 /// An in-flight transmission.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveTx {
+    /// Transmission id (unique per simulator run).
+    pub id: u64,
     /// Transmitting node.
     pub sender: NodeId,
     /// The frame.
     pub frame: Frame,
-    /// Cached received power at every node (index = NodeId).
-    pub rx_power: Vec<f64>,
+    /// Start time.
+    pub start: SimTime,
     /// Scheduled end time.
     pub end: SimTime,
 }
@@ -139,10 +140,16 @@ pub struct DecodeResult {
 pub struct Medium {
     cfg: PhyConfig,
     noise: f64,
+    /// `preamble_snr_db` as a linear power ratio.
+    lock_margin: f64,
     /// Sum of rx power at each node from all active transmissions
     /// (the node's own transmission contributes nothing to itself).
     ambient: Vec<f64>,
-    active: HashMap<u64, ActiveTx>,
+    /// In-flight transmissions with their received power at every node.
+    /// Rarely more than a handful at once, so lookups scan by id.
+    active: Vec<(ActiveTx, Vec<f64>)>,
+    /// Rx-power buffers of ended transmissions, reused by later ones.
+    spare: Vec<Vec<f64>>,
     rx: Vec<Option<ActiveRx>>,
     /// Nodes currently transmitting (cannot lock).
     transmitting: Vec<bool>,
@@ -154,8 +161,10 @@ impl Medium {
         Medium {
             cfg,
             noise,
+            lock_margin: 10f64.powf(cfg.preamble_snr_db / 10.0),
             ambient: vec![0.0; n],
-            active: HashMap::new(),
+            active: Vec::new(),
+            spare: Vec::new(),
             rx: vec![None; n],
             transmitting: vec![false; n],
         }
@@ -181,112 +190,94 @@ impl Medium {
         self.active.len()
     }
 
-    /// Begin transmission `tx_id` of `frame` from `sender`, ending at
-    /// `end`. Updates ambient powers, degrades SINR of every ongoing
-    /// reception, and attempts preamble locks at idle nodes.
+    /// Put `tx` on the air. Updates ambient powers, degrades the SINR of
+    /// every ongoing reception, and attempts preamble locks at idle
+    /// nodes, reading the sender's received powers from `world`'s
+    /// memoised gain row.
     ///
     /// If the sender was itself locked on a frame, that reception is
     /// abandoned (half-duplex radio).
-    #[allow(clippy::needless_range_loop)] // loops index several parallel per-node arrays
-    pub fn begin_tx(
-        &mut self,
-        world: &mut World,
-        tx_id: u64,
-        sender: NodeId,
-        frame: Frame,
-        end: SimTime,
-    ) {
-        assert!(
-            !self.transmitting[sender.0 as usize],
-            "{sender} already transmitting"
-        );
-        let n = self.ambient.len();
-        let mut rx_power = vec![0.0; n];
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            if node == sender {
-                continue;
-            }
-            rx_power[i] = world.rx_power(sender, node);
-        }
+    pub fn begin_tx(&mut self, world: &mut World, tx: ActiveTx) {
+        let s = tx.sender.0 as usize;
+        assert!(!self.transmitting[s], "{} already transmitting", tx.sender);
+        let mut rx_power = self.spare.pop().unwrap_or_default();
+        rx_power.clear();
+        rx_power.extend_from_slice(world.rx_row(tx.sender));
 
         // Half-duplex: a sender abandons any reception in progress.
-        self.rx[sender.0 as usize] = None;
-        self.transmitting[sender.0 as usize] = true;
+        self.rx[s] = None;
+        self.transmitting[s] = true;
 
-        // Raise ambient power and degrade ongoing receptions.
-        for i in 0..n {
-            if NodeId(i as u32) == sender {
+        // Per node: raise the ambient power, then either degrade the
+        // reception it is locked on or, if it is idle, try to lock onto
+        // this frame's preamble.
+        for (i, &signal) in rx_power.iter().enumerate() {
+            if i == s {
                 continue;
             }
-            self.ambient[i] += rx_power[i];
-            if let Some(arx) = self.rx[i].as_mut() {
-                // Interference for the locked frame = ambient − its own signal.
-                let interf = (self.ambient[i] - arx.signal).max(0.0);
-                let sinr = arx.signal / (self.noise + interf);
-                if sinr < arx.min_sinr {
-                    arx.min_sinr = sinr;
+            self.ambient[i] += signal;
+            let ambient = self.ambient[i];
+            match self.rx[i].as_mut() {
+                Some(arx) => {
+                    // Interference for the locked frame = ambient − its own signal.
+                    let interf = (ambient - arx.signal).max(0.0);
+                    let sinr = arx.signal / (self.noise + interf);
+                    if sinr < arx.min_sinr {
+                        arx.min_sinr = sinr;
+                    }
                 }
+                None if !self.transmitting[i] => {
+                    let interf = (ambient - signal).max(0.0);
+                    if signal >= self.lock_margin * (self.noise + interf) {
+                        self.rx[i] = Some(ActiveRx {
+                            tx_id: tx.id,
+                            signal,
+                            min_sinr: signal / (self.noise + interf),
+                        });
+                    }
+                }
+                None => {}
             }
         }
-
-        // Preamble lock attempts at idle, non-transmitting nodes.
-        let lock_margin = 10f64.powf(self.cfg.preamble_snr_db / 10.0);
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            if node == sender || self.transmitting[i] || self.rx[i].is_some() {
-                continue;
-            }
-            let signal = rx_power[i];
-            let interf = (self.ambient[i] - signal).max(0.0);
-            if signal >= lock_margin * (self.noise + interf) {
-                self.rx[i] = Some(ActiveRx {
-                    tx_id,
-                    signal,
-                    min_sinr: signal / (self.noise + interf),
-                });
-            }
-        }
-
-        self.active.insert(
-            tx_id,
-            ActiveTx {
-                sender,
-                frame,
-                rx_power,
-                end,
-            },
-        );
+        self.active.push((tx, rx_power));
     }
 
-    /// End transmission `tx_id`; returns the decode outcomes of every
-    /// node that was locked on it. `rng` drives the sigmoid reception
+    /// End transmission `tx_id` and return its record. The decode
+    /// outcomes of every node that was locked on it replace the contents
+    /// of `results`, in node order. `rng` drives the sigmoid reception
     /// model (unused under `HardThreshold`).
-    pub fn end_tx<R: Rng + ?Sized>(&mut self, tx_id: u64, rng: &mut R) -> Vec<DecodeResult> {
-        let tx = self.active.remove(&tx_id).expect("unknown tx_id");
-        let n = self.ambient.len();
-        // Drop ambient contributions.
-        for i in 0..n {
-            if NodeId(i as u32) == tx.sender {
+    pub fn end_tx<R: Rng + ?Sized>(
+        &mut self,
+        tx_id: u64,
+        rng: &mut R,
+        results: &mut Vec<DecodeResult>,
+    ) -> ActiveTx {
+        let pos = self
+            .active
+            .iter()
+            .position(|(tx, _)| tx.id == tx_id)
+            .expect("unknown tx_id");
+        let (tx, rx_power) = self.active.swap_remove(pos);
+        let s = tx.sender.0 as usize;
+        self.transmitting[s] = false;
+        results.clear();
+        // The sender never locks on its own frame, so skipping it loses
+        // no reception.
+        for (i, &signal) in rx_power.iter().enumerate() {
+            if i == s {
                 continue;
             }
-            self.ambient[i] -= tx.rx_power[i];
+            self.ambient[i] -= signal;
             if self.ambient[i] < 0.0 {
                 // Exact cancellation can leave −0.0 or tiny negatives from
                 // FP non-associativity when many txs overlap; clamp.
                 self.ambient[i] = 0.0;
             }
-        }
-        self.transmitting[tx.sender.0 as usize] = false;
-
-        // Resolve receptions locked on this frame.
-        let mut out = Vec::new();
-        for i in 0..n {
-            let locked = matches!(self.rx[i], Some(arx) if arx.tx_id == tx_id);
-            if !locked {
-                continue;
-            }
-            let arx = self.rx[i].take().unwrap();
+            let arx = match self.rx[i] {
+                Some(arx) if arx.tx_id == tx_id => arx,
+                _ => continue,
+            };
+            self.rx[i] = None;
             let min_sinr_db = 10.0 * arx.min_sinr.log10();
             let success = match self.cfg.reception {
                 ReceptionModel::HardThreshold => min_sinr_db >= tx.frame.rate.min_snr_db,
@@ -296,7 +287,7 @@ impl Medium {
                     rng.gen::<f64>() < p
                 }
             };
-            out.push(DecodeResult {
+            results.push(DecodeResult {
                 receiver: NodeId(i as u32),
                 frame: tx.frame,
                 sender: tx.sender,
@@ -304,12 +295,16 @@ impl Medium {
                 min_sinr_db,
             });
         }
-        out
+        self.spare.push(rx_power);
+        tx
     }
 
     /// The active transmission record, if in flight.
     pub fn active_tx(&self, tx_id: u64) -> Option<&ActiveTx> {
-        self.active.get(&tx_id)
+        self.active
+            .iter()
+            .find(|(tx, _)| tx.id == tx_id)
+            .map(|(tx, _)| tx)
     }
 }
 
@@ -327,6 +322,23 @@ mod tests {
             ChannelConfig::paper_analysis().without_shadowing(),
             1,
         )
+    }
+
+    fn tx(id: u64, sender: u32, frame: Frame, end: u64) -> ActiveTx {
+        ActiveTx {
+            id,
+            sender: NodeId(sender),
+            frame,
+            start: SimTime::ZERO,
+            end: SimTime(end),
+        }
+    }
+
+    /// End `id` and return its decode outcomes.
+    fn end(m: &mut Medium, id: u64, rng: &mut impl Rng) -> Vec<DecodeResult> {
+        let mut results = Vec::new();
+        assert_eq!(m.end_tx(id, rng, &mut results).id, id);
+        results
     }
 
     fn data(dst: u32, rate_idx: usize) -> Frame {
@@ -347,10 +359,10 @@ mod tests {
         let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(20.0, 0.0)]);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
         let mut rng = seeded_rng(1);
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 7), SimTime(100));
+        m.begin_tx(&mut w, tx(0, 0, data(1, 7), 100));
         assert!(m.is_receiving(NodeId(1)));
         assert!(m.is_transmitting(NodeId(0)));
-        let res = m.end_tx(0, &mut rng);
+        let res = end(&mut m, 0, &mut rng);
         assert_eq!(res.len(), 1);
         assert!(res[0].success);
         assert!((res[0].min_sinr_db - 26.0).abs() < 0.5);
@@ -364,10 +376,10 @@ mod tests {
         let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(90.0, 0.0)]);
         let mut rng = seeded_rng(2);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(100));
-        assert!(m.end_tx(0, &mut rng)[0].success);
-        m.begin_tx(&mut w, 1, NodeId(0), data(1, 4), SimTime(200));
-        assert!(!m.end_tx(1, &mut rng)[0].success);
+        m.begin_tx(&mut w, tx(0, 0, data(1, 0), 100));
+        assert!(end(&mut m, 0, &mut rng)[0].success);
+        m.begin_tx(&mut w, tx(1, 0, data(1, 4), 200));
+        assert!(!end(&mut m, 1, &mut rng)[0].success);
     }
 
     #[test]
@@ -382,9 +394,9 @@ mod tests {
         ]);
         let mut rng = seeded_rng(3);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(900));
-        let res = m.end_tx(0, &mut rng);
+        m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
+        m.begin_tx(&mut w, tx(1, 2, data(1, 0), 900));
+        let res = end(&mut m, 0, &mut rng);
         let r1 = res.iter().find(|r| r.receiver == NodeId(1)).unwrap();
         assert!(!r1.success, "min SINR {} dB should fail", r1.min_sinr_db);
     }
@@ -400,15 +412,15 @@ mod tests {
         ]);
         let mut rng = seeded_rng(4);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
         assert!(m.is_receiving(NodeId(1)));
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(900));
+        m.begin_tx(&mut w, tx(1, 2, data(1, 0), 900));
         // Still locked on tx 0 (which is now hopeless), not on tx 1.
-        let res0 = m.end_tx(0, &mut rng);
+        let res0 = end(&mut m, 0, &mut rng);
         let r = res0.iter().find(|r| r.receiver == NodeId(1)).unwrap();
         assert!(!r.success);
         // tx 1 ends with no receiver locked on it.
-        let res1 = m.end_tx(1, &mut rng);
+        let res1 = end(&mut m, 1, &mut rng);
         assert!(res1.iter().all(|r| r.receiver != NodeId(1)));
     }
 
@@ -423,15 +435,15 @@ mod tests {
         ]);
         let mut rng = seeded_rng(5);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
         // Node 1 locks the strong frame; now the weak one arrives.
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(1000));
+        m.begin_tx(&mut w, tx(1, 2, data(1, 0), 1000));
         // End the strong frame; node 1 was locked on it, decodes fine.
-        let res = m.end_tx(0, &mut rng);
+        let res = end(&mut m, 0, &mut rng);
         assert!(res.iter().any(|r| r.receiver == NodeId(1) && r.success));
         // The weak frame finds no lock at node 1 (it appeared mid-burst)
         // and is too weak to have locked anyone else.
-        let res1 = m.end_tx(1, &mut rng);
+        let res1 = end(&mut m, 1, &mut rng);
         assert!(res1.is_empty());
     }
 
@@ -444,13 +456,43 @@ mod tests {
         ]);
         let mut rng = seeded_rng(6);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(1000));
+        m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
+        m.begin_tx(&mut w, tx(1, 2, data(1, 0), 1000));
         assert!(m.ambient(NodeId(1)) > 0.0);
-        let _ = m.end_tx(0, &mut rng);
-        let _ = m.end_tx(1, &mut rng);
+        let _ = end(&mut m, 0, &mut rng);
+        let _ = end(&mut m, 1, &mut rng);
         for i in 0..3 {
             assert_eq!(m.ambient(NodeId(i)), 0.0, "node {i} ambient should be zero");
+        }
+    }
+
+    #[test]
+    fn records_round_trip_and_buffers_are_reused() {
+        let mut w = world(vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(20.0, 0.0),
+            Point2::new(40.0, 0.0),
+        ]);
+        let mut rng = seeded_rng(9);
+        let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
+        let a = tx(7, 0, data(1, 0), 500);
+        let b = tx(8, 2, data(1, 0), 900);
+        m.begin_tx(&mut w, a);
+        m.begin_tx(&mut w, b);
+        assert_eq!(m.active_tx(8), Some(&b));
+        // Stale entries in the caller's buffer are replaced, not appended to.
+        let mut results = end(&mut m, 8, &mut rng);
+        assert_eq!(m.end_tx(7, &mut rng, &mut results), a);
+        assert!(results.iter().all(|r| r.sender == NodeId(0)), "{results:?}");
+        assert!(m.active_tx(7).is_none() && m.active_tx(8).is_none());
+        // A recycled rx-power buffer must carry the new sender's powers:
+        // node 1 transmitting leaves equal power at its two neighbours.
+        m.begin_tx(&mut w, tx(9, 1, data(0, 0), 1400));
+        assert_eq!(m.ambient(NodeId(0)), m.ambient(NodeId(2)));
+        assert_eq!(m.ambient(NodeId(1)), 0.0);
+        let _ = end(&mut m, 9, &mut rng);
+        for i in 0..3 {
+            assert_eq!(m.ambient(NodeId(i)), 0.0);
         }
     }
 
@@ -459,14 +501,14 @@ mod tests {
         let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(20.0, 0.0)]);
         let mut rng = seeded_rng(7);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
         assert!(m.is_receiving(NodeId(1)));
         // Node 1 starts its own transmission mid-reception.
-        m.begin_tx(&mut w, 1, NodeId(1), data(0, 0), SimTime(900));
+        m.begin_tx(&mut w, tx(1, 1, data(0, 0), 900));
         assert!(!m.is_receiving(NodeId(1)));
         // Frame 0 ends with nobody locked.
-        assert!(m.end_tx(0, &mut rng).is_empty());
-        let _ = m.end_tx(1, &mut rng);
+        assert!(end(&mut m, 0, &mut rng).is_empty());
+        let _ = end(&mut m, 1, &mut rng);
     }
 
     #[test]
@@ -487,8 +529,8 @@ mod tests {
         let n = 2000;
         for t in 0..n {
             let mut m = Medium::new(2, w2.config().noise, cfg);
-            m.begin_tx(&mut w2, t, NodeId(0), data(1, 4), SimTime(1000));
-            if m.end_tx(t, &mut rng)[0].success {
+            m.begin_tx(&mut w2, tx(t, 0, data(1, 4), 1000));
+            if end(&mut m, t, &mut rng)[0].success {
                 successes += 1;
             }
         }

@@ -16,12 +16,20 @@
 //! * **Determinism.** All randomness (backoff draws, sigmoid reception,
 //!   rate sampling) comes from split seeded streams; identical seeds give
 //!   identical packet traces.
+//! * **Per-frame work is only what the MAC and PHY read.** Received
+//!   powers come from the world's memoised per-sender gain rows,
+//!   energy-detect thresholds are precomputed per node, a medium change
+//!   replans only flow sources, and in-flight state lives in small
+//!   id-keyed vectors whose buffers are reused, so a steady-state event
+//!   allocates nothing. None of this changes an output bit: the
+//!   arithmetic and its order are the same as computing everything
+//!   afresh per frame.
 
 use crate::event::{Event, EventQueue};
 #[cfg(test)]
 use crate::mac::RtsCtsPolicy;
 use crate::mac::{AckPolicy, CcaMode, MacConfig, MacPhase, MacState};
-use crate::phy::{DecodeResult, Frame, FrameKind, Medium, PhyConfig};
+use crate::phy::{ActiveTx, DecodeResult, Frame, FrameKind, Medium, PhyConfig};
 use crate::rate::RatePolicy;
 use crate::time::{Duration, SimTime};
 use crate::timing;
@@ -30,7 +38,6 @@ use crate::world::{NodeId, World};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wcs_capacity::rates::{Bitrate, RATES_11A};
 use wcs_stats::rng::SeedStream;
 
@@ -171,10 +178,20 @@ pub struct Simulator {
     macs: Vec<MacState>,
     flows: Vec<Flow>,
     flow_of: Vec<Option<usize>>,
-    tx_meta: HashMap<u64, (NodeId, Frame, SimTime)>,
+    /// Flow sources in ascending node order: the only MACs that ever
+    /// contend, so the only ones a medium change can replan.
+    senders: Vec<NodeId>,
+    /// Per-node energy-detect threshold as a linear power: the MAC's
+    /// threshold plus the node's CCA offset, above the noise floor.
+    cca_power: Vec<f64>,
     next_tx_id: u64,
-    pending_ctrl: HashMap<u64, PendingCtrl>,
+    /// SIFS-scheduled frames waiting for their `ControlTxStart`, keyed
+    /// by control id (only a few are ever pending, so lookups scan).
+    pending_ctrl: Vec<(u64, PendingCtrl)>,
     next_ctrl_id: u64,
+    /// Decode outcomes of the transmission that just ended, reused
+    /// across frames.
+    decoded: Vec<DecodeResult>,
     rng_backoff: StdRng,
     rng_phy: StdRng,
     rng_rate: StdRng,
@@ -198,7 +215,7 @@ impl Simulator {
         let macs = (0..n)
             .map(|_| MacState::new(false, cfg.mac.cw_min))
             .collect();
-        Simulator {
+        let mut sim = Simulator {
             medium: Medium::new(n, noise, cfg.phy),
             world,
             cfg,
@@ -207,10 +224,12 @@ impl Simulator {
             macs,
             flows: Vec::new(),
             flow_of: vec![None; n],
-            tx_meta: HashMap::new(),
+            senders: Vec::new(),
+            cca_power: vec![0.0; n],
             next_tx_id: 0,
-            pending_ctrl: HashMap::new(),
+            pending_ctrl: Vec::new(),
             next_ctrl_id: 0,
+            decoded: Vec::new(),
             rng_backoff: seeds.next_rng(),
             rng_phy: seeds.next_rng(),
             rng_rate: seeds.next_rng(),
@@ -220,7 +239,11 @@ impl Simulator {
             occupancy_last: SimTime::ZERO,
             any_tx_us: 0,
             overlap_us: 0,
+        };
+        for i in 0..n {
+            sim.refresh_cca_power(NodeId(i as u32));
         }
+        sim
     }
 
     /// Register a saturated flow from `src` to `dst`. Returns its index.
@@ -241,13 +264,24 @@ impl Simulator {
             stats: FlowStats::new(src, dst),
         });
         self.flow_of[src.0 as usize] = Some(idx);
+        let at = self.senders.partition_point(|&n| n < src);
+        self.senders.insert(at, src);
         self.macs[src.0 as usize] = MacState::new(true, self.cfg.mac.cw_min);
+        self.refresh_cca_power(src);
         idx
     }
 
     /// Inject a per-node CCA threshold offset (threshold asymmetry, §5).
     pub fn set_cca_offset_db(&mut self, node: NodeId, db: f64) {
         self.macs[node.0 as usize].cca_offset_db = db;
+        self.refresh_cca_power(node);
+    }
+
+    /// Recompute `node`'s energy-detect threshold from its MAC state.
+    fn refresh_cca_power(&mut self, node: NodeId) {
+        let i = node.0 as usize;
+        let thresh_db = self.cfg.mac.cca_threshold_db + self.macs[i].cca_offset_db;
+        self.cca_power[i] = self.world.config().noise * 10f64.powf(thresh_db / 10.0);
     }
 
     /// Statistics of flow `idx`.
@@ -348,11 +382,7 @@ impl Simulator {
         }
         match self.cfg.mac.cca_mode {
             CcaMode::Disabled => false,
-            CcaMode::EnergyDetect => {
-                let thresh_db = self.cfg.mac.cca_threshold_db + mac.cca_offset_db;
-                let thresh = self.world.config().noise * 10f64.powf(thresh_db / 10.0);
-                self.medium.ambient(node) > thresh
-            }
+            CcaMode::EnergyDetect => self.medium.ambient(node) > self.cca_power[node.0 as usize],
             CcaMode::PreambleDetect => self.medium.is_receiving(node),
         }
     }
@@ -367,13 +397,13 @@ impl Simulator {
 
     /// Re-evaluate a node's countdown after any medium-state change.
     fn replan(&mut self, node: NodeId) {
-        let busy = self.medium_busy(node);
         let i = node.0 as usize;
-        let now = self.now;
-        let mac = &mut self.macs[i];
-        if mac.phase != MacPhase::Contending || !mac.enabled {
+        if self.macs[i].phase != MacPhase::Contending || !self.macs[i].enabled {
             return;
         }
+        let busy = self.medium_busy(node);
+        let now = self.now;
+        let mac = &mut self.macs[i];
         if busy {
             if let Some(start) = mac.countdown_start.take() {
                 // Accrue idle slots burned since the countdown began.
@@ -404,8 +434,8 @@ impl Simulator {
     }
 
     fn replan_all(&mut self) {
-        for i in 0..self.macs.len() {
-            self.replan(NodeId(i as u32));
+        for k in 0..self.senders.len() {
+            self.replan(self.senders[k]);
         }
     }
 
@@ -423,9 +453,14 @@ impl Simulator {
                 seq: frame.seq,
             });
         }
-        self.tx_meta.insert(tx_id, (node, frame, self.now));
-        self.medium
-            .begin_tx(&mut self.world, tx_id, node, frame, end);
+        let tx = ActiveTx {
+            id: tx_id,
+            sender: node,
+            frame,
+            start: self.now,
+            end,
+        };
+        self.medium.begin_tx(&mut self.world, tx);
         self.queue.push(end, Event::TxEnd { node, tx_id });
         self.replan_all();
     }
@@ -494,15 +529,16 @@ impl Simulator {
         let ctrl_id = self.next_ctrl_id;
         self.next_ctrl_id += 1;
         self.pending_ctrl
-            .insert(ctrl_id, PendingCtrl { frame, airtime });
+            .push((ctrl_id, PendingCtrl { frame, airtime }));
         self.queue
             .push(self.now + delay, Event::ControlTxStart { node, ctrl_id });
     }
 
     fn on_ctrl_tx(&mut self, node: NodeId, ctrl_id: u64) {
-        let Some(p) = self.pending_ctrl.remove(&ctrl_id) else {
+        let Some(pos) = self.pending_ctrl.iter().position(|(id, _)| *id == ctrl_id) else {
             return;
         };
+        let (_, p) = self.pending_ctrl.swap_remove(pos);
         if self.medium.is_transmitting(node) {
             return; // radio occupied; the exchange will time out
         }
@@ -527,9 +563,14 @@ impl Simulator {
     }
 
     fn on_tx_end(&mut self, tx_id: u64) {
-        let (sender, frame, started) = self.tx_meta.remove(&tx_id).expect("unknown tx");
-        self.airtime_us[sender.0 as usize] += self.now.since(started).as_micros();
-        let results = self.medium.end_tx(tx_id, &mut self.rng_phy);
+        let mut results = std::mem::take(&mut self.decoded);
+        let ActiveTx {
+            sender,
+            frame,
+            start,
+            ..
+        } = self.medium.end_tx(tx_id, &mut self.rng_phy, &mut results);
+        self.airtime_us[sender.0 as usize] += self.now.since(start).as_micros();
         if let Some(tr) = self.trace.as_mut() {
             let delivered = match frame.kind {
                 FrameKind::Data { dst, .. } => {
@@ -597,6 +638,7 @@ impl Simulator {
             }
             FrameKind::Ack { .. } | FrameKind::Cts { .. } => {}
         }
+        self.decoded = results;
         self.replan_all();
     }
 

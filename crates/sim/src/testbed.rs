@@ -128,21 +128,7 @@ impl Testbed {
     /// p = σ((SNR − SNR_min)/width), so link categorisation does not need
     /// simulation time.
     pub fn link_delivery(&self, src: NodeId, dst: NodeId, rate_idx: usize) -> f64 {
-        let mut w = self.world();
-        let snr_db = w.rssi_db(src, dst);
-        let req = wcs_capacity::rates::RATES_11A[rate_idx].min_snr_db;
-        match testbed_phy().reception {
-            ReceptionModel::Sigmoid { width_db } => {
-                1.0 / (1.0 + (-(snr_db - req) / width_db).exp())
-            }
-            ReceptionModel::HardThreshold => {
-                if snr_db >= req {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
+        delivery_at(self.world().rssi_db(src, dst), rate_idx)
     }
 
     /// Enumerate all directed links whose 6 Mbps delivery lies within
@@ -157,13 +143,14 @@ impl Testbed {
                     continue;
                 }
                 let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
-                let p = self.link_delivery(src, dst, 0);
+                let rssi_db = w.rssi_db(src, dst);
+                let p = delivery_at(rssi_db, 0);
                 if p >= min_delivery && p <= max_delivery {
                     out.push(CandidateLink {
                         src,
                         dst,
                         delivery_6mbps: p,
-                        rssi_db: w.rssi_db(src, dst),
+                        rssi_db,
                     });
                 }
             }
@@ -198,6 +185,21 @@ impl Testbed {
     }
 }
 
+/// [`Testbed::link_delivery`] for a link of known SNR (dB over noise).
+fn delivery_at(snr_db: f64, rate_idx: usize) -> f64 {
+    let req = wcs_capacity::rates::RATES_11A[rate_idx].min_snr_db;
+    match testbed_phy().reception {
+        ReceptionModel::Sigmoid { width_db } => 1.0 / (1.0 + (-(snr_db - req) / width_db).exp()),
+        ReceptionModel::HardThreshold => {
+            if snr_db >= req {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +229,21 @@ mod tests {
         // Short-range links have higher RSSI on average.
         let avg = |v: &[CandidateLink]| v.iter().map(|l| l.rssi_db).sum::<f64>() / v.len() as f64;
         assert!(avg(&short) > avg(&long) + 3.0);
+    }
+
+    #[test]
+    fn candidate_links_match_fresh_world_queries_bitwise() {
+        // Categorisation reads one shared World; every link must carry
+        // exactly the values a fresh per-link World would give.
+        let t = bed();
+        let links = t.candidate_links(0.0, 1.0);
+        assert_eq!(links.len(), t.len() * (t.len() - 1));
+        for l in links.iter().step_by(7) {
+            let p = t.link_delivery(l.src, l.dst, 0);
+            assert_eq!(l.delivery_6mbps.to_bits(), p.to_bits());
+            let rssi = t.world().rssi_db(l.src, l.dst);
+            assert_eq!(l.rssi_db.to_bits(), rssi.to_bits());
+        }
     }
 
     #[test]

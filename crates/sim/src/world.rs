@@ -72,12 +72,17 @@ pub struct World {
     positions: Vec<Point2>,
     config: ChannelConfig,
     shadow: ShadowField,
+    /// Memoised received powers, one row per sender (`rx_rows[a][b]` is
+    /// the power at `b` when `a` transmits, 0 on the diagonal); a row
+    /// stays empty until its sender is first queried.
+    rx_rows: Vec<Vec<f64>>,
 }
 
 impl World {
     /// Build a world from node positions.
     pub fn new(positions: Vec<Point2>, config: ChannelConfig, seed: u64) -> Self {
         World {
+            rx_rows: vec![Vec::new(); positions.len()],
             positions,
             config,
             shadow: ShadowField::new(config.shadowing, seed),
@@ -119,7 +124,30 @@ impl World {
 
     /// Received power at `b` when `a` transmits (linear).
     pub fn rx_power(&mut self, a: NodeId, b: NodeId) -> f64 {
-        self.config.tx_power * self.gain(a, b)
+        assert_ne!(a, b, "self-channel is undefined");
+        self.rx_row(a)[b.0 as usize]
+    }
+
+    /// Received power at every node when `a` transmits, indexed by node
+    /// id; the sender's own entry is 0. The channel is static, so each
+    /// row is computed once, on first use, and then shared by every
+    /// frame `a` sends.
+    pub(crate) fn rx_row(&mut self, a: NodeId) -> &[f64] {
+        let i = a.0 as usize;
+        if self.rx_rows[i].is_empty() {
+            let row = (0..self.len() as u32)
+                .map(|j| {
+                    let b = NodeId(j);
+                    if b == a {
+                        0.0
+                    } else {
+                        self.config.tx_power * self.gain(a, b)
+                    }
+                })
+                .collect();
+            self.rx_rows[i] = row;
+        }
+        &self.rx_rows[i]
     }
 
     /// RSSI in dB above the noise floor — the quantity the paper's
@@ -182,6 +210,29 @@ mod tests {
     }
 
     #[test]
+    fn rx_row_is_the_pairwise_expression_bitwise() {
+        let mut w = World::new(
+            vec![
+                Point2::new(0.0, 0.0),
+                Point2::new(30.0, 40.0),
+                Point2::new(-70.0, 12.5),
+            ],
+            ChannelConfig::paper_testbed(),
+            11,
+        );
+        let mut unmemoised = w.clone();
+        let row = w.rx_row(NodeId(1)).to_vec();
+        assert_eq!(row[1], 0.0, "no self-channel");
+        for j in [0u32, 2] {
+            let direct = w.config().tx_power * unmemoised.gain(NodeId(1), NodeId(j));
+            assert_eq!(row[j as usize].to_bits(), direct.to_bits(), "n1 -> n{j}");
+            assert_eq!(w.rx_power(NodeId(1), NodeId(j)), row[j as usize]);
+        }
+        // The reverse direction reads its own row, equal by symmetry.
+        assert_eq!(w.rx_power(NodeId(2), NodeId(1)), row[2]);
+    }
+
+    #[test]
     fn distance_and_positions() {
         let w = two_node_world(50.0);
         assert_eq!(w.len(), 2);
@@ -193,5 +244,12 @@ mod tests {
     fn self_channel_rejected() {
         let mut w = two_node_world(10.0);
         let _ = w.gain(NodeId(0), NodeId(0));
+    }
+
+    #[test]
+    #[should_panic]
+    fn self_rx_power_rejected() {
+        let mut w = two_node_world(10.0);
+        let _ = w.rx_power(NodeId(1), NodeId(1));
     }
 }

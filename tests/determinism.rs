@@ -246,6 +246,33 @@ fn sim_workload_is_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
+fn sim_scenarios_reproduce_their_pinned_report_bytes() {
+    // The §4 simulator has no stream-layout split, so any simulator
+    // optimization must leave its reports byte-identical. These hashes
+    // were captured before the simulator's fast path; if one moves, the
+    // event loop or the SINR arithmetic changed observable output.
+    use in_defense_of_carrier_sense::runtime::run_workload;
+    use in_defense_of_carrier_sense::runtime::scenario::fnv1a64;
+    let tiny = EffortProfile::quick()
+        .with_run_secs(1)
+        .with_ensemble_points(8);
+    let pinned = [
+        (scenarios::sim_threshold_grid(&tiny), 0x6c2bbac85b4cb1a7, 6),
+        (scenarios::sim_rate_policies(&tiny), 0xe37fa089eeb04335, 6),
+    ];
+    for (sweep, csv_hash, rows) in pinned {
+        let out = run_workload(&sweep, &Engine::new(2), None);
+        assert_eq!(out.report.rows.len(), rows, "{}: row count", sweep.name);
+        assert_eq!(
+            fnv1a64(out.report.to_csv().as_bytes()),
+            csv_hash,
+            "{}: report bytes changed",
+            sweep.name
+        );
+    }
+}
+
+#[test]
 fn parallel_mc_path_is_thread_count_invariant() {
     use in_defense_of_carrier_sense::model::average::mc_averages_par;
     let p = ModelParams::paper_default();
