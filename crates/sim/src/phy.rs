@@ -145,11 +145,9 @@ pub struct Medium {
     /// Sum of rx power at each node from all active transmissions
     /// (the node's own transmission contributes nothing to itself).
     ambient: Vec<f64>,
-    /// In-flight transmissions with their received power at every node.
-    /// Rarely more than a handful at once, so lookups scan by id.
-    active: Vec<(ActiveTx, Vec<f64>)>,
-    /// Rx-power buffers of ended transmissions, reused by later ones.
-    spare: Vec<Vec<f64>>,
+    /// In-flight transmissions. Rarely more than a handful at once, so
+    /// lookups scan by id.
+    active: Vec<ActiveTx>,
     rx: Vec<Option<ActiveRx>>,
     /// Nodes currently transmitting (cannot lock).
     transmitting: Vec<bool>,
@@ -164,7 +162,6 @@ impl Medium {
             lock_margin: 10f64.powf(cfg.preamble_snr_db / 10.0),
             ambient: vec![0.0; n],
             active: Vec::new(),
-            spare: Vec::new(),
             rx: vec![None; n],
             transmitting: vec![false; n],
         }
@@ -200,9 +197,6 @@ impl Medium {
     pub fn begin_tx(&mut self, world: &mut World, tx: ActiveTx) {
         let s = tx.sender.0 as usize;
         assert!(!self.transmitting[s], "{} already transmitting", tx.sender);
-        let mut rx_power = self.spare.pop().unwrap_or_default();
-        rx_power.clear();
-        rx_power.extend_from_slice(world.rx_row(tx.sender));
 
         // Half-duplex: a sender abandons any reception in progress.
         self.rx[s] = None;
@@ -211,7 +205,7 @@ impl Medium {
         // Per node: raise the ambient power, then either degrade the
         // reception it is locked on or, if it is idle, try to lock onto
         // this frame's preamble.
-        for (i, &signal) in rx_power.iter().enumerate() {
+        for (i, &signal) in world.rx_row(tx.sender).iter().enumerate() {
             if i == s {
                 continue;
             }
@@ -239,15 +233,23 @@ impl Medium {
                 None => {}
             }
         }
-        self.active.push((tx, rx_power));
+        self.active.push(tx);
     }
 
-    /// End transmission `tx_id` and return its record. The decode
-    /// outcomes of every node that was locked on it replace the contents
-    /// of `results`, in node order. `rng` drives the sigmoid reception
-    /// model (unused under `HardThreshold`).
+    /// End transmission `tx_id` and return its record. `world` must be
+    /// the one the transmission began in: its gain row says how much
+    /// power the frame leaves each node's ambient.
+    ///
+    /// Every node locked on the frame is released. The decode outcomes
+    /// the MAC acts on replace the contents of `results`, in node order:
+    /// every locked node's for an RTS or CTS, whose NAV each overhearer
+    /// honours, and only the addressee's for a data frame or an ACK.
+    /// `rng` drives the sigmoid reception model (unused under
+    /// `HardThreshold`); every locked node takes its draw, so the stream
+    /// is the same as if every outcome were resolved.
     pub fn end_tx<R: Rng + ?Sized>(
         &mut self,
+        world: &mut World,
         tx_id: u64,
         rng: &mut R,
         results: &mut Vec<DecodeResult>,
@@ -255,15 +257,19 @@ impl Medium {
         let pos = self
             .active
             .iter()
-            .position(|(tx, _)| tx.id == tx_id)
+            .position(|tx| tx.id == tx_id)
             .expect("unknown tx_id");
-        let (tx, rx_power) = self.active.swap_remove(pos);
+        let tx = self.active.swap_remove(pos);
         let s = tx.sender.0 as usize;
         self.transmitting[s] = false;
         results.clear();
+        let addressee = match tx.frame.kind {
+            FrameKind::Data { dst, .. } | FrameKind::Ack { dst } => Some(dst.0 as usize),
+            FrameKind::Rts { .. } | FrameKind::Cts { .. } => None,
+        };
         // The sender never locks on its own frame, so skipping it loses
         // no reception.
-        for (i, &signal) in rx_power.iter().enumerate() {
+        for (i, &signal) in world.rx_row(tx.sender).iter().enumerate() {
             if i == s {
                 continue;
             }
@@ -278,6 +284,12 @@ impl Medium {
                 _ => continue,
             };
             self.rx[i] = None;
+            if addressee.is_some_and(|dst| dst != i) {
+                if let ReceptionModel::Sigmoid { .. } = self.cfg.reception {
+                    let _ = rng.gen::<f64>();
+                }
+                continue;
+            }
             let min_sinr_db = 10.0 * arx.min_sinr.log10();
             let success = match self.cfg.reception {
                 ReceptionModel::HardThreshold => min_sinr_db >= tx.frame.rate.min_snr_db,
@@ -295,16 +307,12 @@ impl Medium {
                 min_sinr_db,
             });
         }
-        self.spare.push(rx_power);
         tx
     }
 
     /// The active transmission record, if in flight.
     pub fn active_tx(&self, tx_id: u64) -> Option<&ActiveTx> {
-        self.active
-            .iter()
-            .find(|(tx, _)| tx.id == tx_id)
-            .map(|(tx, _)| tx)
+        self.active.iter().find(|tx| tx.id == tx_id)
     }
 }
 
@@ -335,9 +343,9 @@ mod tests {
     }
 
     /// End `id` and return its decode outcomes.
-    fn end(m: &mut Medium, id: u64, rng: &mut impl Rng) -> Vec<DecodeResult> {
+    fn end(m: &mut Medium, w: &mut World, id: u64, rng: &mut impl Rng) -> Vec<DecodeResult> {
         let mut results = Vec::new();
-        assert_eq!(m.end_tx(id, rng, &mut results).id, id);
+        assert_eq!(m.end_tx(w, id, rng, &mut results).id, id);
         results
     }
 
@@ -362,7 +370,7 @@ mod tests {
         m.begin_tx(&mut w, tx(0, 0, data(1, 7), 100));
         assert!(m.is_receiving(NodeId(1)));
         assert!(m.is_transmitting(NodeId(0)));
-        let res = end(&mut m, 0, &mut rng);
+        let res = end(&mut m, &mut w, 0, &mut rng);
         assert_eq!(res.len(), 1);
         assert!(res[0].success);
         assert!((res[0].min_sinr_db - 26.0).abs() < 0.5);
@@ -377,9 +385,9 @@ mod tests {
         let mut rng = seeded_rng(2);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
         m.begin_tx(&mut w, tx(0, 0, data(1, 0), 100));
-        assert!(end(&mut m, 0, &mut rng)[0].success);
+        assert!(end(&mut m, &mut w, 0, &mut rng)[0].success);
         m.begin_tx(&mut w, tx(1, 0, data(1, 4), 200));
-        assert!(!end(&mut m, 1, &mut rng)[0].success);
+        assert!(!end(&mut m, &mut w, 1, &mut rng)[0].success);
     }
 
     #[test]
@@ -396,7 +404,7 @@ mod tests {
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
         m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
         m.begin_tx(&mut w, tx(1, 2, data(1, 0), 900));
-        let res = end(&mut m, 0, &mut rng);
+        let res = end(&mut m, &mut w, 0, &mut rng);
         let r1 = res.iter().find(|r| r.receiver == NodeId(1)).unwrap();
         assert!(!r1.success, "min SINR {} dB should fail", r1.min_sinr_db);
     }
@@ -416,11 +424,11 @@ mod tests {
         assert!(m.is_receiving(NodeId(1)));
         m.begin_tx(&mut w, tx(1, 2, data(1, 0), 900));
         // Still locked on tx 0 (which is now hopeless), not on tx 1.
-        let res0 = end(&mut m, 0, &mut rng);
+        let res0 = end(&mut m, &mut w, 0, &mut rng);
         let r = res0.iter().find(|r| r.receiver == NodeId(1)).unwrap();
         assert!(!r.success);
         // tx 1 ends with no receiver locked on it.
-        let res1 = end(&mut m, 1, &mut rng);
+        let res1 = end(&mut m, &mut w, 1, &mut rng);
         assert!(res1.iter().all(|r| r.receiver != NodeId(1)));
     }
 
@@ -439,11 +447,11 @@ mod tests {
         // Node 1 locks the strong frame; now the weak one arrives.
         m.begin_tx(&mut w, tx(1, 2, data(1, 0), 1000));
         // End the strong frame; node 1 was locked on it, decodes fine.
-        let res = end(&mut m, 0, &mut rng);
+        let res = end(&mut m, &mut w, 0, &mut rng);
         assert!(res.iter().any(|r| r.receiver == NodeId(1) && r.success));
         // The weak frame finds no lock at node 1 (it appeared mid-burst)
         // and is too weak to have locked anyone else.
-        let res1 = end(&mut m, 1, &mut rng);
+        let res1 = end(&mut m, &mut w, 1, &mut rng);
         assert!(res1.is_empty());
     }
 
@@ -459,15 +467,15 @@ mod tests {
         m.begin_tx(&mut w, tx(0, 0, data(1, 0), 1000));
         m.begin_tx(&mut w, tx(1, 2, data(1, 0), 1000));
         assert!(m.ambient(NodeId(1)) > 0.0);
-        let _ = end(&mut m, 0, &mut rng);
-        let _ = end(&mut m, 1, &mut rng);
+        let _ = end(&mut m, &mut w, 0, &mut rng);
+        let _ = end(&mut m, &mut w, 1, &mut rng);
         for i in 0..3 {
             assert_eq!(m.ambient(NodeId(i)), 0.0, "node {i} ambient should be zero");
         }
     }
 
     #[test]
-    fn records_round_trip_and_buffers_are_reused() {
+    fn records_round_trip() {
         let mut w = world(vec![
             Point2::new(0.0, 0.0),
             Point2::new(20.0, 0.0),
@@ -481,18 +489,44 @@ mod tests {
         m.begin_tx(&mut w, b);
         assert_eq!(m.active_tx(8), Some(&b));
         // Stale entries in the caller's buffer are replaced, not appended to.
-        let mut results = end(&mut m, 8, &mut rng);
-        assert_eq!(m.end_tx(7, &mut rng, &mut results), a);
+        let mut results = end(&mut m, &mut w, 8, &mut rng);
+        assert_eq!(m.end_tx(&mut w, 7, &mut rng, &mut results), a);
         assert!(results.iter().all(|r| r.sender == NodeId(0)), "{results:?}");
         assert!(m.active_tx(7).is_none() && m.active_tx(8).is_none());
-        // A recycled rx-power buffer must carry the new sender's powers:
-        // node 1 transmitting leaves equal power at its two neighbours.
-        m.begin_tx(&mut w, tx(9, 1, data(0, 0), 1400));
-        assert_eq!(m.ambient(NodeId(0)), m.ambient(NodeId(2)));
-        assert_eq!(m.ambient(NodeId(1)), 0.0);
-        let _ = end(&mut m, 9, &mut rng);
-        for i in 0..3 {
-            assert_eq!(m.ambient(NodeId(i)), 0.0);
+    }
+
+    #[test]
+    fn overheard_outcomes_resolve_only_for_rts_and_cts() {
+        // Node 0 sends to node 1 while node 2 overhears; both lock.
+        let mut w = world(vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(20.0, 0.0),
+            Point2::new(0.0, 20.0),
+        ]);
+        let cfg = PhyConfig {
+            reception: ReceptionModel::Sigmoid { width_db: 1.0 },
+            ..Default::default()
+        };
+        let rts = Frame {
+            kind: FrameKind::Rts {
+                dst: NodeId(1),
+                nav_until: SimTime(500),
+            },
+            ..data(1, 0)
+        };
+        for (frame, receivers) in [(data(1, 0), vec![1]), (rts, vec![1, 2])] {
+            let mut m = Medium::new(3, w.config().noise, cfg);
+            m.begin_tx(&mut w, tx(0, 0, frame, 100));
+            assert!(m.is_receiving(NodeId(1)) && m.is_receiving(NodeId(2)));
+            let mut rng = seeded_rng(10);
+            let res = end(&mut m, &mut w, 0, &mut rng);
+            let got: Vec<u32> = res.iter().map(|r| r.receiver.0).collect();
+            assert_eq!(got, receivers, "{:?}", frame.kind);
+            assert!(!m.is_receiving(NodeId(2)), "overhearer released");
+            // Both locked nodes took their draw either way.
+            let mut reference = seeded_rng(10);
+            let _ = (reference.gen::<f64>(), reference.gen::<f64>());
+            assert_eq!(rng.gen::<f64>(), reference.gen::<f64>());
         }
     }
 
@@ -507,8 +541,8 @@ mod tests {
         m.begin_tx(&mut w, tx(1, 1, data(0, 0), 900));
         assert!(!m.is_receiving(NodeId(1)));
         // Frame 0 ends with nobody locked.
-        assert!(end(&mut m, 0, &mut rng).is_empty());
-        let _ = end(&mut m, 1, &mut rng);
+        assert!(end(&mut m, &mut w, 0, &mut rng).is_empty());
+        let _ = end(&mut m, &mut w, 1, &mut rng);
     }
 
     #[test]
@@ -530,7 +564,7 @@ mod tests {
         for t in 0..n {
             let mut m = Medium::new(2, w2.config().noise, cfg);
             m.begin_tx(&mut w2, tx(t, 0, data(1, 4), 1000));
-            if end(&mut m, t, &mut rng)[0].success {
+            if end(&mut m, &mut w2, t, &mut rng)[0].success {
                 successes += 1;
             }
         }

@@ -20,10 +20,9 @@
 //!   powers come from the world's memoised per-sender gain rows,
 //!   energy-detect thresholds are precomputed per node, a medium change
 //!   replans only flow sources, and in-flight state lives in small
-//!   id-keyed vectors whose buffers are reused, so a steady-state event
-//!   allocates nothing. None of this changes an output bit: the
-//!   arithmetic and its order are the same as computing everything
-//!   afresh per frame.
+//!   id-keyed vectors, so a steady-state event allocates nothing. None
+//!   of this changes an output bit: the arithmetic and its order are the
+//!   same as computing everything afresh per frame.
 
 use crate::event::{Event, EventQueue};
 #[cfg(test)]
@@ -569,7 +568,9 @@ impl Simulator {
             frame,
             start,
             ..
-        } = self.medium.end_tx(tx_id, &mut self.rng_phy, &mut results);
+        } = self
+            .medium
+            .end_tx(&mut self.world, tx_id, &mut self.rng_phy, &mut results);
         self.airtime_us[sender.0 as usize] += self.now.since(start).as_micros();
         if let Some(tr) = self.trace.as_mut() {
             let delivered = match frame.kind {
