@@ -567,10 +567,10 @@ impl NPairKernel {
 /// path is restructured around batched draws and slice-level
 /// vectorizable transcendentals:
 ///
-/// * the three shadow tables are filled with **raw standard normals**
-///   via the one-uniform inverse-CDF sampler
-///   (`Shadowing::fill_raw_normal_v2` — fixed one generator word per
-///   draw, no rejection loop, so any chunking of a table is
+/// * the three shadow tables are filled in one call with **raw
+///   standard normals** via the one-uniform inverse-CDF sampler
+///   (`wcs_stats::dist::fill_standard_normal` — fixed one generator
+///   word per draw, no rejection loop, so any chunking of the tables is
 ///   byte-equivalent by construction), not linear dB factors — no
 ///   `10^(x/10)` powf per draw and ~60% less generator traffic;
 /// * every link gain is one batched `exp`: a link of squared length
@@ -580,8 +580,11 @@ impl NPairKernel {
 ///   exponent arguments (N² gains + N(N−1)/2 sense links) are assembled
 ///   in one flat buffer and run through `fast_ln_slice`/`fast_exp_slice`
 ///   in two passes the compiler can vectorize;
-/// * the sense table hoists `ln(median_gain(|sᵢ−sⱼ|))` per task, so a
-///   sense link contributes `k·z + ln_path` to the same batched exp;
+/// * the sense links hoist `ln(median_gain(|sᵢ−sⱼ|))` per task, packed
+///   in draw order, so a sense link contributes `k·z + ln_path` to the
+///   same batched exp and is compared to the threshold once;
+/// * scoring reads the gains in place and the sense decisions through a
+///   per-task (i, j) → link index, and accumulates without branches;
 /// * all 3N Shannon logs are scored in one `capacity_v2_batch` pass.
 ///
 /// Statistically identical to v1, **not** bitwise equal to it (hence
@@ -600,25 +603,30 @@ pub struct NPairKernelV2 {
     k_shadow: f64,
     /// Hoisted `median_gain(d_thresh)`.
     p_thresh: f64,
-    /// Flat N×N ln(sender→sender median path gain) (diagonal unused).
+    /// ln(sender→sender median path gain) for each i < j, packed row by
+    /// row — the sense-draw order.
     ln_sense_path: Vec<f64>,
+    /// N×N map from (i, j) to the packed position of the {i, j} sense
+    /// link (diagonal unused).
+    sense_link: Vec<usize>,
     // ---- per-sample scratch (reused across samples) ----
     offsets: Vec<PairSample>,
-    receivers: Vec<Point2>,
-    signal_z: Vec<f64>,
-    interf_z: Vec<f64>,
-    sense_z: Vec<f64>,
+    /// Raw shadow normals in draw order: N signal links, N(N−1)
+    /// interference links (row-major, j ≠ i), N(N−1)/2 sense links
+    /// (i < j).
+    z: Vec<f64>,
     /// Batched transcendental staging: N² squared distances → log-gain
-    /// exponent arguments, then N(N−1)/2 sense exponent arguments, all
-    /// transformed in place by the slice kernels.
+    /// exponent arguments → link gains (row i = receiver i), then
+    /// N(N−1)/2 sense exponent arguments → sense gains, all transformed
+    /// in place by the slice kernels.
     args: Vec<f64>,
+    /// Per sense link: whether its gain clears the threshold.
+    sensed: Vec<bool>,
     /// Batched SNR staging for the 3N capacity logs (mux, conc, cs per
     /// pair).
     snr: Vec<f64>,
     /// Per-pair carrier-sense airtime share 1/(deg+1).
     share: Vec<f64>,
-    gains: Vec<f64>,
-    sense: Vec<f64>,
     // ---- per-sample outputs ----
     mux: Vec<f64>,
     conc: Vec<f64>,
@@ -641,13 +649,15 @@ impl NPairKernelV2 {
         d_thresh: f64,
     ) -> Self {
         let n = senders.len();
-        let mut ln_sense_path = vec![0.0; n * n];
+        let links = n * n.saturating_sub(1) / 2;
+        let mut ln_sense_path = Vec::with_capacity(links);
+        let mut sense_link = vec![0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
                 let dist = senders[i].distance(&senders[j]);
-                let ln_g = wcs_stats::fastmath::fast_ln(prop.median_gain(dist));
-                ln_sense_path[i * n + j] = ln_g;
-                ln_sense_path[j * n + i] = ln_g;
+                sense_link[i * n + j] = ln_sense_path.len();
+                sense_link[j * n + i] = ln_sense_path.len();
+                ln_sense_path.push(wcs_stats::fastmath::fast_ln(prop.median_gain(dist)));
             }
         }
         NPairKernelV2 {
@@ -660,16 +670,13 @@ impl NPairKernelV2 {
             k_shadow: prop.shadowing.linear_exp_coeff(),
             p_thresh: prop.median_gain(d_thresh),
             ln_sense_path,
+            sense_link,
             offsets: vec![PairSample { r: 0.0, theta: 0.0 }; n],
-            receivers: vec![Point2::default(); n],
-            signal_z: vec![0.0; n],
-            interf_z: vec![0.0; n * n.saturating_sub(1)],
-            sense_z: vec![0.0; n * n.saturating_sub(1) / 2],
-            args: vec![0.0; n * n + n * n.saturating_sub(1) / 2],
+            z: vec![0.0; n + n * n.saturating_sub(1) + links],
+            args: vec![0.0; n * n + links],
+            sensed: vec![false; links],
             snr: vec![0.0; 3 * n],
             share: vec![0.0; n],
-            gains: vec![0.0; n * n],
-            sense: vec![0.0; n * n],
             mux: vec![0.0; n],
             conc: vec![0.0; n],
             cs: vec![0.0; n],
@@ -693,124 +700,94 @@ impl NPairKernelV2 {
         for o in self.offsets.iter_mut() {
             *o = PairSample::sample_uniform(self.rmax, rng);
         }
-        self.fill_raw(rng);
+        // σ = 0 consumes no draws, as in v1, and leaves every z at zero.
+        if self.k_shadow != 0.0 {
+            wcs_stats::dist::fill_standard_normal(rng, &mut self.z);
+        }
+        let (signal_z, rest) = self.z.split_at(n);
+        let (interf_z, sense_z) = rest.split_at(n * n.saturating_sub(1));
 
+        // Stage 1: every link's squared distance into the staging
+        // buffer, row i from receiver i to all N senders; interference
+        // links never take a square root at all. The signal link then
+        // overwrites the diagonal from the polar radius directly,
+        // exactly like v1 — squared here because the exponent is α/2.
         for i in 0..n {
+            let row = &mut self.args[i * n..(i + 1) * n];
             let o = self.offsets[i];
             let p = Point2::from_polar(o.r, o.theta);
             let s = self.senders[i];
-            self.receivers[i] = Point2::new(s.x + p.x, s.y + p.y);
-        }
-        // Stage 1: every link's squared distance into the staging
-        // buffer. The signal link uses the polar radius directly,
-        // exactly like v1 — squared here because the exponent is α/2;
-        // interference links never take a square root at all.
-        for i in 0..n {
-            let r = self.offsets[i].r;
-            self.args[i * n + i] = (r * r).max(Self::NEAR_FIELD_EPS_SQ);
-        }
-        for i in 0..n {
-            let rx = self.receivers[i];
-            for j in 0..n {
-                if i != j {
-                    let dx = rx.x - self.senders[j].x;
-                    let dy = rx.y - self.senders[j].y;
-                    self.args[i * n + j] = (dx * dx + dy * dy).max(Self::NEAR_FIELD_EPS_SQ);
-                }
+            let rx = Point2::new(s.x + p.x, s.y + p.y);
+            for (a, tx) in row.iter_mut().zip(&self.senders) {
+                let dx = rx.x - tx.x;
+                let dy = rx.y - tx.y;
+                *a = (dx * dx + dy * dy).max(Self::NEAR_FIELD_EPS_SQ);
             }
+            row[i] = (o.r * o.r).max(Self::NEAR_FIELD_EPS_SQ);
         }
         // Stage 2: batched ln over all N² squared distances at once.
         wcs_stats::fastmath::fast_ln_slice(&mut self.args[..n2]);
         // Stage 3: fuse shadow and path-loss into exponent arguments,
-        // in place: gain = exp(k·z − (α/2)·ln(d²)); a sense link is
-        // exp(k·z + ln_path) and rides the same batched exp.
-        for i in 0..n {
-            let ii = i * n + i;
-            self.args[ii] = self.k_shadow * self.signal_z[i] - self.half_alpha * self.args[ii];
-        }
-        let mut draw = 0usize;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let ij = i * n + j;
-                    self.args[ij] =
-                        self.k_shadow * self.interf_z[draw] - self.half_alpha * self.args[ij];
-                    draw += 1;
-                }
+        // in place: gain = exp(k·z − (α/2)·ln(d²)). Row i reads its
+        // interference draws for columns [0, i) and (i, N) around the
+        // signal draw on the diagonal. A sense link is exp(k·z + ln_path)
+        // and rides the same batched exp.
+        let (k, half_alpha) = (self.k_shadow, self.half_alpha);
+        let fuse = |args: &mut [f64], z: &[f64]| {
+            for (a, &z) in args.iter_mut().zip(z) {
+                *a = k * z - half_alpha * *a;
             }
-        }
-        let mut draw = 0usize;
+        };
+        let (gains, sense) = self.args.split_at_mut(n2);
         for i in 0..n {
-            for j in (i + 1)..n {
-                self.args[n2 + draw] =
-                    self.k_shadow * self.sense_z[draw] + self.ln_sense_path[i * n + j];
-                draw += 1;
-            }
+            let z = &interf_z[i * (n - 1)..(i + 1) * (n - 1)];
+            let (before, rest) = gains[i * n..(i + 1) * n].split_at_mut(i);
+            let (diag, after) = rest.split_at_mut(1);
+            fuse(before, &z[..i]);
+            fuse(diag, &signal_z[i..=i]);
+            fuse(after, &z[i..]);
         }
-        // Stage 4: one batched exp turns every argument into a gain.
+        for ((a, &z), &ln_path) in sense.iter_mut().zip(sense_z).zip(&self.ln_sense_path) {
+            *a = k * z + ln_path;
+        }
+        // Stage 4: one batched exp turns every argument into a gain, and
+        // each sense link meets the threshold once.
         wcs_stats::fastmath::fast_exp_slice(&mut self.args);
-        self.gains.copy_from_slice(&self.args[..n2]);
-        let mut draw = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let s = self.args[n2 + draw];
-                draw += 1;
-                self.sense[i * n + j] = s;
-                self.sense[j * n + i] = s;
-            }
+        for (flag, &g) in self.sensed.iter_mut().zip(&self.args[n2..]) {
+            *flag = g > self.p_thresh;
         }
 
         // Stage 5: accumulate every pair's three SNRs, then score all
-        // 3N capacities in one batched log pass.
+        // 3N capacities in one batched log pass. Sums run over j ≠ i in
+        // index order, as in v1; a sensed link adds +0.0 to the hidden
+        // interference, which is exact (the sum starts at +0.0 and every
+        // gain is positive).
         let noise = self.noise;
         self.deferring = 0;
         for i in 0..n {
-            let g_ii = self.gains[i * n + i];
+            let row = &self.args[i * n..(i + 1) * n];
+            let links = &self.sense_link[i * n..(i + 1) * n];
+            let (mut interf, mut hidden_interf, mut deg) = (0.0, 0.0, 0usize);
+            for part in [0..i, i + 1..n] {
+                for (&g, &link) in row[part.clone()].iter().zip(&links[part]) {
+                    let sensed = self.sensed[link];
+                    interf += g;
+                    hidden_interf += if sensed { 0.0 } else { g };
+                    deg += sensed as usize;
+                }
+            }
+            let g_ii = row[i];
             self.snr[3 * i] = g_ii / noise;
-            let mut interf = 0.0;
-            for j in 0..n {
-                if j != i {
-                    interf += self.gains[i * n + j];
-                }
-            }
             self.snr[3 * i + 1] = g_ii / (noise + interf);
-            let mut deg = 0usize;
-            let mut hidden_interf = 0.0;
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                if self.sense[i * n + j] > self.p_thresh {
-                    deg += 1;
-                } else {
-                    hidden_interf += self.gains[i * n + j];
-                }
-            }
             self.share[i] = 1.0 / (deg as f64 + 1.0);
             self.snr[3 * i + 2] = g_ii / (noise + hidden_interf);
-            if deg > 0 {
-                self.deferring += 1;
-            }
+            self.deferring += (deg > 0) as usize;
         }
         self.cap.capacity_v2_batch(&mut self.snr);
         for i in 0..n {
             self.mux[i] = self.snr[3 * i] / n as f64;
             self.conc[i] = self.snr[3 * i + 1];
             self.cs[i] = self.share[i] * self.snr[3 * i + 2];
-        }
-    }
-
-    /// Fill the three raw-normal tables, preserving v1's σ = 0 draw
-    /// economy (no RNG consumption when shadowing is disabled).
-    fn fill_raw<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        if self.k_shadow == 0.0 {
-            self.signal_z.fill(0.0);
-            self.interf_z.fill(0.0);
-            self.sense_z.fill(0.0);
-        } else {
-            wcs_stats::dist::fill_standard_normal(rng, &mut self.signal_z);
-            wcs_stats::dist::fill_standard_normal(rng, &mut self.interf_z);
-            wcs_stats::dist::fill_standard_normal(rng, &mut self.sense_z);
         }
     }
 

@@ -14,8 +14,7 @@
 //! or missing files by reporting "no beat yet".
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Default worker beat period in milliseconds.
@@ -25,34 +24,26 @@ pub const DEFAULT_INTERVAL_MS: u64 = 250;
 /// near-instant worker registers as alive once), then bumps the file
 /// every `interval` until dropped.
 pub struct HeartbeatWriter {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatWriter {
-    /// Start beating `path` every `interval`.
+    /// Start beating `path` every `interval` (at least 1 ms).
     pub fn start(path: PathBuf, interval: Duration) -> HeartbeatWriter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
+        let interval = interval.max(Duration::from_millis(1));
+        let (stop, stopped) = mpsc::channel();
         // Beat 0 lands before the worker's real work starts, from this
         // thread, so callers never observe a spawned-but-beatless gap
         // longer than the spawn itself.
         write_beat(&path, 0);
         let thread = std::thread::spawn(move || {
             let mut seq = 0u64;
-            // Sleep in small steps so drop() never waits a full interval.
-            let step = interval
-                .min(Duration::from_millis(25))
-                .max(Duration::from_millis(1));
-            let mut slept = Duration::ZERO;
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(step);
-                slept += step;
-                if slept >= interval {
-                    slept = Duration::ZERO;
-                    seq += 1;
-                    write_beat(&path, seq);
-                }
+            // Wait on the stop channel rather than sleeping, so drop()
+            // wakes the thread at once instead of after its interval.
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                seq += 1;
+                write_beat(&path, seq);
             }
         });
         HeartbeatWriter {
@@ -64,7 +55,7 @@ impl HeartbeatWriter {
 
 impl Drop for HeartbeatWriter {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -106,6 +97,29 @@ mod tests {
             read_beat(&path),
             Some(after_drop),
             "beats must stop on drop"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn drop_returns_without_waiting_out_the_interval() {
+        // A worker's exit joins its writer; with a long interval the
+        // join must still be immediate, not a sleep step later.
+        let path = std::env::temp_dir().join(format!("wcs-hb-drop-{}", std::process::id()));
+        let mut drops: Vec<Duration> = (0..7)
+            .map(|_| {
+                let hb = HeartbeatWriter::start(path.clone(), Duration::from_secs(60));
+                std::thread::sleep(Duration::from_millis(3));
+                let t = std::time::Instant::now();
+                drop(hb);
+                t.elapsed()
+            })
+            .collect();
+        drops.sort();
+        assert!(
+            drops[drops.len() / 2] < Duration::from_millis(5),
+            "median drop took {:?} (all: {drops:?})",
+            drops[drops.len() / 2]
         );
         let _ = std::fs::remove_file(&path);
     }

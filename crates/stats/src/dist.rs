@@ -52,6 +52,38 @@ pub fn standard_normal_v2<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Generator words [`fill_standard_normal`] stages on the stack at a time.
+const FILL_CHUNK: usize = 64;
+
+/// The low 52 bits of a v2 word: the magnitude index `k`.
+const MAGNITUDE_MASK: u64 = (1 << 52) - 1;
+
+/// Exact tail bound on the magnitude index: `(k + ½)·2⁻⁵³` lies below
+/// the quantile's central region (`fastmath::INV_NORMAL_P_LOW`) if and
+/// only if `k < TAIL_K`. Both sides are exact dyadic rationals, so the
+/// integer compare selects exactly the slots `inv_normal_cdf` would
+/// send down its tail branch (≈4.85 % of words).
+const TAIL_K: u64 = 218_424_581_927_469;
+
+/// The magnitude uniform `(k + ½)·2⁻⁵³` of a v2 word. `k < 2⁵²` is
+/// turned into a double by planting it in the mantissa of 2⁵² and
+/// subtracting 2⁵² (exact, and unlike a u64→f64 convert, expressible
+/// in SSE2), so this equals `standard_normal_v2`'s `k as f64` bit for
+/// bit.
+#[inline(always)]
+fn magnitude_uniform(bits: u64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let k = f64::from_bits(TWO_52.to_bits() | (bits & MAGNITUDE_MASK)) - TWO_52;
+    (k + 0.5) * (1.0 / 9_007_199_254_740_992.0)
+}
+
+/// Apply the word's top bit as the sign of the (strictly negative)
+/// quantile `z`: flipping the sign bit is exactly `-z`.
+#[inline(always)]
+fn signed(z: f64, bits: u64) -> f64 {
+    f64::from_bits(z.to_bits() ^ (bits & (1 << 63)))
+}
+
 /// Fill `out` with standard normal variates on the v2 stream layout.
 ///
 /// **Stream contract:** the values and the RNG state after the call are
@@ -64,9 +96,28 @@ pub fn standard_normal_v2<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// it is pinned by the property tests below. With the inverse-CDF
 /// sampler the contract is structural (fixed consumption per slot)
 /// rather than an accident of rejection-loop alignment.
+///
+/// Each stack chunk of words is drawn in slot order, then transformed in
+/// two passes: the branch-free central rational on every slot (a loop
+/// the compiler vectorizes), then `inv_normal_cdf` again on only the
+/// lower-tail slots, which an exact bound on the magnitude bits picks
+/// out.
 pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    for slot in out.iter_mut() {
-        *slot = standard_normal_v2(rng);
+    let mut words = [0u64; FILL_CHUNK];
+    for chunk in out.chunks_mut(FILL_CHUNK) {
+        let words = &mut words[..chunk.len()];
+        for w in words.iter_mut() {
+            *w = rng.gen::<u64>();
+        }
+        for (slot, &w) in chunk.iter_mut().zip(words.iter()) {
+            let z = crate::fastmath::inv_normal_cdf_central(magnitude_uniform(w));
+            *slot = signed(z, w);
+        }
+        for (slot, &w) in chunk.iter_mut().zip(words.iter()) {
+            if w & MAGNITUDE_MASK < TAIL_K {
+                *slot = signed(crate::fastmath::inv_normal_cdf(magnitude_uniform(w)), w);
+            }
+        }
     }
 }
 
@@ -207,6 +258,7 @@ impl Rician {
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+    use rand::RngCore;
 
     #[test]
     fn standard_normal_moments() {
@@ -327,6 +379,61 @@ mod tests {
             .iter()
             .zip(&buf)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// A generator that replays a fixed cycle of words.
+    struct Replay {
+        words: Vec<u64>,
+        next: usize,
+    }
+
+    impl RngCore for Replay {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words[self.next % self.words.len()];
+            self.next += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn tail_bound_is_exact() {
+        let p_low = crate::fastmath::INV_NORMAL_P_LOW;
+        assert!(magnitude_uniform(TAIL_K - 1) < p_low);
+        assert!(magnitude_uniform(TAIL_K) >= p_low);
+        assert_eq!(
+            magnitude_uniform(MAGNITUDE_MASK),
+            0.5 - 0.5 / 9_007_199_254_740_992.0
+        );
+    }
+
+    #[test]
+    fn fill_standard_normal_matches_scalar_at_the_tail_bound() {
+        // Random seeds almost never draw a magnitude next to TAIL_K, so
+        // replay exactly those words (and the extremes 0 and 2⁵²−1, with
+        // both signs) at every position of one, two and a part chunk.
+        let mut words = Vec::new();
+        for k in [TAIL_K - 1, TAIL_K, 0, MAGNITUDE_MASK, 1 << 51] {
+            words.extend([k, k | 1 << 63]);
+        }
+        // An odd cycle length puts every word at every chunk offset.
+        words.push(TAIL_K + 1);
+        for len in 0..=2 * FILL_CHUNK + 1 {
+            let mut filled = Replay {
+                words: words.clone(),
+                next: 0,
+            };
+            let mut scalar = Replay {
+                words: words.clone(),
+                next: 0,
+            };
+            let mut buf = vec![f64::NAN; len];
+            fill_standard_normal(&mut filled, &mut buf);
+            for (i, x) in buf.iter().enumerate() {
+                let want = standard_normal_v2(&mut scalar);
+                assert_eq!(x.to_bits(), want.to_bits(), "len {len}, slot {i}");
+            }
+            assert_eq!(filled.next_u64(), scalar.next_u64(), "len {len}: next word");
+        }
     }
 
     #[test]

@@ -65,19 +65,21 @@ fn exp_core(x: f64) -> f64 {
     // exactly n in two's complement.
     let n_i = magic.to_bits() as u32 as i32 as i64;
     let r = (x - n * LN2_HI) - n * LN2_LO;
-    // Horner evaluation of Σ r^k/k! for k = 0..=11.
-    let p = 1.0
-        + r * (1.0
-            + r * (1.0 / 2.0
-                + r * (1.0 / 6.0
-                    + r * (1.0 / 24.0
-                        + r * (1.0 / 120.0
-                            + r * (1.0 / 720.0
-                                + r * (1.0 / 5040.0
-                                    + r * (1.0 / 40320.0
-                                        + r * (1.0 / 362880.0
-                                            + r * (1.0 / 3628800.0
-                                                + r * (1.0 / 39916800.0)))))))))));
+    // Horner evaluation of Σ r^k/k! for k = 0..=11, innermost term
+    // first. (Written as steps: rustfmt cannot lay out the 11-deep
+    // nested form in reasonable time.)
+    let mut p = 1.0 / 39916800.0;
+    p = 1.0 / 3628800.0 + r * p;
+    p = 1.0 / 362880.0 + r * p;
+    p = 1.0 / 40320.0 + r * p;
+    p = 1.0 / 5040.0 + r * p;
+    p = 1.0 / 720.0 + r * p;
+    p = 1.0 / 120.0 + r * p;
+    p = 1.0 / 24.0 + r * p;
+    p = 1.0 / 6.0 + r * p;
+    p = 1.0 / 2.0 + r * p;
+    p = 1.0 + r * p;
+    p = 1.0 + r * p;
     // Scale by 2^n through direct exponent-bit construction; n is in
     // [-1021, 1023] for guarded callers so the result stays normal.
     let scale = f64::from_bits(((n_i + EXP_BIAS) as u64) << 52);
@@ -89,7 +91,7 @@ fn exp_core(x: f64) -> f64 {
 /// Out-of-range inputs saturate: x ≳ 709.8 returns `f64::INFINITY`,
 /// x ≲ −708.4 returns 0.0 (subnormal results flush to zero — the v2
 /// kernels clamp their arguments far away from either edge). NaN
-/// propagates. In range this is exactly [`exp_core`], so it agrees
+/// propagates. In range this is exactly `exp_core`, so it agrees
 /// bit-for-bit with [`fast_exp_slice`].
 #[inline]
 pub fn fast_exp(x: f64) -> f64 {
@@ -109,7 +111,7 @@ pub fn fast_exp(x: f64) -> f64 {
 /// In-place batched e^x over a slice — the vectorizable form.
 ///
 /// Arguments are clamped to ±700 (well past anything the v2 kernels
-/// produce, and inside [`exp_core`]'s valid range), then run through the
+/// produce, and inside `exp_core`'s valid range), then run through the
 /// same branch-free core as [`fast_exp`]: for |x| ≤ 700 the results are
 /// bit-identical to calling `fast_exp` per element.
 #[inline]
@@ -153,7 +155,7 @@ fn log2_core(x: f64) -> f64 {
 /// Non-positive and non-finite inputs follow std conventions:
 /// `fast_log2(0) = −∞`, negative → NaN, `∞ → ∞`; subnormals are
 /// renormalised. For positive normal finite x this is exactly
-/// [`log2_core`], so it agrees bit-for-bit with [`fast_log2_slice`].
+/// `log2_core`, so it agrees bit-for-bit with [`fast_log2_slice`].
 #[inline]
 pub fn fast_log2(x: f64) -> f64 {
     if x.is_nan() || x < 0.0 {
@@ -210,6 +212,56 @@ pub fn fast_ln_slice(xs: &mut [f64]) {
     }
 }
 
+/// Lower edge of the quantile's central region: p below it (and above
+/// its mirror `1 − P_LOW`) takes the tail branch of [`inv_normal_cdf`].
+pub(crate) const INV_NORMAL_P_LOW: f64 = 0.02425;
+
+// Acklam's central-region coefficients (numerator A, denominator B),
+// degree 5/5 in r = (p − ½)².
+const A: [f64; 6] = [
+    -3.969_683_028_665_376e+01,
+    2.209_460_984_245_205e+02,
+    -2.759_285_104_469_687e+02,
+    1.383_577_518_672_69e2,
+    -3.066_479_806_614_716e+01,
+    2.506_628_277_459_239e+00,
+];
+const B: [f64; 5] = [
+    -5.447_609_879_822_406e+01,
+    1.615_858_368_580_409e+02,
+    -1.556_989_798_598_866e+02,
+    6.680_131_188_771_972e+01,
+    -1.328_068_155_288_572e+01,
+];
+// Tail-region coefficients, degree 5/4 in q = √(−2 ln p).
+const C: [f64; 6] = [
+    -7.784_894_002_430_293e-03,
+    -3.223_964_580_411_365e-01,
+    -2.400_758_277_161_838e+00,
+    -2.549_732_539_343_734e+00,
+    4.374_664_141_464_968e+00,
+    2.938_163_982_698_783e+00,
+];
+const D: [f64; 4] = [
+    7.784_695_709_041_462e-03,
+    3.224_671_290_700_398e-01,
+    2.445_134_137_142_996e+00,
+    3.754_408_661_907_416e+00,
+];
+
+/// Acklam's central rational: two Horner polynomials in (p − ½)² and
+/// one divide, no branches. It is [`inv_normal_cdf`] on
+/// `[P_LOW, 1 − P_LOW]`; the batched normal filler runs it on every
+/// slot of a chunk, so a loop over it vectorizes.
+#[inline(always)]
+pub(crate) fn inv_normal_cdf_central(p: f64) -> f64 {
+    let q = p - 0.5;
+    let r = q * q;
+    let num = ((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5];
+    let den = ((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0;
+    num * q / den
+}
+
 /// Standard normal quantile Φ⁻¹(p) for p ∈ (0, 1), via Acklam's
 /// rational approximation (absolute error < 1.2e-9 over the full open
 /// interval — far below the Monte Carlo noise floor).
@@ -226,41 +278,6 @@ pub fn fast_ln_slice(xs: &mut [f64]) {
 /// `inv_normal_cdf(1) = ∞`; NaN propagates.
 #[inline]
 pub fn inv_normal_cdf(p: f64) -> f64 {
-    const P_LOW: f64 = 0.02425;
-
-    // Central-region rational approximation coefficients (numerator a,
-    // denominator b), degree 5/5 in r = (p − ½)².
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e+01,
-        2.209_460_984_245_205e+02,
-        -2.759_285_104_469_687e+02,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e+01,
-        2.506_628_277_459_239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e+01,
-        1.615_858_368_580_409e+02,
-        -1.556_989_798_598_866e+02,
-        6.680_131_188_771_972e+01,
-        -1.328_068_155_288_572e+01,
-    ];
-    // Tail-region coefficients, degree 5/4 in q = √(−2 ln p).
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-03,
-        -3.223_964_580_411_365e-01,
-        -2.400_758_277_161_838e+00,
-        -2.549_732_539_343_734e+00,
-        4.374_664_141_464_968e+00,
-        2.938_163_982_698_783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-03,
-        3.224_671_290_700_398e-01,
-        2.445_134_137_142_996e+00,
-        3.754_408_661_907_416e+00,
-    ];
-
     #[inline(always)]
     fn tail(q: f64) -> f64 {
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
@@ -276,15 +293,12 @@ pub fn inv_normal_cdf(p: f64) -> f64 {
     if p >= 1.0 {
         return f64::INFINITY;
     }
-    if p < P_LOW {
+    if p < INV_NORMAL_P_LOW {
         tail((-2.0 * fast_ln(p)).sqrt())
-    } else if p > 1.0 - P_LOW {
+    } else if p > 1.0 - INV_NORMAL_P_LOW {
         -tail((-2.0 * fast_ln(1.0 - p)).sqrt())
     } else {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+        inv_normal_cdf_central(p)
     }
 }
 

@@ -135,6 +135,35 @@ fn stream_layout_v2_npair_sweep_is_thread_count_invariant() {
 }
 
 #[test]
+fn stream_layout_v2_reproduces_its_pinned_report_bytes() {
+    // Thread and shard parity cannot catch a change that moves v2 bytes
+    // the same way on every path, so the v2 reports are pinned too.
+    // Any rewrite of the v2 kernels or samplers must keep these hashes.
+    use in_defense_of_carrier_sense::runtime::scenario::fnv1a64;
+    use in_defense_of_carrier_sense::runtime::StreamLayout;
+    let tiny = EffortProfile::quick()
+        .with_mc_samples(2_000)
+        .with_curve_points(4);
+    let pinned: [(&str, u64, usize); 3] = [
+        ("figure4-family", 0xf44c30d9d8ad219a, 180),
+        ("npair-scaling", 0x6f63609be7115428, 60),
+        ("npair-placements", 0x457cffee8bfb5f55, 18),
+    ];
+    let got: Vec<(&str, u64, usize)> = pinned
+        .iter()
+        .map(|&(name, _, _)| {
+            let sweep = scenarios::by_name(name, &tiny)
+                .unwrap()
+                .stream_layout(StreamLayout::V2);
+            let out = run_sweep(&sweep, &Engine::new(4), None);
+            let hash = fnv1a64(out.report.to_csv().as_bytes());
+            (name, hash, out.report.rows.len())
+        })
+        .collect();
+    assert_eq!(got, pinned, "v2 report bytes changed (name, fnv1a64, rows)");
+}
+
+#[test]
 fn adding_the_topology_axis_changed_no_classic_sweep() {
     // The classic scenarios must hash to the same canonical identity
     // whether or not the (defaulted) topology axis is spelled out, and
