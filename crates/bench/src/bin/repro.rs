@@ -1083,20 +1083,16 @@ fn run_history_cmd(mut args: Vec<String>) -> ! {
 
 /// One `history ls` row from a manifest's JSON.
 fn manifest_line(blob_name: &str, text: &str, now_ms: u64) -> Result<String, String> {
-    use wcs_bench::perf::json;
-    let v = json::parse(text)?;
-    let obj = v.as_object().ok_or("manifest is not an object")?;
-    let scenario = json::get_str(obj, "name")?;
-    let kind = json::get_str(obj, "kind")?;
-    let status = json::get_str(obj, "status")?;
-    let tasks_run = json::get_num(obj, "tasks_run")? as u64;
-    let task_count = json::get_num(obj, "task_count")? as u64;
-    let cache_hit = matches!(
-        obj.iter().find(|(k, _)| k == "cache_hit"),
-        Some((_, json::Value::Bool(true)))
-    );
-    let wall_ns = json::get_num(obj, "wall_ns")? as u64;
-    let created_ms = json::get_num(obj, "created_unix_ms")? as u64;
+    use wcs_telemetry::json::{self, Json};
+    let m = json::parse(text)?;
+    let scenario = m.field("name", Json::as_str)?;
+    let kind = m.field("kind", Json::as_str)?;
+    let status = m.field("status", Json::as_str)?;
+    let tasks_run = m.field("tasks_run", Json::as_u64)?;
+    let task_count = m.field("task_count", Json::as_u64)?;
+    let cache_hit = m.get("cache_hit") == Some(&Json::Bool(true));
+    let wall_ns = m.field("wall_ns", Json::as_u64)?;
+    let created_ms = m.field("created_unix_ms", Json::as_u64)?;
     let age = human_age(Some(now_ms.saturating_sub(created_ms) / 1000));
     Ok(format!(
         "{blob_name}\t{scenario}\t{kind}\ttasks {tasks_run}/{task_count}\tcache {}\t{status}\t{}\t{age} ago",
@@ -1272,7 +1268,8 @@ fn run_trace_cmd(mut args: Vec<String>) -> ! {
                 [a, b] => (PathBuf::from(a), PathBuf::from(b)),
                 _ => usage_exit(TRACE_USAGE),
             };
-            let regressed = trace_diff(&a, &b, fail_pct.unwrap_or(25.0));
+            let default_pct = wcs_bench::perf::REGRESSION_THRESHOLD * 100.0;
+            let regressed = trace_diff(&a, &b, fail_pct.unwrap_or(default_pct));
             if regressed && fail_pct.is_some() {
                 eprintln!("error: --fail-on-regression: at least one phase regressed");
                 finish(1);
@@ -1344,30 +1341,26 @@ fn runlog_to_prometheus(log: &wcs_telemetry::jsonl::RunLog) -> String {
     metrics::render_prometheus(&counters, &gauges, &snaps)
 }
 
-/// Per-phase durations of one diffable input: a `wcs-runlog-v1` file
-/// (span-exit and timed-event totals by name) or a run manifest
-/// (`wall` plus per-histogram sums).
+/// Per-phase durations of one diffable input: a run manifest (`wall`
+/// plus per-histogram sums; one line as written, or re-indented) or a
+/// `wcs-runlog-v1` file (span-exit and timed-event totals by name).
 fn load_phases(path: &Path) -> Vec<(String, u64)> {
-    use wcs_bench::perf::json;
+    use wcs_telemetry::json::{self, Json};
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(format!("reading {}: {e}", path.display())));
-    if text.trim_start().starts_with('{') && !text.trim().contains('\n') {
-        // A single-line JSON object: a run manifest.
-        let v = json::parse(&text).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
-        let obj = v
-            .as_object()
-            .unwrap_or_else(|| fail(format!("{}: manifest is not an object", path.display())));
+    // A run log is one document per line, so only a manifest parses whole.
+    let manifest = json::parse(&text).ok().filter(|doc| {
+        doc.get("schema").and_then(Json::as_str) == Some(wcs_runtime::history::MANIFEST_SCHEMA)
+    });
+    if let Some(m) = manifest {
         let mut phases = Vec::new();
-        if let Ok(wall) = json::get_num(obj, "wall_ns") {
-            phases.push(("wall".to_string(), wall as u64));
+        if let Some(wall) = m.get("wall_ns").and_then(Json::as_u64) {
+            phases.push(("wall".to_string(), wall));
         }
-        if let Some((_, json::Value::Obj(hists))) = obj.iter().find(|(k, _)| k == "histograms") {
-            for (name, snap) in hists {
-                if let Some(snap) = snap.as_object() {
-                    if let Ok(sum) = json::get_num(snap, "sum_ns") {
-                        phases.push((name.clone(), sum as u64));
-                    }
-                }
+        let hists = m.get("histograms").and_then(Json::as_object);
+        for (name, snap) in hists.unwrap_or_default() {
+            if let Some(sum) = snap.get("sum_ns").and_then(Json::as_u64) {
+                phases.push((name.clone(), sum));
             }
         }
         return phases;
@@ -1396,9 +1389,9 @@ fn load_phases(path: &Path) -> Vec<(String, u64)> {
 
 /// Compare two runs phase by phase. Prints the delta table; returns
 /// whether any phase regressed beyond `threshold_pct` after dividing out
-/// the median ratio (the same machine-speed normalisation `repro bench
-/// --compare` applies: a uniformly slower machine shifts *every* phase,
-/// a real regression shifts *one*).
+/// the [`wcs_bench::perf::machine_factor`] of the per-phase ratios (the
+/// normalisation `repro bench --compare` applies: a uniformly slower
+/// machine shifts *every* phase, a real regression shifts *one*).
 fn trace_diff(a_path: &Path, b_path: &Path, threshold_pct: f64) -> bool {
     let a = load_phases(a_path);
     let b = load_phases(b_path);
@@ -1419,13 +1412,7 @@ fn trace_diff(a_path: &Path, b_path: &Path, threshold_pct: f64) -> bool {
             b_path.display()
         ));
     }
-    let mut ratios: Vec<f64> = rows.iter().map(|r| r.3).collect();
-    ratios.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    let machine_factor = if ratios.len() % 2 == 1 {
-        ratios[ratios.len() / 2]
-    } else {
-        (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0
-    };
+    let machine_factor = wcs_bench::perf::machine_factor(rows.iter().map(|r| r.3).collect());
     let threshold = 1.0 + threshold_pct / 100.0;
     println!(
         "== trace diff: {} -> {} (machine factor {machine_factor:.3}, threshold +{threshold_pct:.0}%) ==",

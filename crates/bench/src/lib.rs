@@ -2,9 +2,8 @@
 //!
 //! One function per table/figure of the paper, each returning the data as
 //! rendered text (the same rows/series the paper reports). The `repro`
-//! binary exposes them as subcommands; the Criterion benches in
-//! `benches/` measure the computational kernels and the ablations called
-//! out in DESIGN.md; the workspace integration tests assert the *shapes*.
+//! binary exposes them as subcommands; [`perf`] is the one bench harness
+//! (`repro bench`); the workspace integration tests assert the *shapes*.
 //!
 //! Every function takes an [`Effort`] so tests can run a cheap version of
 //! the same code path the full harness uses.
@@ -21,8 +20,8 @@ pub use experiments::{exposed_vs_rate_report, pathology_report, testbed_report, 
 
 pub use wcs_runtime::EffortProfile;
 
-/// How much compute to spend: `Quick` for CI/tests, `Full` for the
-/// numbers recorded in EXPERIMENTS.md.
+/// How much compute to spend: `Quick` for CI/tests, `Full` for
+/// paper-fidelity numbers.
 ///
 /// `Effort` is now only the harness's two-level *name* for a budget; the
 /// actual sample/duration knobs live in [`wcs_runtime::EffortProfile`]

@@ -1,7 +1,7 @@
 //! `wcs-bench-harness`: the machine-readable performance suite behind
 //! `repro bench`.
 //!
-//! The roadmap's hot-path item needed *recorded* numbers, not criterion
+//! The roadmap's hot-path item needed *recorded* numbers, not
 //! printouts that scroll away: every optimization claim in this
 //! repository should be checkable against a file. This module runs a
 //! **fixed, seeded suite** of kernel and end-to-end benchmarks — the
@@ -24,11 +24,11 @@
 //!   `repro bench --quick` report the same bench set with the same
 //!   counts (only the measured times differ). Pinned by tests.
 //! * **Machine-portable comparison** — [`compare`] normalises
-//!   current/baseline median ratios by their own median (the "machine
-//!   factor"), so a uniformly slower CI runner does not trip the gate,
-//!   while a single kernel regressing relative to the others does. The
-//!   same-run kernel-vs-naive speedup pairs are gated too: those are
-//!   pure ratios and carry no hardware term at all.
+//!   current/baseline median ratios by their own median (the
+//!   [`machine_factor`]), so a uniformly slower CI runner does not trip
+//!   the gate, while a single kernel regressing relative to the others
+//!   does. The same-run kernel-vs-naive speedup pairs are gated too:
+//!   those are pure ratios and carry no hardware term at all.
 
 use std::time::Instant;
 
@@ -38,6 +38,7 @@ use wcs_core::average::{mc_averages, sample_scenario};
 use wcs_core::params::ModelParams;
 use wcs_runtime::{run_workload, Engine, SimSweep, Sweep};
 use wcs_stats::rng::{split_rng, splitmix64};
+use wcs_telemetry::json::{self, Json};
 
 /// Schema identifier written into every bench document.
 pub const SCHEMA: &str = "wcs-bench-v1";
@@ -645,36 +646,35 @@ impl BenchReport {
     /// JSON with the same shape). Unknown keys are ignored; missing
     /// required keys are errors.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_object().ok_or("bench document must be an object")?;
-        let schema = json::get_str(obj, "schema")?;
-        let schema_version = json::get_num(obj, "schema_version")? as u64;
+        let doc = json::parse(text)?;
+        let schema = doc.field("schema", Json::as_str)?.to_string();
+        let schema_version = doc.field("schema_version", Json::as_u64)?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema '{schema}' (want {SCHEMA})"));
         }
-        let mode = json::get_str(obj, "mode")?;
-        let benches = json::get_arr(obj, "benches")?
+        let mode = doc.field("mode", Json::as_str)?.to_string();
+        let benches = doc
+            .field("benches", Json::as_array)?
             .iter()
             .map(|b| {
-                let o = b.as_object().ok_or("bench entry must be an object")?;
                 Ok(BenchResult {
-                    name: json::get_str(o, "name")?,
-                    median_ns: json::get_num(o, "median_ns")?,
-                    mad_ns: json::get_num(o, "mad_ns")?,
-                    samples: json::get_num(o, "samples")? as usize,
-                    iters_per_sample: json::get_num(o, "iters_per_sample")? as u64,
+                    name: b.field("name", Json::as_str)?.to_string(),
+                    median_ns: b.field("median_ns", Json::as_f64)?,
+                    mad_ns: b.field("mad_ns", Json::as_f64)?,
+                    samples: b.field("samples", Json::as_u64)? as usize,
+                    iters_per_sample: b.field("iters_per_sample", Json::as_u64)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let speedups = json::get_arr(obj, "speedups")?
+        let speedups = doc
+            .field("speedups", Json::as_array)?
             .iter()
             .map(|s| {
-                let o = s.as_object().ok_or("speedup entry must be an object")?;
                 Ok(Speedup {
-                    name: json::get_str(o, "name")?,
-                    baseline: json::get_str(o, "baseline")?,
-                    optimized: json::get_str(o, "optimized")?,
-                    speedup: json::get_num(o, "speedup")?,
+                    name: s.field("name", Json::as_str)?.to_string(),
+                    baseline: s.field("baseline", Json::as_str)?.to_string(),
+                    optimized: s.field("optimized", Json::as_str)?.to_string(),
+                    speedup: s.field("speedup", Json::as_f64)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -756,48 +756,57 @@ impl Comparison {
     }
 }
 
+/// The machine factor of a set of current/baseline ratios: their true
+/// median (the mean of the two middle ratios for an even count), or 1.0
+/// for none. [`compare`] and `repro trace diff` both divide every ratio
+/// by it, so a uniformly faster or slower host moves nothing.
+pub fn machine_factor(mut ratios: Vec<f64>) -> f64 {
+    if ratios.is_empty() {
+        return 1.0;
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    }
+}
+
 /// Compare a current run against a committed baseline.
 ///
 /// Raw medians are not comparable across machines, so the gate works on
 /// **normalised ratios**: each bench's current/baseline median ratio is
-/// divided by the median of all ratios (the machine factor `m`). A
-/// uniformly faster or slower runner moves every ratio — and `m` — by
-/// the same amount and trips nothing; one kernel regressing moves only
-/// its own ratio. The current run's same-run speedup pairs are gated
+/// divided by the [`machine_factor`] of all gated ratios. A uniformly
+/// faster or slower runner moves every ratio — and the factor — by the
+/// same amount and trips nothing; one kernel regressing moves only its
+/// own ratio. The current run's same-run speedup pairs are gated
 /// separately (pure ratios, no hardware term).
 pub fn compare(current: &BenchReport, baseline: &BenchReport) -> Comparison {
     let mut regressions = Vec::new();
     let base_by_name = |name: &str| baseline.benches.iter().find(|b| b.name == name);
 
-    let mut ratios: Vec<(usize, f64)> = Vec::new();
-    for (i, cur) in current.benches.iter().enumerate() {
-        if UNGATED_BENCHES.contains(&cur.name.as_str()) {
-            continue;
-        }
-        if let Some(base) = base_by_name(&cur.name) {
-            if base.median_ns > 0.0 {
-                ratios.push((i, cur.median_ns / base.median_ns));
-            }
-        }
-    }
-    let machine_factor = if ratios.is_empty() {
-        1.0
-    } else {
-        let mut rs: Vec<f64> = ratios.iter().map(|&(_, r)| r).collect();
-        rs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        median(&rs)
-    };
+    let ratios: Vec<f64> = current
+        .benches
+        .iter()
+        .filter(|cur| !UNGATED_BENCHES.contains(&cur.name.as_str()))
+        .filter_map(|cur| {
+            let base = base_by_name(&cur.name).filter(|base| base.median_ns > 0.0)?;
+            Some(cur.median_ns / base.median_ns)
+        })
+        .collect();
+    let factor = machine_factor(ratios);
 
     let mut table = String::new();
     table.push_str(&format!(
-        "{:<26} {:>12} {:>12} {:>8} {:>10}  verdict   (machine factor {machine_factor:.3})\n",
+        "{:<26} {:>12} {:>12} {:>8} {:>10}  verdict   (machine factor {factor:.3})\n",
         "bench", "base µs", "cur µs", "ratio", "norm Δ%"
     ));
     for cur in &current.benches {
         match base_by_name(&cur.name) {
             Some(base) if base.median_ns > 0.0 => {
                 let ratio = cur.median_ns / base.median_ns;
-                let norm = ratio / machine_factor;
+                let norm = ratio / factor;
                 let delta_pct = (norm - 1.0) * 100.0;
                 let gated = !UNGATED_BENCHES.contains(&cur.name.as_str());
                 let fail = gated && norm > 1.0 + REGRESSION_THRESHOLD;
@@ -880,230 +889,6 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport) -> Comparison {
         }
     }
     Comparison { table, regressions }
-}
-
-// ---- minimal JSON reader ------------------------------------------------
-
-/// A tiny recursive-descent JSON reader, just enough for bench
-/// documents (the offline `serde` shim has no parser). Numbers are f64;
-/// no surrogate-pair escapes.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number, as f64.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object (insertion-ordered).
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The object entries, if this is an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(kv) => Some(kv),
-                _ => None,
-            }
-        }
-    }
-
-    /// Look up a required string field.
-    pub fn get_str(obj: &[(String, Value)], key: &str) -> Result<String, String> {
-        match get(obj, key)? {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(format!("'{key}': expected string, got {other:?}")),
-        }
-    }
-
-    /// Look up a required numeric field.
-    pub fn get_num(obj: &[(String, Value)], key: &str) -> Result<f64, String> {
-        match get(obj, key)? {
-            Value::Num(n) => Ok(*n),
-            other => Err(format!("'{key}': expected number, got {other:?}")),
-        }
-    }
-
-    /// Look up a required array field.
-    pub fn get_arr<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a [Value], String> {
-        match get(obj, key)? {
-            Value::Arr(a) => Ok(a),
-            other => Err(format!("'{key}': expected array, got {other:?}")),
-        }
-    }
-
-    fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key '{key}'"))
-    }
-
-    /// Parse a JSON document (must consume all non-whitespace input).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut kv = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(kv));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    let val = parse_value(b, pos)?;
-                    kv.push((key, val));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(kv));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_number(b, pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                c => {
-                    // Multi-byte UTF-8 passes through unchanged.
-                    let start = *pos;
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = b.get(start..start + len).ok_or("truncated utf8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    *pos += len;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number '{s}' at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -1322,16 +1107,31 @@ mod tests {
     }
 
     #[test]
-    fn json_reader_handles_escapes_and_nesting() {
-        let v =
-            json::parse(r#"{"a": [1, 2.5, -3e2], "s": "x\"\nA", "t": true, "n": null}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert!(json::get_num(obj, "a")
-            .unwrap_err()
-            .contains("expected number"));
-        assert_eq!(json::get_str(obj, "s").unwrap(), "x\"\nA");
-        let arr = json::get_arr(obj, "a").unwrap();
-        assert_eq!(arr[2], json::Value::Num(-300.0));
+    fn committed_documents_reserialise_to_their_own_bytes() {
+        for (name, text) in [
+            ("BENCH_5.json", include_str!("../../../BENCH_5.json")),
+            ("BENCH_9.json", include_str!("../../../BENCH_9.json")),
+            ("BENCH_10.json", include_str!("../../../BENCH_10.json")),
+            (
+                "bench/baseline.json",
+                include_str!("../../../bench/baseline.json"),
+            ),
+        ] {
+            let doc = BenchReport::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(doc.to_json(), text, "{name}");
+        }
+    }
+
+    #[test]
+    fn machine_factor_is_the_true_median() {
+        assert_eq!(machine_factor(vec![3.0, 1.0, 2.0]), 2.0, "odd: the middle");
+        assert_eq!(
+            machine_factor(vec![4.0, 1.0, 3.0, 2.0]),
+            2.5,
+            "even: the mean of the middle two"
+        );
+        assert_eq!(machine_factor(vec![0.8]), 0.8);
+        assert_eq!(machine_factor(Vec::new()), 1.0, "no ratios: no correction");
     }
 
     #[test]

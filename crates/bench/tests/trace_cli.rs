@@ -387,6 +387,66 @@ fn trace_diff_flags_injected_slowdown_and_gates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Run the tiny spec against a fresh cache and return the run manifest
+/// it appended.
+fn record_manifest(dir: &std::path::Path, tag: &str) -> PathBuf {
+    let cache = dir.join(format!("cache-{tag}"));
+    let spec = write_tiny_spec(dir);
+    run_ok(
+        repro()
+            .args(["sweep", "--spec"])
+            .arg(&spec)
+            .arg("--csv")
+            .env("WCS_CACHE_DIR", &cache),
+    );
+    let manifests: Vec<PathBuf> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_string_lossy().ends_with(".manifest.json"))
+        .collect();
+    assert_eq!(manifests.len(), 1, "{manifests:?}");
+    manifests[0].clone()
+}
+
+#[test]
+fn trace_diff_reads_run_manifests_one_line_or_reindented() {
+    let dir = tmpdir("diff-manifest");
+    let a = record_manifest(&dir, "a");
+    let b = record_manifest(&dir, "b");
+    let table = |out: &Output| -> Vec<String> {
+        // Everything but the header line, which names the two files.
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .skip(1)
+            .map(str::to_string)
+            .collect()
+    };
+
+    let one_line = run_ok(repro().args(["trace", "diff"]).arg(&a).arg(&b));
+    let rows = table(&one_line);
+    assert!(rows.iter().any(|r| r.starts_with("wall ")), "{rows:?}");
+    assert!(
+        rows.iter().any(|r| r.starts_with("engine.block ")),
+        "{rows:?}"
+    );
+
+    // Re-indent the manifest the way `jq .` would (its strings hold no
+    // ',' or '{'): the same phases must come out.
+    let text = std::fs::read_to_string(&a).unwrap();
+    assert_eq!(text.trim().lines().count(), 1, "manifests are one line");
+    let pretty = dir.join("pretty.json");
+    std::fs::write(&pretty, text.replace('{', "{\n  ").replace(',', ",\n  ")).unwrap();
+    let reindented = run_ok(repro().args(["trace", "diff"]).arg(&pretty).arg(&b));
+    assert_eq!(table(&reindented), rows);
+
+    // A self-diff has a machine factor of exactly 1.
+    let same = run_ok(repro().args(["trace", "diff"]).arg(&pretty).arg(&a));
+    let stdout = String::from_utf8_lossy(&same.stdout).into_owned();
+    assert!(stdout.contains("(machine factor 1.000,"), "{stdout}");
+    assert!(stdout.contains("verdict: ok"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn trace_export_prom_renders_counters_and_histograms() {
     let dir = tmpdir("export");

@@ -110,7 +110,7 @@ mod tests {
         // range cells where r = 120 links are below the noise floor and
         // the efficiency ratio is between near-zero capacities. "Very
         // little change" holds in the sense that no configuration drops
-        // below ~72 % (asserted above) — see EXPERIMENTS.md.
+        // below ~72 % (asserted above).
         let spread = sweep_spread(&rows);
         assert!(spread < 0.15, "spread {spread}");
     }

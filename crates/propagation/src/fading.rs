@@ -6,8 +6,8 @@
 //! perspective, it reduces to the equivalent of a few dB variation, at
 //! which point we can largely ignore it compared to shadowing" — which is
 //! why the paper's main model drops fading. We implement all three options
-//! so the simulator can quantify that claim (an ablation bench compares
-//! them).
+//! so the simulator can quantify that claim (the tests below compare
+//! their power variances).
 
 use serde::{Deserialize, Serialize};
 use wcs_stats::dist::{Rayleigh, Rician};

@@ -6,6 +6,8 @@
 //! CSV → parse → CSV is bitwise stable (the determinism tests compare
 //! emitted text across thread counts).
 
+use wcs_telemetry::json::json_string;
+
 /// A named table of results with attached metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -150,24 +152,6 @@ impl RunReport {
         }
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wcs_runtime::{run_workload, AnyWorkload, Engine, ResultCache, ResultIndex, RunReport, Sweep};
 use wcs_serve::{ServeConfig, Server};
+use wcs_telemetry::json::{self, Json};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wcs-serve-test-{tag}-{}", std::process::id()));
@@ -73,23 +74,36 @@ fn http(
     (status, body)
 }
 
-/// Pull `"name":<number>` out of a JSON body (hand-rolled, like the rest
-/// of the repo's JSON handling).
-fn json_u64(body: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\":");
-    let at = body.find(&key)? + key.len();
-    let digits: String = body[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// Parse a response body, failing the test unless it is one JSON
+/// document.
+fn json_body(body: &str) -> Json {
+    json::parse(body).unwrap_or_else(|e| panic!("body is not JSON ({e}): {body}"))
 }
 
-/// Pull `"name":"value"` out of a JSON body.
+/// The body's top-level `name`, if it is an unsigned integer.
+fn json_u64(body: &str, name: &str) -> Option<u64> {
+    json_body(body).get(name)?.as_u64()
+}
+
+/// The body's top-level `name`, if it is a string.
 fn json_str(body: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\":\"");
-    let at = body.find(&key)? + key.len();
-    Some(body[at..].split('"').next()?.to_string())
+    Some(json_body(body).get(name)?.as_str()?.to_string())
+}
+
+/// The body's top-level `name`, if it is a bool.
+fn json_bool(body: &str, name: &str) -> Option<bool> {
+    match json_body(body).get(name)? {
+        Json::Bool(b) => Some(*b),
+        _ => None,
+    }
+}
+
+/// The items of the body's top-level array `name`.
+fn json_items(body: &str, name: &str) -> Vec<Json> {
+    json_body(body)
+        .field(name, Json::as_array)
+        .unwrap_or_else(|e| panic!("{e}: {body}"))
+        .to_vec()
 }
 
 /// Poll a job's status until it is terminal; returns the status body.
@@ -157,13 +171,13 @@ fn concurrent_posts_share_one_job_one_cache_entry_and_identical_streams() {
     );
     let fresh = posts
         .iter()
-        .filter(|(_, b)| b.contains("\"deduped\":false"))
+        .filter(|(_, b)| json_bool(b, "deduped") == Some(false))
         .count();
     assert_eq!(fresh, 1, "exactly one submission created the job");
 
     let status = wait_terminal(addr, ids[0]);
-    assert!(status.contains("\"phase\":\"done\""), "{status}");
-    assert!(status.contains("\"dedupe_hits\":5"), "{status}");
+    assert_eq!(json_str(&status, "phase").unwrap(), "done", "{status}");
+    assert_eq!(json_u64(&status, "dedupe_hits"), Some(5), "{status}");
 
     // Two drains of the row stream are identical, and reassemble to the
     // exact CSV a direct engine run produces.
@@ -195,7 +209,7 @@ fn fresh_server_answers_identical_spec_entirely_from_the_index() {
     assert_eq!(status, 202, "{body}");
     let id = json_u64(&body, "id").unwrap();
     let cold = wait_terminal(server1.addr(), id);
-    assert!(cold.contains("\"cache_hit\":false"), "{cold}");
+    assert_eq!(json_bool(&cold, "cache_hit"), Some(false), "{cold}");
     let (_, stream_cold) = http(
         server1.addr(),
         "GET",
@@ -211,8 +225,8 @@ fn fresh_server_answers_identical_spec_entirely_from_the_index() {
     assert_eq!(status, 202, "{body}");
     let id2 = json_u64(&body, "id").unwrap();
     let warm = wait_terminal(server2.addr(), id2);
-    assert!(warm.contains("\"cache_hit\":true"), "{warm}");
-    assert!(warm.contains("\"tasks_run\":0"), "{warm}");
+    assert_eq!(json_bool(&warm, "cache_hit"), Some(true), "{warm}");
+    assert_eq!(json_u64(&warm, "tasks_run"), Some(0), "{warm}");
     let (_, stream_warm) = http(
         server2.addr(),
         "GET",
@@ -244,7 +258,10 @@ fn malformed_specs_get_structured_400_bodies() {
     assert_eq!(json_str(&body, "code").as_deref(), Some("unknown_key"));
     assert_eq!(json_u64(&body, "line"), Some(2));
     assert_eq!(json_str(&body, "field").as_deref(), Some("bogus"));
-    assert!(body.contains("unknown key 'bogus'"), "{body}");
+    assert_eq!(
+        json_str(&body, "message").as_deref(),
+        Some("unknown key 'bogus'")
+    );
 
     // A different failure class maps to a different code.
     let (status, body) = http(
@@ -270,8 +287,9 @@ fn malformed_specs_get_structured_400_bodies() {
     assert_eq!(status, 400);
     assert_eq!(json_str(&body, "code").as_deref(), Some("bad_floor"));
     assert_eq!(json_str(&body, "field").as_deref(), Some("floor"));
-    let (status, _) = http(server.addr(), "GET", "/v1/jobs", &[], "");
+    let (status, jobs) = http(server.addr(), "GET", "/v1/jobs", &[], "");
     assert_eq!(status, 200);
+    assert!(json_items(&jobs, "jobs").is_empty(), "{jobs}");
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -294,7 +312,7 @@ fn results_endpoint_paginates_the_index() {
 
     let (status, page1) = http(addr, "GET", "/v1/results?limit=2", &[], "");
     assert_eq!(status, 200);
-    assert_eq!(page1.matches("\"scenario\"").count(), 2, "{page1}");
+    assert_eq!(json_items(&page1, "entries").len(), 2, "{page1}");
     let next = json_str(&page1, "next").expect("full page carries a cursor");
     let (_, page2) = http(
         addr,
@@ -303,12 +321,12 @@ fn results_endpoint_paginates_the_index() {
         &[],
         "",
     );
-    assert_eq!(page2.matches("\"scenario\"").count(), 1, "{page2}");
-    assert!(page2.contains("\"next\":null"), "{page2}");
+    assert_eq!(json_items(&page2, "entries").len(), 1, "{page2}");
+    assert_eq!(json_body(&page2).get("next"), Some(&Json::Null), "{page2}");
 
     // Filters compose with paging.
     let (_, none) = http(addr, "GET", "/v1/results?kind=sim", &[], "");
-    assert!(none.contains("\"entries\":[]"), "{none}");
+    assert!(json_items(&none, "entries").is_empty(), "{none}");
     let (_, one) = http(
         addr,
         "GET",
@@ -316,7 +334,7 @@ fn results_endpoint_paginates_the_index() {
         &[],
         "",
     );
-    assert_eq!(one.matches("\"scenario\"").count(), 1, "{one}");
+    assert_eq!(json_items(&one, "entries").len(), 1, "{one}");
 
     // Paged row reads straight out of a stored entry.
     let (status, rows) = http(
@@ -330,14 +348,19 @@ fn results_endpoint_paginates_the_index() {
         "",
     );
     assert_eq!(status, 200);
-    assert!(rows.contains("\"start\":1"), "{rows}");
-    assert!(rows.contains("[3.5,4.25]"), "{rows}");
-    assert!(rows.contains("\"more\":false"), "{rows}");
+    assert_eq!(json_u64(&rows, "start"), Some(1), "{rows}");
+    assert_eq!(
+        json_items(&rows, "rows"),
+        [Json::Arr(vec![Json::F64(3.5), Json::F64(4.25)])],
+        "{rows}"
+    );
+    assert_eq!(json_bool(&rows, "more"), Some(false), "{rows}");
     let (status, _) = http(addr, "GET", "/v1/results/rows?hash=dead&seed=0", &[], "");
     assert_eq!(status, 404, "absent entries are 404, not errors");
     let (status, bad) = http(addr, "GET", "/v1/results?hash=zzz", &[], "");
     assert_eq!(status, 400);
-    assert!(bad.contains("bad value for 'hash'"), "{bad}");
+    let message = json_str(&bad, "message").unwrap_or_default();
+    assert!(message.contains("bad value for 'hash'"), "{bad}");
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
@@ -415,8 +438,8 @@ fn failed_cache_stores_mark_jobs_degraded_and_strict_mode_fails_them() {
     );
     let id = json_u64(&body, "id").unwrap();
     let status = wait_terminal(server.addr(), id);
-    assert!(status.contains("\"phase\":\"done\""), "{status}");
-    assert!(status.contains("\"degraded\":true"), "{status}");
+    assert_eq!(json_str(&status, "phase").unwrap(), "done", "{status}");
+    assert_eq!(json_bool(&status, "degraded"), Some(true), "{status}");
     drop(server);
 
     // Same broken index under --strict-cache: the job fails outright.
@@ -436,8 +459,9 @@ fn failed_cache_stores_mark_jobs_degraded_and_strict_mode_fails_them() {
     );
     let id = json_u64(&body, "id").unwrap();
     let status = wait_terminal(strict.addr(), id);
-    assert!(status.contains("\"phase\":\"failed\""), "{status}");
-    assert!(status.contains("strict mode"), "{status}");
+    assert_eq!(json_str(&status, "phase").unwrap(), "failed", "{status}");
+    let error = json_str(&status, "error").unwrap_or_default();
+    assert!(error.contains("strict mode"), "{status}");
     // A failed job's row stream is a 409, not a hang.
     let (code, _) = http(
         strict.addr(),
@@ -489,16 +513,25 @@ fn full_queue_refuses_with_503_and_health_metrics_respond() {
         &spec_toml(&tiny_sweep("q-a", 1)),
     );
     assert_eq!(s3, 200, "{body}");
-    assert!(body.contains("\"deduped\":true"), "{body}");
+    assert_eq!(json_bool(&body, "deduped"), Some(true), "{body}");
 
     let (s, health) = http(addr, "GET", "/v1/healthz", &[], "");
     assert_eq!((s, health.as_str()), (200, "{\"ok\":true}"));
     let (s, metrics) = http(addr, "GET", "/v1/metrics", &[], "");
     assert_eq!(s, 200);
-    assert!(metrics.contains("\"serve.queue_full\""), "{metrics}");
+    let counters = json_body(&metrics).get("counters").cloned();
+    assert!(
+        counters.is_some_and(|c| c.get("serve.queue_full").is_some()),
+        "{metrics}"
+    );
     let (s, jobs) = http(addr, "GET", "/v1/jobs", &[], "");
     assert_eq!(s, 200);
-    assert!(jobs.contains("\"phase\":\"queued\""), "{jobs}");
+    assert!(
+        json_items(&jobs, "jobs")
+            .iter()
+            .any(|job| job.get("phase").and_then(Json::as_str) == Some("queued")),
+        "{jobs}"
+    );
     let (s, _) = http(addr, "GET", "/v1/jobs/999", &[], "");
     assert_eq!(s, 404);
     drop(server);
@@ -544,28 +577,33 @@ fn metrics_json_is_schema_versioned_with_sorted_counters() {
     // the full pinned vocabulary.
     wcs_telemetry::counter("serve.request", 1); // ensure a counter exists
     let body = wcs_serve::metrics_json(12_345);
-    assert!(body.contains("\"schema\":\"wcs-metrics-v1\""), "{body}");
-    assert!(body.contains("\"schema_version\":1"), "{body}");
-    assert!(body.contains("\"uptime_ns\":12345"), "{body}");
-    for section in ["\"counters\":{", "\"gauges\":{", "\"histograms\":{"] {
-        assert!(body.contains(section), "missing {section}: {body}");
-    }
+    assert_eq!(json_str(&body, "schema").as_deref(), Some("wcs-metrics-v1"));
+    assert_eq!(json_u64(&body, "schema_version"), Some(1));
+    assert_eq!(json_u64(&body, "uptime_ns"), Some(12_345));
+    let doc = json_body(&body);
+    let section = |name: &str| {
+        doc.get(name)
+            .and_then(Json::as_object)
+            .unwrap_or_else(|| panic!("missing object {name}: {body}"))
+    };
+    section("gauges");
+    let hists = section("histograms");
     for hist in wcs_telemetry::metrics::HistId::ALL {
         assert!(
-            body.contains(&format!("\"{}\":{{", hist.name())),
+            hists
+                .iter()
+                .any(|(name, snap)| name == hist.name() && snap.as_object().is_some()),
             "missing histogram family {}: {body}",
             hist.name()
         );
     }
     // Counter keys appear in sorted order (BTreeMap iteration), so the
     // body is deterministic for a fixed registry state.
-    let counters_at = body.find("\"counters\":{").unwrap();
-    let counters_end = body[counters_at..].find('}').unwrap() + counters_at;
-    let keys: Vec<&str> = body[counters_at + 12..counters_end]
-        .split(',')
-        .filter_map(|kv| kv.split(':').next())
-        .map(|k| k.trim_matches('"'))
+    let keys: Vec<&str> = section("counters")
+        .iter()
+        .map(|(k, _)| k.as_str())
         .collect();
+    assert!(keys.contains(&"serve.request"), "{body}");
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     assert_eq!(keys, sorted, "counter keys must be sorted: {body}");
@@ -625,6 +663,7 @@ fn metrics_prometheus_format_renders_all_pinned_families() {
     // An unknown format is a structured 400.
     let (status, err) = http(addr, "GET", "/v1/metrics?format=xml", &[], "");
     assert_eq!(status, 400, "{err}");
+    assert_eq!(json_str(&err, "error").as_deref(), Some("query"), "{err}");
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -645,21 +684,28 @@ fn history_endpoint_lists_run_manifests_newest_first() {
         let id = json_u64(&body, "id").unwrap();
         wait_terminal(addr, id);
     }
+    // Each run embeds its manifest; returns the runs' scenario names.
+    let scenarios = |page: &str| -> Vec<String> {
+        json_items(page, "runs")
+            .iter()
+            .map(|run| {
+                let manifest = run.get("manifest").expect("run embeds its manifest");
+                assert_eq!(
+                    manifest.get("schema").and_then(Json::as_str),
+                    Some("wcs-run-manifest-v1"),
+                    "{page:.400}"
+                );
+                manifest.field("name", Json::as_str).unwrap().to_string()
+            })
+            .collect()
+    };
     let (status, body) = http(addr, "GET", "/v1/history", &[], "");
     assert_eq!(status, 200);
-    assert!(body.contains("\"runs\":["), "{body}");
-    assert!(
-        body.contains("\"schema\":\"wcs-run-manifest-v1\""),
-        "embedded manifests: {body:.400}"
-    );
-    assert!(body.contains("\"name\":\"hist-a\"") && body.contains("\"name\":\"hist-b\""));
+    assert_eq!(scenarios(&body), ["hist-b", "hist-a"], "{body:.400}");
     // Page size 1: newest run first, cursor pages to the older one.
     let (status, page1) = http(addr, "GET", "/v1/history?limit=1", &[], "");
     assert_eq!(status, 200);
-    assert!(
-        page1.contains("\"name\":\"hist-b\""),
-        "newest first: {page1:.400}"
-    );
+    assert_eq!(scenarios(&page1), ["hist-b"], "newest first: {page1:.400}");
     let cursor = json_str(&page1, "next").expect("full page carries a cursor");
     let (status, page2) = http(
         addr,
@@ -669,7 +715,7 @@ fn history_endpoint_lists_run_manifests_newest_first() {
         "",
     );
     assert_eq!(status, 200);
-    assert!(page2.contains("\"name\":\"hist-a\""), "{page2:.400}");
+    assert_eq!(scenarios(&page2), ["hist-a"], "{page2:.400}");
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //! pair-of-pairs runs), so normal-theory standard errors are shaky for
 //! ratio statistics like "carrier sense as a fraction of optimal".
 //! The percentile bootstrap gives honest intervals for any statistic of
-//! an ensemble; the reproduction's EXPERIMENTS.md comparisons lean on
-//! these when deciding whether a paper-vs-measured difference is real.
+//! an ensemble, for deciding whether a paper-vs-measured difference is
+//! real.
 
 use crate::rng::split_rng;
 use rand::Rng;

@@ -1,13 +1,13 @@
-//! Minimal JSON encoding for run-log lines.
+//! Minimal JSON: the run log's writer and the workspace's one reader.
 //!
-//! The offline serde shim has no parser, so — like `wcs-bench`'s bench
-//! documents — the run log hand-rolls its JSON. The subset here is
-//! exactly what one event line needs: flat objects, one nested `fields`
-//! object, strings, bools, null, and **integer-exact numbers** —
-//! unsigned/negative integers are written as decimal literals and parsed
-//! back as integers, never routed through `f64`, so 64-bit hashes and
-//! seeds survive a round trip bit for bit. Floats use Rust's shortest
-//! round-tripping `{:?}` form, the same convention as the CSV reports.
+//! The offline serde shim has no parser, so the workspace hand-rolls its
+//! JSON, and [`parse`] is its only reader: run-log lines, run manifests
+//! and bench documents all go through it. It reads all of JSON (objects,
+//! arrays, strings, bools, null, numbers) with **integer-exact
+//! numbers** — unsigned/negative integers are parsed as integers, never
+//! routed through `f64`, so 64-bit hashes and seeds survive a round trip
+//! bit for bit. Floats use Rust's shortest round-tripping `{:?}` form,
+//! the same convention as the CSV reports.
 
 use crate::{Event, EventKind, Value};
 
@@ -70,16 +70,9 @@ pub fn event_to_json(e: &Event) -> String {
 
 /// Parse one run-log line back into an [`Event`].
 pub fn event_from_json(line: &str) -> Result<Event, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let Json::Obj(top) = parse(line)? else {
+        return Err("an event must be a JSON object".into());
     };
-    p.skip_ws();
-    let top = p.parse_object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
     let mut t_ns = None;
     let mut kind = None;
     let mut name = None;
@@ -119,31 +112,117 @@ fn json_to_value(j: Json) -> Result<Value, String> {
         Json::Bool(b) => Value::Bool(b),
         Json::Str(s) => Value::Str(s),
         Json::Null => Value::F64(f64::NAN), // the writer's non-finite spill
-        Json::Obj(_) => return Err("nested objects are not valid field values".into()),
+        Json::Arr(_) | Json::Obj(_) => {
+            return Err("arrays and objects are not valid field values".into())
+        }
     })
 }
 
-/// Parsed JSON value (the subset the run log uses — no arrays).
-enum Json {
+/// A parsed JSON value. A number without a fraction or exponent that
+/// fits in 64 bits is an exact integer ([`Json::U64`], or [`Json::I64`]
+/// when negative); every other number is a [`Json::F64`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
     Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// A non-negative integer.
     U64(u64),
+    /// A negative integer.
     I64(i64),
+    /// Any other number.
     F64(f64),
+    /// A string.
     Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, keys in document order.
     Obj(Vec<(String, Json)>),
 }
 
+impl Json {
+    /// The value under `key`, if this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// [`Json::get`] converted by one of the `as_*` accessors, with an
+    /// error naming `key` when it is missing or of another type.
+    pub fn field<'a, T>(&'a self, key: &str, as_t: fn(&'a Json) -> Option<T>) -> Result<T, String> {
+        self.get(key)
+            .and_then(as_t)
+            .ok_or_else(|| format!("missing or mistyped key '{key}'"))
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer, if this is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Any number, as `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::U64(v) => Some(*v as f64),
+            Json::I64(v) => Some(*v as f64),
+            Json::F64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The entries, if this is an object.
+    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+}
+
+/// Parse one JSON document; anything but whitespace after it is an
+/// error.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser { text, pos: 0 };
+    p.skip_ws();
+    let v = p.parse_value()?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
         {
             self.pos += 1;
@@ -151,7 +230,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -168,32 +247,34 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Vec<(String, Json)>, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    /// `open item (',' item)* close`, whitespace allowed between tokens.
+    fn parse_seq<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.expect(open)?;
+        let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(pairs);
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.parse_value()?;
-            pairs.push((key, val));
+            items.push(item(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(pairs);
+                    return Ok(items);
                 }
                 other => {
                     return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
+                        "expected ',' or '{}' at byte {}, found {:?}",
+                        close as char,
                         self.pos,
                         other.map(|c| c as char)
                     ))
@@ -204,7 +285,14 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => Ok(Json::Obj(self.parse_object()?)),
+            Some(b'{') => Ok(Json::Obj(self.parse_seq(b'{', b'}', |p| {
+                let key = p.parse_string()?;
+                p.skip_ws();
+                p.expect(b':')?;
+                p.skip_ws();
+                Ok((key, p.parse_value()?))
+            })?)),
+            Some(b'[') => Ok(Json::Arr(self.parse_seq(b'[', b']', Self::parse_value)?)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -219,7 +307,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -243,8 +331,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::U64(v));
@@ -262,7 +349,7 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
+            let rest = &self.text.as_bytes()[self.pos..];
             let Some(&b) = rest.first() else {
                 return Err("unterminated string".into());
             };
@@ -285,9 +372,8 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape '{hex}'"))?;
@@ -298,12 +384,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through untouched).
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a character
+                    // boundary and multi-byte UTF-8 passes through intact.
+                    let run = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -365,6 +454,112 @@ mod tests {
             event_from_json("{\"t_ns\":1,\"kind\":\"quantum\",\"name\":\"x\",\"fields\":{}}")
                 .is_err()
         );
+    }
+
+    #[test]
+    fn event_fields_reject_arrays_and_objects() {
+        for fields in [r#"{"v":[1]}"#, r#"{"v":[]}"#, r#"{"v":{"w":1}}"#] {
+            let line = format!(r#"{{"t_ns":1,"kind":"value","name":"x","fields":{fields}}}"#);
+            let err = event_from_json(&line).unwrap_err();
+            assert!(err.contains("not valid field values"), "{fields}: {err}");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_field_roundtrips() {
+        let text: String = "aµ€😀\"\\\n".chars().cycle().take(200_000).collect();
+        let e = Event {
+            t_ns: 7,
+            kind: EventKind::Value,
+            name: "x".to_string(),
+            fields: vec![("note".to_string(), Value::Str(text))],
+        };
+        assert_eq!(event_from_json(&event_to_json(&e)).unwrap(), e);
+    }
+
+    #[test]
+    fn arrays_parse_empty_and_nested() {
+        assert_eq!(parse(" [ ] ").unwrap(), Json::Arr(vec![]));
+        let v = parse(r#"{"a":[],"b":[[1,[2]],{"c":[]}]}"#).unwrap();
+        assert_eq!(v.get("a"), Some(&Json::Arr(vec![])));
+        let b = v.field("b", Json::as_array).unwrap();
+        assert_eq!(
+            b[0],
+            Json::Arr(vec![Json::U64(1), Json::Arr(vec![Json::U64(2)])])
+        );
+        assert_eq!(b[1].get("c").and_then(Json::as_array), Some(&[][..]));
+    }
+
+    #[test]
+    fn integers_stay_exact() {
+        let v = parse(&format!(
+            "[{}, {}, -1, 9007199254740993, 1.0, 2e3]",
+            u64::MAX,
+            i64::MIN
+        ))
+        .unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0], Json::U64(u64::MAX));
+        assert_eq!(items[0].as_u64(), Some(u64::MAX));
+        assert_eq!(items[1], Json::I64(i64::MIN));
+        assert_eq!(items[2], Json::I64(-1));
+        assert_eq!(items[2].as_u64(), None, "negatives are not u64");
+        assert_eq!(items[3].as_u64(), Some((1 << 53) + 1), "beyond f64's 2^53");
+        assert_eq!(items[4], Json::F64(1.0));
+        assert_eq!(items[4].as_u64(), None, "floats are not integers");
+        assert_eq!(items[5].as_f64(), Some(2000.0));
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        let v = parse(r#""\u00b5\u0041\u0001\/""#).unwrap();
+        assert_eq!(v.as_str(), Some("µA\u{1}/"));
+        // The writer's own escapes read back.
+        let s = "ctl \u{1f} \u{7} tab\t";
+        assert_eq!(parse(&json_string(s)).unwrap().as_str(), Some(s));
+        assert!(parse(r#""\u00""#).is_err(), "truncated");
+        assert!(parse(r#""\uzzzz""#).is_err(), "not hex");
+    }
+
+    #[test]
+    fn json_reader_handles_escapes_and_nesting() {
+        let v = parse(r#"{"a": [1, 2.5, -3e2], "s": "x\"\nA", "t": true, "n": null}"#).unwrap();
+        let err = v.field("a", Json::as_f64).unwrap_err();
+        assert!(err.contains("'a'"), "{err}");
+        assert_eq!(v.field("s", Json::as_str).unwrap(), "x\"\nA");
+        let arr = v.field("a", Json::as_array).unwrap();
+        assert_eq!(arr, &[Json::U64(1), Json::F64(2.5), Json::F64(-300.0)]);
+        assert_eq!(v.get("t"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("n"), Some(&Json::Null));
+        assert_eq!(v.get("missing"), None);
+        assert!(v.field("missing", Json::as_str).is_err());
+    }
+
+    #[test]
+    fn bad_documents_are_errors() {
+        for bad in [
+            "",
+            "   ",
+            "{} x",
+            "[1] [2]",
+            "[1,]",
+            "[1 2]",
+            "{\"a\" 1}",
+            "{\"a\":}",
+            "{a:1}",
+            "tru",
+            "nul",
+            "-",
+            "1.2.3",
+            "+1",
+            "\"open",
+            "\"\\q\"",
+            "[",
+            "{\"a\":1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        assert!(parse("{} x").unwrap_err().contains("trailing garbage"));
     }
 
     #[test]
