@@ -8,11 +8,9 @@
 //! repro shard plan  <scenario|--spec FILE> -k K [--strategy S] [--dir DIR]
 //! repro shard worker <manifest.toml> [--out DIR] [--threads N] [--no-cache]
 //! repro shard merge <dir> [--csv|--json] [--no-cache]
-//! repro shard run   <scenario|--spec FILE> -k K [--strategy S] [--dir DIR]
-//!                   [--threads N] [--csv|--json] [--no-cache]
-//! repro dispatch run <scenario|--spec FILE> -k K [--hosts FILE] [--strategy S]
-//!                   [--dir DIR] [--threads N] [--max-retries N]
-//!                   [--heartbeat-timeout SECS] [--heartbeat-ms MS]
+//! repro shard run | dispatch run <scenario|--spec FILE> -k K [--hosts FILE]
+//!                   [--strategy S] [--dir DIR] [--threads N] [--stream-layout v1|v2]
+//!                   [--max-retries N] [--heartbeat-timeout SECS] [--heartbeat-ms MS]
 //!                   [--csv|--json] [--cache-dir DIR|--no-cache] [--fault SPEC]...
 //! repro cache ls|clear [--kind model|sim]
 //! repro history ls [--limit N] | show <NAME>
@@ -66,14 +64,16 @@
 //! `shard` splits a workload's task list across worker *processes* and
 //! merges their partial reports in task-index order; the merged output is
 //! bitwise identical to a single-process `sweep` run at any
-//! shard count × thread count. `shard run` drives the whole
-//! plan → worker → merge pipeline with local subprocesses. Workers cache
-//! their per-shard partials in the shared result cache, so re-running a
-//! plan after a lost worker only recomputes the lost shard.
+//! shard count × thread count. `shard plan`, `shard worker` and
+//! `shard merge` are the pipeline's steps, for driving it by hand.
+//! Workers cache their per-shard partials in the shared result cache,
+//! so re-running a plan after a lost worker only recomputes the lost
+//! shard.
 //!
-//! `dispatch run` is the production big sibling of `shard run`: a
-//! `wcs-dispatch` state machine deals the shards to a pool of host
-//! slots (`--hosts FILE`, or K local subprocess slots by default),
+//! `dispatch run` (also spelled `shard run`: one command, two names)
+//! drives the whole plan → worker → merge pipeline. A `wcs-dispatch`
+//! state machine deals the shards to a pool of host slots
+//! (`--hosts FILE`, or K local subprocess slots by default),
 //! watches per-worker heartbeat files, requeues shards whose workers
 //! die or go silent, and retries transient spawn failures with capped
 //! exponential backoff. The merged report is still bitwise identical to
@@ -416,7 +416,7 @@ fn run_sweep_cmd(mut args: Vec<String>, effort: Effort) -> ! {
 const SHARD_USAGE: &str = "usage: repro shard plan   <scenario|--spec FILE> -k K [--strategy contiguous|strided] [--dir DIR] [--stream-layout v1|v2]
        repro shard worker <manifest.toml> [--out DIR] [--threads N] [--cache-dir DIR|--no-cache] [--heartbeat FILE [--heartbeat-ms N]]
        repro shard merge  <dir> [--csv|--json] [--cache-dir DIR|--no-cache]
-       repro shard run    <scenario|--spec FILE> -k K [--strategy S] [--dir DIR] [--threads N] [--stream-layout v1|v2] [--csv|--json] [--cache-dir DIR|--no-cache]";
+       repro shard run    <scenario|--spec FILE> -k K ...   the same command as repro dispatch run (see its usage)";
 
 /// Shared flag soup for the `shard` subcommands. Every field is optional
 /// at parse time; each subcommand enforces what it needs.
@@ -544,7 +544,7 @@ fn single_source<'a>(parsed: &'a ShardArgs, what: &str) -> &'a SweepSource {
 fn require_k(parsed: &ShardArgs) -> usize {
     match parsed.k {
         Some(k) if k >= 1 => k,
-        _ => usage_exit("shard plan/run need -k K (K >= 1)"),
+        _ => usage_exit("shard plan needs -k K (K >= 1)"),
     }
 }
 
@@ -664,57 +664,6 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 if parsed.use_cache { ", cached" } else { "" }
             );
         }
-        "run" => {
-            let workload = apply_stream_layout(
-                resolve_workload(single_source(&parsed, "run"), effort),
-                parsed.stream_layout,
-            );
-            let k = require_k(&parsed);
-            let t0 = std::time::Instant::now();
-            let (dir, ephemeral) = match parsed.dir.clone() {
-                Some(d) => (d, false),
-                None => (
-                    std::env::temp_dir().join(format!(
-                        "wcs-shard-run-{}-{:016x}",
-                        std::process::id(),
-                        workload.scenario_hash()
-                    )),
-                    true,
-                ),
-            };
-            let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
-            let cache = parsed.cache();
-            let cache_ref = cache.as_ref();
-            let outcome = wcs_shard::run_local_with(
-                &dir,
-                workload.clone(),
-                k,
-                parsed.strategy,
-                &exe,
-                parsed.threads,
-                cache_ref,
-                wcs_shard::RunLocalOptions {
-                    strict_cache: STRICT_CACHE.load(Ordering::Relaxed),
-                    // When this process logs telemetry to a file, have
-                    // each worker write its own run log into the plan
-                    // directory and fold the fleet's events into ours.
-                    worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
-                },
-            )
-            .unwrap_or_else(|e| fail(e));
-            print_report(&outcome.report, &parsed.format);
-            eprintln!(
-                "[shard run {} ({}): {k} workers ({}), {} tasks, {:.1}s]",
-                workload.name(),
-                workload.kind(),
-                parsed.strategy.label(),
-                workload.task_count(),
-                t0.elapsed().as_secs_f64()
-            );
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
         other => {
             eprintln!("unknown shard subcommand '{other}'");
             usage_exit(SHARD_USAGE);
@@ -724,10 +673,12 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
 }
 
 const DISPATCH_USAGE: &str = "usage: repro dispatch run <scenario|--spec FILE> -k K [--hosts FILE] [--strategy contiguous|strided]
-       [--dir DIR] [--threads N] [--max-retries N] [--heartbeat-timeout SECS] [--heartbeat-ms MS]
-       [--csv|--json] [--cache-dir DIR|--no-cache] [--fault kill:S@B|spawn-fail:S[xN]|mute:S]...";
+       [--dir DIR] [--threads N] [--stream-layout v1|v2] [--max-retries N] [--heartbeat-timeout SECS] [--heartbeat-ms MS]
+       [--csv|--json] [--cache-dir DIR|--no-cache] [--fault kill:S@B|spawn-fail:S[xN]|mute:S]...
+       (repro shard run takes the same arguments)";
 
-/// `repro dispatch run`: the multi-host dispatcher over a shard plan.
+/// `repro dispatch run` (and `repro shard run`): the dispatcher over a
+/// shard plan, on K local slots unless `--hosts` names a pool.
 fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     if args.is_empty() {
         usage_exit(DISPATCH_USAGE);
@@ -750,6 +701,7 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     let mut use_cache = true;
     let mut cache_dir: Option<PathBuf> = None;
     let mut format = "render".to_string();
+    let mut stream_layout: Option<StreamLayout> = None;
     let mut faults: Vec<String> = Vec::new();
     while !args.is_empty() {
         let arg = args.remove(0);
@@ -803,6 +755,10 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             }
             "--csv" => format = "csv".to_string(),
             "--json" => format = "json".to_string(),
+            "--stream-layout" => {
+                let v = take_flag_value(&mut args, "--stream-layout");
+                stream_layout = Some(parse_stream_layout(&v));
+            }
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag '{flag}' for repro dispatch");
                 usage_exit(DISPATCH_USAGE);
@@ -815,7 +771,7 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         [] => usage_exit("dispatch run needs a scenario name or --spec FILE"),
         _ => usage_exit("dispatch run takes exactly one scenario"),
     };
-    let workload = resolve_workload(source, effort);
+    let workload = apply_stream_layout(resolve_workload(source, effort), stream_layout);
     let k = match k {
         Some(k) if k >= 1 => k,
         _ => usage_exit("dispatch run needs -k K (K >= 1)"),
@@ -1318,7 +1274,6 @@ fn runlog_to_prometheus(log: &wcs_telemetry::jsonl::RunLog) -> String {
                 let id = match ev.name.as_str() {
                     "engine.block" => Some(HistId::EngineBlock),
                     "serve.job" => Some(HistId::ServeJob),
-                    "shard.worker_exit" => Some(HistId::ShardWorker),
                     "dispatch.shard" => Some(HistId::DispatchShard),
                     _ => None,
                 };
@@ -1585,6 +1540,10 @@ fn main() {
     }));
     match args.first().map(String::as_str) {
         Some("sweep") => run_sweep_cmd(args.split_off(1), effort),
+        // `shard run` and `dispatch run` are one command.
+        Some("shard") if args.get(1).is_some_and(|verb| verb == "run") => {
+            run_dispatch_cmd(args.split_off(1), effort)
+        }
         Some("shard") => run_shard_cmd(args.split_off(1), effort),
         Some("dispatch") => run_dispatch_cmd(args.split_off(1), effort),
         Some("cache") => run_cache_cmd(args.split_off(1)),

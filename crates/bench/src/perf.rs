@@ -11,11 +11,10 @@
 //! the batched/fused v2 [`NPairKernelV2`]), an `mc_averages` batch, one
 //! small model sweep and one small sim sweep, plus a SplitMix64
 //! calibration loop, a telemetry-instrument overhead pair (enabled vs.
-//! the off-state no-op), and a dispatch overhead pair (the multi-host
-//! dispatcher vs. the plain local shard driver over the same k=2 plan)
-//! — with warmup, fixed repetition counts and median/MAD wall-clock
-//! statistics, and serialises the result as a schema-versioned JSON
-//! document (`BENCH_10.json` at the repo root).
+//! the off-state no-op), and a k=2 local dispatcher run (real worker
+//! subprocesses) — with warmup, fixed repetition counts and median/MAD
+//! wall-clock statistics, and serialises the result as a
+//! schema-versioned JSON document (`BENCH_10.json` at the repo root).
 //!
 //! Two properties the CI gate leans on:
 //!
@@ -50,7 +49,7 @@ pub const DEFAULT_OUT: &str = "BENCH_10.json";
 /// The fixed bench-name set the suite emits, in emission order. Pinned
 /// by tests; extend deliberately (the CI baseline must be refreshed in
 /// the same change).
-pub const BENCH_NAMES: [&str; 16] = [
+pub const BENCH_NAMES: [&str; 15] = [
     "calib_splitmix_loop",
     "twopair_sample_naive",
     "twopair_sample_kernel",
@@ -65,7 +64,6 @@ pub const BENCH_NAMES: [&str; 16] = [
     "sim_sweep_small",
     "telemetry_overhead_off",
     "telemetry_overhead_on",
-    "shard_run_local_k2",
     "dispatch_local_k2",
 ];
 
@@ -466,42 +464,9 @@ pub fn run_suite(mode: BenchMode) -> BenchReport {
         },
     ));
 
-    // Dispatch-overhead pair: the same tiny sweep split into k=2 shards,
-    // run through the plain local shard driver and through the full
-    // dispatcher (heartbeats, liveness polling, requeue machinery).
-    // Both spawn real `repro shard worker` subprocesses via the current
-    // executable, so their ratio isolates the dispatcher's bookkeeping.
-    let bench_sweep = |tag: &str, salt: u64, rep: u64| {
-        Sweep::new(tag)
-            .rmaxes(&[40.0])
-            .ds(&[20.0, 80.0])
-            .sigmas(&[0.0])
-            .samples(400)
-            .seed((43 ^ salt) + rep)
-    };
-    benches.push(run_bench("shard_run_local_k2", mode, 1, |iters, salt| {
-        let exe = std::env::current_exe().expect("current_exe");
-        let mut acc = 0.0;
-        for rep in 0..iters {
-            let dir = std::env::temp_dir().join(format!(
-                "wcs-bench-shard-{}-{salt:x}-{rep}",
-                std::process::id()
-            ));
-            let out = wcs_shard::run_local(
-                &dir,
-                bench_sweep("bench-shard-local", salt, rep),
-                2,
-                wcs_shard::ShardStrategy::Contiguous,
-                &exe,
-                1,
-                None,
-            )
-            .expect("shard run_local");
-            acc += out.report.rows.len() as f64;
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        acc
-    }));
+    // A tiny sweep split into k=2 shards through the dispatcher
+    // (heartbeats, liveness polling, requeue machinery), which spawns
+    // real `repro shard worker` subprocesses via the current executable.
     benches.push(run_bench("dispatch_local_k2", mode, 1, |iters, salt| {
         let exe = std::env::current_exe().expect("current_exe");
         let transport = wcs_dispatch::LocalExec::new(&exe);
@@ -520,7 +485,12 @@ pub fn run_suite(mode: BenchMode) -> BenchReport {
             let out = dispatcher
                 .run(
                     &dir,
-                    bench_sweep("bench-dispatch-local", salt, rep),
+                    Sweep::new("bench-dispatch-local")
+                        .rmaxes(&[40.0])
+                        .ds(&[20.0, 80.0])
+                        .sigmas(&[0.0])
+                        .samples(400)
+                        .seed((43 ^ salt) + rep),
                     2,
                     wcs_shard::ShardStrategy::Contiguous,
                     None,
@@ -584,16 +554,6 @@ pub fn run_suite(mode: BenchMode) -> BenchReport {
             "telemetry_off",
             "telemetry_overhead_on",
             "telemetry_overhead_off",
-        ),
-        // Informational (never gated): how much slower the dispatcher's
-        // heartbeat/requeue machinery makes a k=2 local run compared to
-        // the plain shard driver. Subprocess spawn noise dominates, so
-        // this records the overhead rather than enforcing a bound.
-        speedup(
-            &benches,
-            "dispatch_overhead",
-            "dispatch_local_k2",
-            "shard_run_local_k2",
         ),
     ];
 
@@ -725,8 +685,8 @@ pub const GATED_SPEEDUP_PAIRS: [(&str, f64); 3] = [
 /// median gate (and from the machine-factor median): their cost is
 /// dominated by subprocess spawn latency, which varies across runners
 /// far more than the CPU-bound kernels the machine factor is anchored
-/// to. They exist to record the dispatcher's overhead, not to bound it.
-pub const UNGATED_BENCHES: [&str; 2] = ["shard_run_local_k2", "dispatch_local_k2"];
+/// to. They exist to record the dispatcher's cost, not to bound it.
+pub const UNGATED_BENCHES: [&str; 1] = ["dispatch_local_k2"];
 
 /// What [`compare`] concluded.
 #[derive(Debug, Clone, PartialEq)]

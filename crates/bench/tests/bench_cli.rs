@@ -13,9 +13,9 @@ fn repro() -> Command {
 }
 
 /// Serialises the suite-running tests: two suites timing each other's
-/// subprocess spawns (the dispatch-overhead benches fork real workers)
-/// is exactly the noise the machine-factor normalisation cannot
-/// remove, and the compare test needs its two runs back-to-back.
+/// subprocess spawns (the dispatch bench forks real workers) is exactly
+/// the noise the machine-factor normalisation cannot remove, and the
+/// compare test needs its two runs back-to-back.
 static SUITE: Mutex<()> = Mutex::new(());
 
 fn suite_lock() -> std::sync::MutexGuard<'static, ()> {

@@ -1,6 +1,7 @@
-//! End-to-end CLI tests of `repro dispatch run`: real subprocess
-//! workers launched through the dispatcher, injected faults, and
-//! byte-compared stdout against the single-process `sweep`.
+//! End-to-end CLI tests of `repro dispatch run` (and `repro shard run`,
+//! the same command under another name): real subprocess workers
+//! launched through the dispatcher, injected faults, and byte-compared
+//! stdout against the single-process `sweep`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -43,30 +44,39 @@ fn write_tiny_spec(dir: &std::path::Path) -> PathBuf {
     path
 }
 
+/// Both names of the one sharded-run command.
+const RUN_COMMANDS: [[&str; 2]; 2] = [["dispatch", "run"], ["shard", "run"]];
+
 #[test]
 fn dispatch_run_matches_single_process_sweep_bitwise() {
     let dir = tmpdir("run");
     let cache = dir.join("cache");
     let spec = write_tiny_spec(&dir);
-    let single = run_ok(
-        repro()
-            .args(["sweep", "--spec"])
-            .arg(&spec)
-            .args(["--no-cache", "--csv"])
-            .env("WCS_CACHE_DIR", &cache),
-    );
-    for (k, strategy) in [("2", "contiguous"), ("3", "strided")] {
+    for (layout, k, strategy) in [
+        (&[][..], "2", "contiguous"),
+        (&[][..], "3", "strided"),
+        (&["--stream-layout", "v2"][..], "2", "contiguous"),
+    ] {
+        let single = run_ok(
+            repro()
+                .args(["sweep", "--spec"])
+                .arg(&spec)
+                .args(layout)
+                .args(["--no-cache", "--csv"])
+                .env("WCS_CACHE_DIR", &cache),
+        );
         let dispatched = run_ok(
             repro()
                 .args(["dispatch", "run", "--spec"])
                 .arg(&spec)
+                .args(layout)
                 .args(["-k", k, "--strategy", strategy, "--csv", "--no-cache"])
                 .env("WCS_CACHE_DIR", &cache),
         );
         assert_eq!(
             String::from_utf8_lossy(&single.stdout),
             String::from_utf8_lossy(&dispatched.stdout),
-            "dispatch k = {k} {strategy} diverged from single-process run"
+            "dispatch k = {k} {strategy} {layout:?} diverged from single-process run"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -75,61 +85,64 @@ fn dispatch_run_matches_single_process_sweep_bitwise() {
 #[test]
 fn killed_worker_requeues_and_output_stays_bitwise_identical() {
     let dir = tmpdir("kill");
-    let cache = dir.join("cache");
     let spec = write_tiny_spec(&dir);
-    let runlog = dir.join("RUNLOG.jsonl");
     let single = run_ok(
         repro()
             .args(["sweep", "--spec"])
             .arg(&spec)
             .args(["--no-cache", "--csv"])
-            .env("WCS_CACHE_DIR", &cache),
+            .env("WCS_CACHE_DIR", dir.join("cache")),
     );
-    // Kill shard 1's first attempt at its first heartbeat; use an
-    // explicit --cache-dir (not env) so the requeue path is the same
-    // one a remote worker would take.
-    let dispatched = run_ok(
-        repro()
-            .args(["dispatch", "run", "--spec"])
-            .arg(&spec)
-            .args([
-                "-k",
-                "3",
-                "--csv",
-                "--fault",
-                "kill:1@0",
-                "--heartbeat-ms",
-                "20",
-            ])
-            .args(["--cache-dir"])
-            .arg(&cache)
-            .arg(format!("--telemetry={}", runlog.display())),
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&single.stdout),
-        String::from_utf8_lossy(&dispatched.stdout),
-        "a killed worker must not change the merged bytes"
-    );
-    let stderr = String::from_utf8_lossy(&dispatched.stderr);
-    assert!(stderr.contains("requeues"), "summary line: {stderr}");
-    let log = std::fs::read_to_string(&runlog).unwrap();
-    assert!(
-        log.contains("dispatch.dead"),
-        "runlog must record the death"
-    );
-    assert!(
-        log.contains("dispatch.requeue"),
-        "runlog must record the requeue"
-    );
-    assert!(
-        log.contains("dispatch.assign"),
-        "runlog must record assignments"
-    );
-    // The summarizer renders a dispatcher table from those events.
-    let summary = run_ok(repro().args(["trace", "summarize"]).arg(&runlog));
-    let text = String::from_utf8_lossy(&summary.stdout);
-    assert!(text.contains("== dispatch (per host) =="), "{text}");
-    assert!(text.contains("requeues: 1"), "{text}");
+    for command in RUN_COMMANDS {
+        let cache = dir.join(format!("cache-{}", command[0]));
+        let runlog = dir.join(format!("{}.runlog.jsonl", command[0]));
+        // Kill shard 1's first attempt at its first heartbeat; use an
+        // explicit --cache-dir (not env) so the requeue path is the same
+        // one a remote worker would take.
+        let dispatched = run_ok(
+            repro()
+                .args(command)
+                .arg("--spec")
+                .arg(&spec)
+                .args([
+                    "-k",
+                    "3",
+                    "--csv",
+                    "--fault",
+                    "kill:1@0",
+                    "--heartbeat-ms",
+                    "20",
+                ])
+                .args(["--cache-dir"])
+                .arg(&cache)
+                .arg(format!("--telemetry={}", runlog.display())),
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&single.stdout),
+            String::from_utf8_lossy(&dispatched.stdout),
+            "{command:?}: a killed worker must not change the merged bytes"
+        );
+        let stderr = String::from_utf8_lossy(&dispatched.stderr);
+        assert!(stderr.contains("requeues"), "summary line: {stderr}");
+        let log = std::fs::read_to_string(&runlog).unwrap();
+        assert!(
+            log.contains("dispatch.dead"),
+            "runlog must record the death"
+        );
+        assert!(
+            log.contains("dispatch.requeue"),
+            "runlog must record the requeue"
+        );
+        assert!(
+            log.contains("dispatch.assign"),
+            "runlog must record assignments"
+        );
+        // The summarizer renders a dispatcher table from those events.
+        let summary = run_ok(repro().args(["trace", "summarize"]).arg(&runlog));
+        let text = String::from_utf8_lossy(&summary.stdout);
+        assert!(text.contains("== dispatch (per host) =="), "{text}");
+        assert!(text.contains("requeues: 1"), "{text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -138,25 +151,28 @@ fn exhausted_retry_budget_exits_2_with_structured_message() {
     let dir = tmpdir("giveup");
     let cache = dir.join("cache");
     let spec = write_tiny_spec(&dir);
-    // Default --max-retries is 2 → 3 attempts; fail all three spawns.
-    let out = repro()
-        .args(["dispatch", "run", "--spec"])
-        .arg(&spec)
-        .args(["-k", "2", "--no-cache", "--fault", "spawn-fail:0x3"])
-        .env("WCS_CACHE_DIR", &cache)
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "give-up must exit 2, stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("dispatch gave up on shard 0 after 3 attempt(s)"),
-        "structured give-up message, got: {stderr}"
-    );
+    for command in RUN_COMMANDS {
+        // Default --max-retries is 2 → 3 attempts; fail all three spawns.
+        let out = repro()
+            .args(command)
+            .arg("--spec")
+            .arg(&spec)
+            .args(["-k", "2", "--no-cache", "--fault", "spawn-fail:0x3"])
+            .env("WCS_CACHE_DIR", &cache)
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{command:?}: give-up must exit 2, stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("dispatch gave up on shard 0 after 3 attempt(s)"),
+            "structured give-up message, got: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

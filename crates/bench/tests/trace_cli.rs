@@ -127,8 +127,8 @@ fn sharded_run_folds_worker_events_into_one_runlog() {
     for expected in [
         "shard.plan",
         "shard.planned",
-        "shard.spawned",
-        "shard.worker_exit",
+        "dispatch.assign",
+        "dispatch.shard",
         "shard.worker",
         "shard.merge",
         "shard.merged",
@@ -150,13 +150,16 @@ fn sharded_run_folds_worker_events_into_one_runlog() {
         "worker engine.block events should be folded into the driver runlog"
     );
     assert!(folded_blocks.iter().any(|&s| s < 3));
-    // One worker_exit per shard, all clean.
-    let exits: Vec<_> = log
+    // One delivered attempt per shard.
+    let mut delivered: Vec<u64> = log
         .events
         .iter()
-        .filter(|e| e.name == "shard.worker_exit")
+        .filter(|e| e.name == "dispatch.shard")
+        .filter(|e| matches!(e.field("ok"), Some(wcs_telemetry::Value::Bool(true))))
+        .filter_map(|e| e.u64_field("shard"))
         .collect();
-    assert_eq!(exits.len(), 3);
+    delivered.sort_unstable();
+    assert_eq!(delivered, [0, 1, 2]);
 
     // `trace summarize` renders the sections the ISSUE promises from
     // this single runlog: per-shard timings, cache counts, block stats.
@@ -174,6 +177,20 @@ fn sharded_run_folds_worker_events_into_one_runlog() {
         );
     }
     assert!(text.contains("shard.worker"), "per-shard span totals");
+    // Every shard row shows the worker time of its delivering attempt.
+    let rows: Vec<&str> = text
+        .split("== shards ==")
+        .nth(1)
+        .unwrap()
+        .lines()
+        .skip(2) // the section's own line end, then the column header
+        .take_while(|l| !l.trim().is_empty())
+        .collect();
+    assert_eq!(rows.len(), 3, "{text}");
+    for row in rows {
+        let worker = row.split_whitespace().nth(2).unwrap();
+        assert!(worker.ends_with('s'), "no worker time in '{row}':\n{text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,9 @@
 //! # wcs-dispatch — multi-host shard dispatching with heartbeats and requeue
 //!
 //! `wcs-shard` slices a workload into K byte-identical shards and knows
-//! how to merge the partials back; its local driver, though, spawns all
-//! K workers at once on one machine and gives up on the first failure.
-//! This crate is the production half the ROADMAP promised: a
+//! how to merge the partials back; this crate is the one way their
+//! workers get launched — `repro shard run` and `repro dispatch run`
+//! both land here, over K local slots by default. It is a
 //! [`Dispatcher`] state machine that deals shards to a pool of host
 //! *slots* ([`HostPool`]), launches each `repro shard worker` through an
 //! object-safe [`Transport`] (subprocess via [`LocalExec`], ssh or any

@@ -21,7 +21,7 @@
 //!   `repro cache clear [--kind …]` is a thin client of.
 //!
 //! The on-disk [`ResultCache`] is the first backend; the trait is
-//! object-safe (`&dyn ResultIndex`) so the engine, the shard driver and
+//! object-safe (`&dyn ResultIndex`) so the engine, the shard merge and
 //! the serve daemon do not care where results actually live.
 //!
 //! ## Pagination contract

@@ -578,7 +578,7 @@ fn metrics_json_is_schema_versioned_with_sorted_counters() {
     wcs_telemetry::counter("serve.request", 1); // ensure a counter exists
     let body = wcs_serve::metrics_json(12_345);
     assert_eq!(json_str(&body, "schema").as_deref(), Some("wcs-metrics-v1"));
-    assert_eq!(json_u64(&body, "schema_version"), Some(1));
+    assert_eq!(json_u64(&body, "schema_version"), Some(2));
     assert_eq!(json_u64(&body, "uptime_ns"), Some(12_345));
     let doc = json_body(&body);
     let section = |name: &str| {

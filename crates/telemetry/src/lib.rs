@@ -76,8 +76,6 @@ pub const EVENT_NAMES: &[&str] = &[
     "cache.store_failed",
     "shard.plan",
     "shard.planned",
-    "shard.spawned",
-    "shard.worker_exit",
     "shard.worker",
     "shard.merge",
     "shard.merged",
@@ -355,7 +353,7 @@ pub fn flush() {
 }
 
 /// Forward a fully-formed event (timestamp preserved) to the installed
-/// collector. This is the fold-in path: the shard driver re-emits its
+/// collector. This is the fold-in path: the dispatcher re-emits its
 /// workers' run-log events through here.
 pub fn emit_event(event: &Event) {
     if !enabled() {

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 pub const METRICS_SCHEMA: &str = "wcs-metrics-v1";
 
 /// Monotonically bumped on any breaking change to the metrics body.
-pub const METRICS_SCHEMA_VERSION: u64 = 1;
+pub const METRICS_SCHEMA_VERSION: u64 = 2;
 
 /// Number of log-scale buckets per histogram.
 pub const BUCKETS: usize = 40;
@@ -53,21 +53,18 @@ pub enum HistId {
     CacheLoad = 2,
     /// Result-cache store latency.
     CacheStore = 3,
-    /// Shard worker subprocess wall time (`shard.worker_exit` `dur_ns`).
-    ShardWorker = 4,
     /// Dispatcher per-shard-attempt wall time, spawn to exit
     /// (`dispatch.shard` `dur_ns`).
-    DispatchShard = 5,
+    DispatchShard = 4,
 }
 
 impl HistId {
     /// Every histogram, in registry order.
-    pub const ALL: [HistId; 6] = [
+    pub const ALL: [HistId; 5] = [
         HistId::EngineBlock,
         HistId::ServeJob,
         HistId::CacheLoad,
         HistId::CacheStore,
-        HistId::ShardWorker,
         HistId::DispatchShard,
     ];
 
@@ -78,7 +75,6 @@ impl HistId {
             HistId::ServeJob => "serve.job",
             HistId::CacheLoad => "cache.load",
             HistId::CacheStore => "cache.store",
-            HistId::ShardWorker => "shard.worker",
             HistId::DispatchShard => "dispatch.shard",
         }
     }
@@ -90,7 +86,6 @@ impl HistId {
             HistId::ServeJob => "wcs-serve per-job wall time in nanoseconds.",
             HistId::CacheLoad => "Result-cache load latency in nanoseconds.",
             HistId::CacheStore => "Result-cache store latency in nanoseconds.",
-            HistId::ShardWorker => "Shard worker subprocess wall time in nanoseconds.",
             HistId::DispatchShard => "Dispatcher per-shard-attempt wall time in nanoseconds.",
         }
     }
@@ -289,8 +284,7 @@ impl HistogramSnapshot {
     }
 }
 
-static HISTOGRAMS: [Histogram; 6] = [
-    Histogram::new(),
+static HISTOGRAMS: [Histogram; 5] = [
     Histogram::new(),
     Histogram::new(),
     Histogram::new(),
@@ -571,8 +565,8 @@ mod tests {
 
     #[test]
     fn global_registry_records_without_a_collector() {
-        let before = histogram(HistId::ShardWorker).count();
-        record_ns(HistId::ShardWorker, 42);
-        assert_eq!(histogram(HistId::ShardWorker).count(), before + 1);
+        let before = histogram(HistId::DispatchShard).count();
+        record_ns(HistId::DispatchShard, 42);
+        assert_eq!(histogram(HistId::DispatchShard).count(), before + 1);
     }
 }

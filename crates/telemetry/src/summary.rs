@@ -63,8 +63,7 @@ struct DispatchHostRow {
 #[derive(Default)]
 struct ShardRow {
     planned: Option<(u64, u64)>, // (start, len) or strided coordinates rendered upstream
-    spawned: bool,
-    exit_code: Option<i64>,
+    attempts: Option<u64>,
     worker_ns: Option<u64>,
     worker_source: Option<String>,
     merged_source: Option<String>,
@@ -136,18 +135,6 @@ pub fn summarize(log: &RunLog) -> String {
                     ));
                 }
             }
-            "shard.spawned" => {
-                if let Some(sh) = e.u64_field("shard") {
-                    shards.entry(sh).or_default().spawned = true;
-                }
-            }
-            "shard.worker_exit" => {
-                if let Some(sh) = e.u64_field("shard") {
-                    let row = shards.entry(sh).or_default();
-                    row.exit_code = e.f64_field("code").map(|c| c as i64);
-                    row.worker_ns = e.u64_field("dur_ns");
-                }
-            }
             "shard.worker" if e.kind == EventKind::SpanExit => {
                 if let Some(sh) = e.u64_field("shard") {
                     let row = shards.entry(sh).or_default();
@@ -168,12 +155,22 @@ pub fn summarize(log: &RunLog) -> String {
                 }
             }
             "dispatch.shard" => {
+                let ok = e
+                    .field("ok")
+                    .is_some_and(|v| matches!(v, Value::Bool(true)));
                 if let Some(h) = e.str_field("host") {
                     let row = dispatch_hosts.entry(h.to_string()).or_default();
-                    if e.field("ok")
-                        .is_some_and(|v| matches!(v, Value::Bool(true)))
-                    {
+                    if ok {
                         row.delivered += 1;
+                    }
+                }
+                // Worker time is the attempt that delivered; attempts
+                // counts every finished try, failed ones included.
+                if let Some(sh) = e.u64_field("shard") {
+                    let row = shards.entry(sh).or_default();
+                    row.attempts = row.attempts.max(e.u64_field("attempt"));
+                    if ok {
+                        row.worker_ns = e.u64_field("dur_ns");
                     }
                 }
             }
@@ -277,24 +274,19 @@ pub fn summarize(log: &RunLog) -> String {
 
     if !shards.is_empty() {
         out.push_str("\n== shards ==\n");
-        out.push_str(
-            "  shard  tasks@start      worker      exit  source             merged-from\n",
-        );
+        out.push_str(&format!(
+            "  {:>5}  {:<15} {:>11} {:>8}  {:<18} {}\n",
+            "shard", "tasks@start", "worker", "attempts", "source", "merged-from"
+        ));
         for (sh, row) in &shards {
             let planned = match row.planned {
                 Some((start, len)) => format!("{len}@{start}"),
                 None => "-".to_string(),
             };
             let worker = row.worker_ns.map(format_ns).unwrap_or_else(|| "-".into());
-            let exit = row.exit_code.map(|c| c.to_string()).unwrap_or_else(|| {
-                if row.spawned {
-                    "?".into()
-                } else {
-                    "-".into()
-                }
-            });
+            let attempts = row.attempts.map_or_else(|| "-".into(), |n| n.to_string());
             out.push_str(&format!(
-                "  {sh:>5}  {planned:<15} {worker:>11} {exit:>5}  {:<18} {}\n",
+                "  {sh:>5}  {planned:<15} {worker:>11} {attempts:>8}  {:<18} {}\n",
                 row.worker_source.as_deref().unwrap_or("-"),
                 row.merged_source.as_deref().unwrap_or("-"),
             ));
@@ -398,15 +390,23 @@ mod tests {
                 ),
                 ev(
                     EventKind::Value,
-                    "shard.spawned",
-                    vec![("shard", Value::U64(0))],
+                    "dispatch.shard",
+                    vec![
+                        ("shard", Value::U64(0)),
+                        ("host", Value::Str("local".into())),
+                        ("attempt", Value::U64(1)),
+                        ("ok", Value::Bool(false)),
+                        ("dur_ns", Value::U64(3_000_000)),
+                    ],
                 ),
                 ev(
                     EventKind::Value,
-                    "shard.worker_exit",
+                    "dispatch.shard",
                     vec![
                         ("shard", Value::U64(0)),
-                        ("code", Value::U64(0)),
+                        ("host", Value::Str("local".into())),
+                        ("attempt", Value::U64(2)),
+                        ("ok", Value::Bool(true)),
                         ("dur_ns", Value::U64(9_000_000)),
                     ],
                 ),
@@ -442,6 +442,10 @@ mod tests {
         assert!(s.contains("2.0 KiB"), "{s}");
         assert!(s.contains("== shards =="), "{s}");
         assert!(s.contains("12@0"), "{s}");
+        // Worker time from the delivering attempt, and the attempt count.
+        let row = s.lines().find(|l| l.contains("12@0")).expect("shard 0 row");
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols[..4], ["0", "12@0", "9.00ms", "2"], "{s}");
         assert!(s.contains("file"), "{s}");
         assert!(s.contains("shard 0"), "{s}");
         assert!(s.contains("warning: no disk"), "{s}");
