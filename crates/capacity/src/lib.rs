@@ -20,7 +20,7 @@
 //! and contention-degree carrier sense for more than two contenders,
 //! with N = 2 reducing bitwise to [`TwoPairScenario`].
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod npair;

@@ -86,6 +86,13 @@ impl Placement {
     }
 }
 
+/// The largest pair count a topology read from outside input may have.
+/// A kernel's per-sample scratch grows as N² (the v2 kernel keeps about
+/// 4.5·N² eight-byte words), so 256 pairs hold it to about 2 MB; a spec
+/// asking for more is refused where it is parsed, before anything is
+/// allocated.
+pub const MAX_PAIRS: usize = 256;
+
 /// A pair count plus a sender placement — the value of one point on a
 /// sweep's topology axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -587,6 +594,17 @@ impl NPairKernel {
 ///   per-task (i, j) → link index, and accumulates without branches;
 /// * all 3N Shannon logs are scored in one `capacity_v2_batch` pass.
 ///
+/// **One body, two compilations.** On x86-64 the body of
+/// [`NPairKernelV2::sample_and_score`] is compiled twice: once for the
+/// build's baseline target (SSE2, 2 lanes) and once inside a
+/// `#[target_feature(enable = "avx2")]` function, where the inlined
+/// normal-fill, ln, exp and capacity slice loops run 4 lanes wide. Each
+/// call takes the AVX2 copy when `is_x86_feature_detected!("avx2")`
+/// reports AVX2 (a cached check) and the baseline copy otherwise; other
+/// architectures have only the baseline copy. FMA stays off and Rust
+/// never contracts `a * b + c`, so both copies produce the same bits,
+/// which `v2_kernel_compilations_agree_bitwise` checks.
+///
 /// Statistically identical to v1, **not** bitwise equal to it (hence
 /// the v2 canonical prefix and fresh goldens); bitwise-deterministic
 /// with itself at any thread/shard/worker split.
@@ -694,7 +712,40 @@ impl NPairKernelV2 {
     /// The draw *order* is v1's (offsets, signal table, interference
     /// table row-major, sense table i<j); the per-draw and per-link
     /// arithmetic is batched, which is what moves the output bits.
+    ///
+    /// Runs the AVX2 compilation of the body when the CPU has AVX2, the
+    /// baseline one otherwise; both produce the same bits.
     pub fn sample_and_score<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.sample_and_score_on(rng, true);
+    }
+
+    /// The one dispatch site: the AVX2 copy of the body when `allow_avx2`
+    /// is set and the CPU has AVX2, the baseline copy otherwise. Tests
+    /// pass `false` to run the baseline copy on an AVX2 machine.
+    #[allow(unsafe_code)]
+    fn sample_and_score_on<R: Rng + ?Sized>(&mut self, rng: &mut R, allow_avx2: bool) {
+        #[cfg(target_arch = "x86_64")]
+        if allow_avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `sample_and_score_avx2` only requires AVX2, and
+            // `is_x86_feature_detected!("avx2")` just confirmed that
+            // this CPU executes AVX2 instructions.
+            return unsafe { self.sample_and_score_avx2(rng) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = allow_avx2;
+        self.sample_and_score_body(rng);
+    }
+
+    /// The body compiled with AVX2 enabled, so its inlined slice loops
+    /// run 4 lanes wide (see the type's docs for why the bits match).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sample_and_score_avx2<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.sample_and_score_body(rng);
+    }
+
+    #[inline(always)]
+    fn sample_and_score_body<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let n = self.n;
         let n2 = n * n;
         for o in self.offsets.iter_mut() {
@@ -914,6 +965,48 @@ mod tests {
             .cap
             .capacity(s.gains[0][0] / (s.prop.noise + s.gains[0][2]));
         assert!((end - with_hidden / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn v2_kernel_compilations_agree_bitwise() {
+        // The AVX2 copy of the body must reproduce the baseline copy bit
+        // for bit, partial 4-lane vectors at the slice ends included.
+        // Without AVX2 both runs take the baseline copy.
+        let outputs = |k: &NPairKernelV2| {
+            let bits = k.mux().iter().chain(k.conc()).chain(k.cs());
+            let bits: Vec<u64> = bits.map(|x| x.to_bits()).collect();
+            (bits, k.deferring_senders())
+        };
+        let caps = [
+            CapacityModel::SHANNON,
+            CapacityModel::with_efficiency(0.6),
+            CapacityModel::SHANNON.capped(2.7),
+        ];
+        let placements = [
+            Placement::Line,
+            Placement::Grid,
+            Placement::Random { seed: 11 },
+        ];
+        for n in 2..=20 {
+            for (p, placement) in placements.into_iter().enumerate() {
+                let senders = sender_positions(n, [20.0, 55.0, 120.0][n % 3], placement);
+                for (s, sigma) in [0.0, 4.0, 8.0, 12.0].into_iter().enumerate() {
+                    let prop = PropagationModel::paper_default().with_sigma_db(sigma);
+                    for cap in caps {
+                        let seed = (n * 16 + p * 4 + s) as u64;
+                        let mut plain = NPairKernelV2::new(&senders, 40.0, &prop, cap, 55.0);
+                        let mut avx2 = plain.clone();
+                        let (mut rp, mut ra) = (seeded_rng(seed), seeded_rng(seed));
+                        for _ in 0..4 {
+                            plain.sample_and_score_on(&mut rp, false);
+                            avx2.sample_and_score_on(&mut ra, true);
+                            let case = format!("n={n} {placement:?} sigma={sigma} {cap:?}");
+                            assert_eq!(outputs(&plain), outputs(&avx2), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl CapacityModel {
     /// `fast_log2`, efficiency-scale and cap-clip arithmetic in the same
     /// order). The v2 Monte Carlo kernels use this to score a whole
     /// configuration's per-pair policies in one sweep.
-    #[inline]
+    #[inline(always)]
     pub fn capacity_v2_batch(&self, snrs: &mut [f64]) {
         for s in snrs.iter_mut() {
             debug_assert!(*s >= 0.0, "negative SNR {s}");

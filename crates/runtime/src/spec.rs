@@ -69,7 +69,7 @@
 use crate::scenario::{PolicyAxis, Sweep, Topology};
 use crate::simsweep::{RateAxis, SimSweep};
 use crate::workload::{AnyWorkload, WorkloadKind, WorkloadSpec};
-use wcs_capacity::npair::Placement;
+use wcs_capacity::npair::{Placement, MAX_PAIRS};
 use wcs_capacity::rates::{rate_11a, RATES_11A};
 use wcs_capacity::shannon::CapacityModel;
 use wcs_core::params::StreamLayout;
@@ -345,10 +345,10 @@ fn topology_from_str(s: &str, line: usize) -> Result<Topology, SpecError> {
     let n: usize = n
         .parse()
         .map_err(|_| err(line, format!("bad pair count '{n}'")))?;
-    if n < 2 {
+    if !(2..=MAX_PAIRS).contains(&n) {
         return Err(err(
             line,
-            format!("an N-pair topology needs n >= 2, got {n}"),
+            format!("an N-pair topology needs 2 <= n <= {MAX_PAIRS}, got {n}"),
         ));
     }
     let placement = match placement {
@@ -1049,6 +1049,7 @@ mod tests {
     fn bad_topologies_and_caps_are_rejected() {
         for bad in [
             "name=\"x\"\ntopologies = [\"npair(n=1,placement=line)\"]\n",
+            "name=\"x\"\ntopologies = [\"npair(n=257,placement=line)\"]\n",
             "name=\"x\"\ntopologies = [\"triangle\"]\n",
             "name=\"x\"\ntopologies = [\"npair(n=4,placement=ring)\"]\n",
             "name=\"x\"\ncaps = [\"eff=1.5\"]\n",

@@ -287,6 +287,17 @@ fn malformed_specs_get_structured_400_bodies() {
     assert_eq!(status, 400);
     assert_eq!(json_str(&body, "code").as_deref(), Some("bad_floor"));
     assert_eq!(json_str(&body, "field").as_deref(), Some("floor"));
+    // So is a pair count whose kernel scratch alone would exhaust memory
+    // and abort the daemon.
+    let (status, body) = http(
+        server.addr(),
+        "POST",
+        "/v1/jobs",
+        &[],
+        "name = \"x\"\ntopologies = [\"npair(n=200000,placement=line)\"]\n",
+    );
+    assert_eq!(status, 400);
+    assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
     let (status, jobs) = http(server.addr(), "GET", "/v1/jobs", &[], "");
     assert_eq!(status, 200);
     assert!(json_items(&jobs, "jobs").is_empty(), "{jobs}");

@@ -102,6 +102,7 @@ fn signed(z: f64, bits: u64) -> f64 {
 /// the compiler vectorizes), then `inv_normal_cdf` again on only the
 /// lower-tail slots, which an exact bound on the magnitude bits picks
 /// out.
+#[inline(always)]
 pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     let mut words = [0u64; FILL_CHUNK];
     for chunk in out.chunks_mut(FILL_CHUNK) {

@@ -49,5 +49,5 @@ pub use optimize::{golden_section_max, grid_refine_max, nelder_mead_min};
 pub use quadrature::{gauss_legendre, integrate_polar_disc, simpson_adaptive};
 pub use rng::{seeded_rng, split_rng, SeedStream};
 pub use rootfind::{bisect, brent};
-pub use special::{erf, erfc, inv_norm_cdf, norm_cdf, norm_pdf};
+pub use special::{erf, erfc, norm_cdf, norm_pdf};
 pub use summary::{Histogram, Summary};

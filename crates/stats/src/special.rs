@@ -5,8 +5,8 @@
 //! have about a 20 % chance of appearing to the sender as beyond
 //! D_thresh". We implement `erf` through the regularized incomplete gamma
 //! function P(½, x²) (series + Lentz continued fraction), which is accurate
-//! to ~1e-14 over the whole real line, and the inverse normal CDF with
-//! Acklam's algorithm refined by one Halley step.
+//! to ~1e-14 over the whole real line. (The one normal quantile is
+//! `fastmath::inv_normal_cdf`, which the v2 samplers use.)
 
 /// ln Γ(1/2) = ln √π.
 const LN_GAMMA_HALF: f64 = 0.572_364_942_924_700_1;
@@ -108,67 +108,6 @@ pub fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
 }
 
-/// Inverse standard normal CDF (the probit function).
-///
-/// Acklam's rational approximation (relative error < 1.15e-9) refined with
-/// one Halley iteration, giving near machine precision for p in (0, 1).
-pub fn inv_norm_cdf(p: f64) -> f64 {
-    assert!(
-        p > 0.0 && p < 1.0,
-        "inv_norm_cdf requires p in (0,1), got {p}"
-    );
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step against the forward CDF.
-    let e = norm_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,21 +162,6 @@ mod tests {
         close(norm_cdf(-1.0), 0.158_655_253_931_457_05, 1e-12);
         close(norm_cdf(1.959_963_984_540_054), 0.975, 1e-12);
         close(norm_cdf(-3.0), 1.349_898_031_630_094_5e-3, 1e-13);
-    }
-
-    #[test]
-    fn inv_norm_cdf_roundtrip() {
-        for &p in &[1e-6, 0.001, 0.025, 0.1, 0.5, 0.8, 0.975, 0.999, 1.0 - 1e-6] {
-            let x = inv_norm_cdf(p);
-            close(norm_cdf(x), p, 1e-12);
-        }
-    }
-
-    #[test]
-    fn inv_norm_cdf_symmetry() {
-        for &p in &[0.01, 0.2, 0.37, 0.45] {
-            close(inv_norm_cdf(p), -inv_norm_cdf(1.0 - p), 1e-10);
-        }
     }
 
     #[test]
