@@ -34,11 +34,13 @@ pub fn manifest_blob_name(created_unix_ms: u64, hash: u64, seed: u64) -> String 
     format!("run-{created_unix_ms:013}-{hash:016x}-{seed:016x}{MANIFEST_SUFFIX}")
 }
 
-/// Render one manifest. Histogram snapshots are taken from the
-/// process-global metrics registry at call time.
+/// Render one manifest for a run of a `task_count`-task workload.
+/// Histogram snapshots are taken from the process-global metrics
+/// registry at call time.
 pub fn manifest_json(
     w: &dyn WorkloadSpec,
     outcome: &WorkloadOutcome,
+    task_count: usize,
     wall_ns: u64,
     created_unix_ms: u64,
 ) -> String {
@@ -61,7 +63,7 @@ pub fn manifest_json(
         json_string(w.kind().label()),
         w.scenario_hash(),
         w.seed(),
-        w.task_count(),
+        task_count,
         outcome.tasks_run,
         outcome.cache_hit,
         json_string(status),
@@ -80,12 +82,31 @@ pub fn append_run_manifest(
     outcome: &WorkloadOutcome,
     wall_ns: u64,
 ) -> Option<String> {
+    // A computed run ran every task; only a cache hit has to ask the
+    // workload, which may plan it to count them.
+    let task_count = if outcome.cache_hit {
+        w.task_count()
+    } else {
+        outcome.tasks_run
+    };
+    append_counted_manifest(index, w, outcome, task_count, wall_ns)
+}
+
+/// [`append_run_manifest`] for a caller that already knows the
+/// workload's task count.
+pub fn append_counted_manifest(
+    index: &dyn ResultIndex,
+    w: &dyn WorkloadSpec,
+    outcome: &WorkloadOutcome,
+    task_count: usize,
+    wall_ns: u64,
+) -> Option<String> {
     let created_unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
     let name = manifest_blob_name(created_unix_ms, w.scenario_hash(), w.seed());
-    let text = manifest_json(w, outcome, wall_ns, created_unix_ms);
+    let text = manifest_json(w, outcome, task_count, wall_ns, created_unix_ms);
     match index.store_blob(&name, &text) {
         Ok(()) => {
             wcs_telemetry::counter("history.manifest", 1);
@@ -129,7 +150,7 @@ mod tests {
             tasks_run: 0,
             store_failed: false,
         };
-        let json = manifest_json(&sweep, &outcome, 123_456, 1_700_000_000_000);
+        let json = manifest_json(&sweep, &outcome, 1, 123_456, 1_700_000_000_000);
         assert!(
             json.contains("\"schema\":\"wcs-run-manifest-v1\""),
             "{json}"
@@ -140,13 +161,14 @@ mod tests {
         assert!(json.contains("\"cache_hit\":true"), "{json}");
         assert!(json.contains("\"status\":\"ok\""), "{json}");
         assert!(json.contains("\"wall_ns\":123456"), "{json}");
+        assert!(json.contains("\"task_count\":1,"), "{json}");
         assert!(json.contains("\"histograms\":{"), "{json}");
         assert!(json.contains("\"engine.block\":{"), "{json}");
         let failed = WorkloadOutcome {
             store_failed: true,
             ..outcome
         };
-        let json = manifest_json(&sweep, &failed, 1, 2);
+        let json = manifest_json(&sweep, &failed, 1, 1, 2);
         assert!(json.contains("\"status\":\"store_failed\""), "{json}");
     }
 
@@ -170,6 +192,25 @@ mod tests {
         assert!(text.contains("\"tasks_run\":4"));
         // Manifests never pollute entry listings.
         assert!(cache.entries().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn runs_count_their_tasks_on_a_miss_and_on_a_hit() {
+        let dir = std::env::temp_dir().join(format!("wcs-history-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(&dir);
+        let sweep = Sweep::new("counted").ds(&[10.0, 20.0]).samples(200).seed(4);
+        let want = format!("\"task_count\":{},", sweep.task_count());
+        for cache_hit in [false, true] {
+            // Manifest names have millisecond resolution.
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let out = crate::workload::run_workload(&sweep, &crate::Engine::serial(), Some(&cache));
+            assert_eq!(out.cache_hit, cache_hit);
+            let newest = &list_manifests(&cache).unwrap()[0];
+            let text = cache.load_blob(newest).unwrap();
+            assert!(text.contains(&want), "{text}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! model sweeps got in PRs 1–3: a declarative grid over **testbed
 //! configurations × CCA energy thresholds × rate policies**, lowering to
 //! seeded, `Send`-able [`PlannedPair`] tasks whose
-//! [`ExperimentPoint`](wcs_sim::experiment::ExperimentPoint) rows flow
+//! [`ExperimentPoint`] rows flow
 //! through the same [`Engine`](crate::Engine),
 //! [`ResultCache`](crate::ResultCache), spec files, shard pipeline and
 //! CSV/JSON report paths as model tasks.
@@ -15,12 +15,21 @@
 //! planned pairs with the CCA-threshold and rate-policy axes, so every
 //! axis point measures the *same* link pairs under common random
 //! numbers — the §4 protocol's own discipline, extended across axes.
+//!
+//! Only a protocol's carrier-sense runs read the CCA threshold, so the
+//! tasks that differ only in it (one testbed, rate-axis entry and point)
+//! share a slot for the rest of the protocol, its
+//! [`Baselines`]: whichever of them gets there first runs them, and the
+//! others reuse the same runs. A sweep with more than one threshold
+//! simulates each pair's baselines once instead of once per threshold.
 
 use crate::report::RunReport;
 use crate::scenario::task_seed;
 use crate::workload::{Workload, WorkloadKind, WorkloadSpec};
+use std::sync::{Arc, OnceLock};
 use wcs_sim::experiment::{
-    plan_ensemble, run_planned_with, ExperimentConfig, PlannedPair, RateStrategy,
+    plan_ensemble, run_baselines, run_carrier_sense, Baselines, ExperimentConfig, ExperimentPoint,
+    PlannedPair, RateStrategy,
 };
 use wcs_sim::testbed::{Testbed, TestbedConfig};
 use wcs_sim::time::Duration;
@@ -256,8 +265,9 @@ impl SimSweep {
     /// nodes one plan costs well under a millisecond against
     /// seconds-long simulation tasks, and keeping `SimSweep` plain
     /// immutable data avoids a memo cache that every axis-builder would
-    /// have to invalidate. Revisit if testbeds grow by orders of
-    /// magnitude.
+    /// have to invalidate. A run therefore asks `task_count()` only
+    /// when traced, and a spec may ask for at most
+    /// [`MAX_NODES`](wcs_sim::testbed::MAX_NODES) nodes.
     pub fn planned_for(&self, testbed_index: usize) -> Vec<PlannedPair> {
         let bed = Testbed::generate(self.testbed_config(testbed_index));
         let links = bed.candidate_links(self.window.0, self.window.1);
@@ -270,10 +280,13 @@ impl SimSweep {
     }
 }
 
-/// One independent sim task: a planned link pair plus its grid
-/// coordinates. Plain seeded data (`PlannedPair` carries the run seed),
-/// so any engine worker can execute it with no shared state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One sim task: a planned link pair plus its grid coordinates. Seeded
+/// data (`PlannedPair` carries the run seed), so any engine worker can
+/// execute it. The one state it shares is its baselines slot, with the
+/// tasks of the same lowering that differ from it only in the CCA
+/// threshold; the slot holds runs every one of them would make
+/// identically, so a task's row does not depend on who fills it.
+#[derive(Debug, Clone)]
 pub struct SimTask {
     /// Position in the lowered task list.
     pub index: usize,
@@ -290,6 +303,9 @@ pub struct SimTask {
     pub rate_index: usize,
     /// The planned link pair, with its private run seed.
     pub planned: PlannedPair,
+    /// The CCA-independent half of this task's protocol, shared with
+    /// its CCA siblings and filled by the first of them to need it.
+    pub baselines: Arc<OnceLock<Baselines>>,
 }
 
 impl WorkloadSpec for SimSweep {
@@ -366,11 +382,16 @@ impl Workload for SimSweep {
     /// Lowering order is the fixed nesting (testbed, CCA, rate, point):
     /// the testbed loop is outermost so appending a testbed seed extends
     /// the list without reshuffling existing tasks, and every (CCA,
-    /// rate) cell of one testbed measures the same planned pairs.
+    /// rate) cell of one testbed measures the same planned pairs. Each
+    /// (testbed, rate, point) group gets one fresh baselines slot, so
+    /// nothing carries over from one lowering to the next.
     fn lower(&self) -> Vec<SimTask> {
         let mut tasks = Vec::new();
         for ti in 0..self.testbed_seeds.len() {
             let planned = self.planned_for(ti);
+            let slots: Vec<Arc<OnceLock<Baselines>>> = (0..self.rates.len() * planned.len())
+                .map(|_| Arc::default())
+                .collect();
             for &cca_db in &self.cca_thresholds_db {
                 for (ri, &rate) in self.rates.iter().enumerate() {
                     for (pi, &pp) in planned.iter().enumerate() {
@@ -382,6 +403,7 @@ impl Workload for SimSweep {
                             rate,
                             rate_index: ri,
                             planned: pp,
+                            baselines: Arc::clone(&slots[ri * planned.len() + pi]),
                         });
                     }
                 }
@@ -390,22 +412,35 @@ impl Workload for SimSweep {
         tasks
     }
 
+    /// Runs the task's own carrier-sense runs first, then takes the
+    /// baselines from its slot, running them if no CCA sibling has.
+    /// The row equals that of the whole protocol run for this task
+    /// alone.
     fn run_task(&self, task: &SimTask) -> Vec<Vec<f64>> {
         let bed = Testbed::generate(self.testbed_config(task.testbed_index));
         let cfg = self.experiment_config(task.cca_db, Some(task.rate), 0);
-        let point = run_planned_with(&bed, &task.planned, &cfg, task.rate.strategy());
-        vec![vec![
-            task.testbed_index as f64,
-            task.point_index as f64,
-            task.cca_db,
-            task.rate_index as f64,
-            point.sender_rssi_db,
-            point.multiplexing_pps,
-            point.concurrency_pps,
-            point.carrier_sense_pps,
-            point.optimal_pps(),
-        ]]
+        let (pairs, seed, strategy) = (task.planned.pairs, task.planned.seed, task.rate.strategy());
+        let carrier_sense_pps = run_carrier_sense(&bed, pairs, &cfg, seed, strategy);
+        let baselines = task
+            .baselines
+            .get_or_init(|| run_baselines(&bed, pairs, &cfg, seed, strategy));
+        vec![task_row(task, &baselines.point(pairs, carrier_sense_pps))]
     }
+}
+
+/// One task's report row: its grid coordinates and measured point.
+fn task_row(task: &SimTask, point: &ExperimentPoint) -> Vec<f64> {
+    vec![
+        task.testbed_index as f64,
+        task.point_index as f64,
+        task.cca_db,
+        task.rate_index as f64,
+        point.sender_rssi_db,
+        point.multiplexing_pps,
+        point.concurrency_pps,
+        point.carrier_sense_pps,
+        point.optimal_pps(),
+    ]
 }
 
 #[cfg(test)]
@@ -413,6 +448,7 @@ mod tests {
     use super::*;
     use crate::workload::run_workload;
     use crate::Engine;
+    use wcs_sim::experiment::run_pair_experiment_with;
 
     fn tiny() -> SimSweep {
         SimSweep::new("tiny-sim")
@@ -437,6 +473,38 @@ mod tests {
         assert_eq!(tasks[0].planned, tasks[2].planned);
         assert_eq!(tasks[1].planned, tasks[3].planned);
         assert_ne!(tasks[0].planned.seed, tasks[1].planned.seed);
+    }
+
+    #[test]
+    fn cca_siblings_share_baselines_and_rows_stay_per_task() {
+        let s = tiny()
+            .cca_thresholds_db(&[7.0, 13.0, 19.0])
+            .rates(&[RateAxis::BestFixed, RateAxis::Fixed(6.0)]);
+        let tasks = s.lower();
+        assert_eq!(tasks.len(), 3 * 2 * 2);
+        // Run one task: exactly its CCA siblings (same testbed, rate and
+        // point) see a filled slot; reuse never crosses a rate or point.
+        let ran = &tasks[7];
+        s.run_task(ran);
+        let group = |t: &SimTask| (t.testbed_index, t.rate_index, t.point_index);
+        for t in &tasks {
+            assert_eq!(
+                t.baselines.get().is_some(),
+                group(t) == group(ran),
+                "task {}",
+                t.index
+            );
+        }
+        assert_eq!(tasks.iter().filter(|t| group(t) == group(ran)).count(), 3);
+        // Every row, reused baselines or not, is the whole protocol run
+        // for that task alone.
+        let bed = Testbed::generate(s.testbed_config(0));
+        for t in &tasks {
+            let cfg = s.experiment_config(t.cca_db, Some(t.rate), 0);
+            let (pairs, seed) = (t.planned.pairs, t.planned.seed);
+            let alone = run_pair_experiment_with(&bed, pairs, &cfg, seed, t.rate.strategy());
+            assert_eq!(s.run_task(t), vec![task_row(t, &alone)], "task {}", t.index);
+        }
     }
 
     #[test]

@@ -59,7 +59,9 @@
 //! Values the simulator cannot run are refused at parse time rather than
 //! left to panic mid-sweep: both `floor` sides must be positive and
 //! finite, and every `sweep_rates` entry and `fixed(...)` rate must be
-//! an 802.11a rate (6, 9, 12, 18, 24, 36, 48 or 54 Mbit/s).
+//! an 802.11a rate (6, 9, 12, 18, 24, 36, 48 or 54 Mbit/s). `nodes` and
+//! `points` are capped (`MAX_NODES`, `MAX_POINTS`), since planning
+//! allocates for both before anything runs.
 //!
 //! Either family may also pin `expect_hash = "<16 hex digits>"`: after
 //! parsing, the spec's canonical hash is verified against it, so a file
@@ -73,6 +75,8 @@ use wcs_capacity::npair::{Placement, MAX_PAIRS};
 use wcs_capacity::rates::{rate_11a, RATES_11A};
 use wcs_capacity::shannon::CapacityModel;
 use wcs_core::params::StreamLayout;
+use wcs_sim::experiment::MAX_POINTS;
+use wcs_sim::testbed::MAX_NODES;
 
 /// A spec-file failure: what went wrong ([`SpecErrorKind`]) and on which
 /// line (1-based, 0 when no single line is at fault).
@@ -748,6 +752,16 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
             Value::Int(n) if n > 0 => Ok(n),
             _ => Err(err(lineno, format!("'{key}' must be a positive integer"))),
         };
+        let at_most = |n: u64, max: usize| {
+            if n <= max as u64 {
+                Ok(n as usize)
+            } else {
+                Err(err(
+                    lineno,
+                    format!("'{key}' must be at most {max}, got {n}"),
+                ))
+            }
+        };
         match key {
             "name" => match value {
                 Value::Str(s) => name = Some(s),
@@ -768,7 +782,7 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
                 Value::Ints(_) => return Err(err(lineno, "'testbeds' must not be empty")),
                 _ => return Err(err(lineno, "'testbeds' must be an array of integer seeds")),
             },
-            "nodes" => sweep.n_nodes = positive_int(value)? as usize,
+            "nodes" => sweep.n_nodes = at_most(positive_int(value)?, MAX_NODES)?,
             "floor" => {
                 let (width, height) = float_pair(value)?;
                 if !(width > 0.0 && width.is_finite() && height > 0.0 && height.is_finite()) {
@@ -817,7 +831,7 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "points" => sweep.points = positive_int(value)? as usize,
+            "points" => sweep.points = at_most(positive_int(value)?, MAX_POINTS)?,
             "run_secs" => sweep.run_secs = positive_int(value)?,
             "sweep_rates" => {
                 let rates = float_axis(value, key, lineno)?;
@@ -1210,8 +1224,18 @@ mod tests {
             assert!(e.message().contains("no 802.11a rate 7.0 Mbps"), "{e}");
             assert!(e.message().contains("6, 9, 12, 18, 24, 36, 48, 54"), "{e}");
         }
-        // Real rates and positive floors still parse.
+        // Planning would allocate for every point, or visit every
+        // directed node pair, before anything runs.
+        for (line, max) in [("points = 1000000000", 1000), ("nodes = 200000", 500)] {
+            let e = parse_any_spec_toml(&sim(line)).unwrap_err();
+            assert_eq!(e.code(), "bad_value", "{line}: {e}");
+            assert_eq!(e.line, 3);
+            assert!(e.message().contains(&format!("at most {max}")), "{e}");
+        }
+        // Real rates, positive floors and the caps themselves still parse.
         let ok = sim("floor = [0.5, 1e3]\nsweep_rates = [54]\nrates = [\"fixed(36.0)\"]");
+        assert!(parse_any_spec_toml(&ok).is_ok());
+        let ok = sim("points = 1000\nnodes = 500");
         assert!(parse_any_spec_toml(&ok).is_ok());
     }
 

@@ -147,7 +147,11 @@ pub trait Workload: WorkloadSpec + Sync {
     /// Run one task to its row block (exactly
     /// [`WorkloadSpec::rows_per_task`] rows of
     /// [`WorkloadSpec::columns`] width). Must be a pure function of
-    /// (self, task).
+    /// (self, task). A task may share a slot with other tasks of the
+    /// same [`Workload::lower`] call (a sim task shares its CCA-free
+    /// runs, see [`SimSweep`]), as long as whichever of them fills it
+    /// fills it with the same value; the block is then still the
+    /// task's own, whoever ran first and whichever tasks run at all.
     fn run_task(&self, task: &Self::Task) -> Vec<Vec<f64>>;
 
     /// Run a contiguous slab of tasks to their row blocks, in slab
@@ -213,10 +217,12 @@ pub fn run_workload<W: Workload>(
     // One clock pair per run (not per task): the run-history manifest
     // records wall time whether or not telemetry is enabled.
     let wall_t0 = std::time::Instant::now();
+    // `task_count` may plan the workload, so only a traced run asks it
+    // up front; the run itself counts what it lowers or loads.
     let mut span = wcs_telemetry::span("workload.run")
         .with("name", w.name())
         .with("kind", w.kind().label())
-        .with("tasks", w.task_count())
+        .with_lazy("tasks", || w.task_count())
         .with("hash", w.scenario_hash())
         .with("seed", w.seed())
         .start();
@@ -231,10 +237,11 @@ pub fn run_workload<W: Workload>(
                     tasks_run: 0,
                     store_failed: false,
                 };
-                crate::history::append_run_manifest(
+                crate::history::append_counted_manifest(
                     index,
                     w,
                     &outcome,
+                    full.rows.len() / w.rows_per_task(),
                     wall_t0.elapsed().as_nanos() as u64,
                 );
                 return outcome;

@@ -88,6 +88,9 @@ pub struct Job {
     pub id: u64,
     /// The workload to run (also carries name/kind/hash/seed identity).
     pub workload: AnyWorkload,
+    /// `workload.task_count()`, computed once at admission: a sim
+    /// sweep plans every testbed to count its tasks.
+    pub task_count: usize,
     state: Mutex<JobState>,
     done: Condvar,
 }
@@ -228,6 +231,7 @@ impl JobQueue {
         inner.next_id += 1;
         let job = Arc::new(Job {
             id,
+            task_count: workload.task_count(),
             workload,
             state: Mutex::new(JobState {
                 phase: JobPhase::Queued,

@@ -61,7 +61,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use wcs_runtime::{
     parse_any_spec_toml, Engine, IndexQuery, ResultIndex, RunReport, SpecError, WorkloadKind,
-    WorkloadSpec,
 };
 use wcs_telemetry::json::json_string;
 
@@ -623,7 +622,7 @@ fn job_json(job: &Job) -> String {
         job.hash(),
         job.seed(),
         st.phase.label(),
-        job.workload.task_count(),
+        job.task_count,
         st.tasks_run,
         st.cache_hit,
         st.degraded,

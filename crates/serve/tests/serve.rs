@@ -210,6 +210,8 @@ fn fresh_server_answers_identical_spec_entirely_from_the_index() {
     let id = json_u64(&body, "id").unwrap();
     let cold = wait_terminal(server1.addr(), id);
     assert_eq!(json_bool(&cold, "cache_hit"), Some(false), "{cold}");
+    let task_count = Some(sweep.task_count() as u64);
+    assert_eq!(json_u64(&cold, "task_count"), task_count, "{cold}");
     let (_, stream_cold) = http(
         server1.addr(),
         "GET",
@@ -227,6 +229,7 @@ fn fresh_server_answers_identical_spec_entirely_from_the_index() {
     let warm = wait_terminal(server2.addr(), id2);
     assert_eq!(json_bool(&warm, "cache_hit"), Some(true), "{warm}");
     assert_eq!(json_u64(&warm, "tasks_run"), Some(0), "{warm}");
+    assert_eq!(json_u64(&warm, "task_count"), task_count, "{warm}");
     let (_, stream_warm) = http(
         server2.addr(),
         "GET",
@@ -298,6 +301,22 @@ fn malformed_specs_get_structured_400_bodies() {
     );
     assert_eq!(status, 400);
     assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
+    // And sim ensembles whose planning alone would abort on allocation
+    // or run for minutes: answering the POST plans them.
+    for line in ["points = 1000000000", "nodes = 200000"] {
+        let (status, body) = http(
+            server.addr(),
+            "POST",
+            "/v1/jobs",
+            &[],
+            &format!("workload = \"sim\"\nname = \"big\"\n{line}\nrun_secs = 1\n"),
+        );
+        assert_eq!(status, 400, "{line}: {body}");
+        assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
+        assert_eq!(json_u64(&body, "line"), Some(3));
+    }
+    let (status, _) = http(server.addr(), "GET", "/v1/healthz", &[], "");
+    assert_eq!(status, 200);
     let (status, jobs) = http(server.addr(), "GET", "/v1/jobs", &[], "");
     assert_eq!(status, 200);
     assert!(json_items(&jobs, "jobs").is_empty(), "{jobs}");

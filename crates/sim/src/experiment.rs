@@ -13,6 +13,13 @@
 //! identifying the maximum throughput bitrate for each transmitter".
 //! "Optimal" is the max over strategies, exactly as in the paper's
 //! summary tables (§4.1, §4.2).
+//!
+//! Only the carrier-sense runs read the CCA threshold
+//! ([`run_carrier_sense`]); the lone runs, the concurrency runs and the
+//! sender RSSI ([`run_baselines`]) run with CCA disabled. A sweep over
+//! thresholds can therefore run each pair's [`Baselines`] once and
+//! reuse them at every threshold: a reused run is the same run with the
+//! same seed.
 
 use crate::mac::{CcaMode, MacConfig};
 use crate::rate::RatePolicy;
@@ -168,7 +175,8 @@ pub fn run_pair_experiment(
 }
 
 /// Run the full protocol for one pair of links under an explicit
-/// [`RateStrategy`]. `RateStrategy::BestFixed` is bit-for-bit the
+/// [`RateStrategy`]: [`run_baselines`] completed by
+/// [`run_carrier_sense`]. `RateStrategy::BestFixed` is bit-for-bit the
 /// classic [`run_pair_experiment`] path (same per-run seed derivation,
 /// same fixed-rate policies).
 pub fn run_pair_experiment_with(
@@ -178,82 +186,150 @@ pub fn run_pair_experiment_with(
     seed: u64,
     rate_strategy: RateStrategy,
 ) -> ExperimentPoint {
-    let sender_rssi_db = {
-        let mut w = testbed.world();
-        w.rssi_db(pairs.link1.src, pairs.link2.src)
-    };
-
-    // One run: returns per-sender delivered pkt/s under the given rate
-    // policy (each flow gets its own controller instance).
-    let run = |strategy: Strategy, policy: &RatePolicy, run_seed: u64| -> (f64, f64) {
-        let mac = match strategy {
-            Strategy::CarrierSense => MacConfig {
-                cca_mode: CcaMode::EnergyDetect,
-                cca_threshold_db: cfg.cca_threshold_db,
-                ..MacConfig::default()
-            },
-            _ => MacConfig {
-                cca_mode: CcaMode::Disabled,
-                ..MacConfig::default()
-            },
-        };
-        let sim_cfg = SimConfig {
-            phy: testbed_phy(),
-            mac,
-            payload_bytes: cfg.payload_bytes,
-            seed: run_seed,
-        };
-        let mut sim = Simulator::new(testbed.world(), sim_cfg);
-        let mut f1 = None;
-        let mut f2 = None;
-        if strategy != Strategy::Lone2 {
-            f1 = Some(sim.add_flow(pairs.link1.src, pairs.link1.dst, policy.clone()));
-        }
-        if strategy != Strategy::Lone1 {
-            f2 = Some(sim.add_flow(pairs.link2.src, pairs.link2.dst, policy.clone()));
-        }
-        sim.run_for(cfg.run_duration);
-        let pps = |f: Option<usize>| {
-            f.map_or(0.0, |i| sim.flow_stats(i).throughput_pps(cfg.run_duration))
-        };
-        (pps(f1), pps(f2))
-    };
-
-    // Per strategy: sweep rates and keep each sender's best, or run the
-    // adaptive controller once.
-    let best_over_rates = |strategy: Strategy, base_seed: u64| -> (f64, f64) {
-        match rate_strategy {
-            RateStrategy::BestFixed => {
-                let mut best1 = 0.0f64;
-                let mut best2 = 0.0f64;
-                for (ri, &rate) in cfg.rates_mbps.iter().enumerate() {
-                    let (a, b) = run(
-                        strategy,
-                        &RatePolicy::fixed(rate),
-                        base_seed.wrapping_add(ri as u64),
-                    );
-                    best1 = best1.max(a);
-                    best2 = best2.max(b);
-                }
-                (best1, best2)
-            }
-            RateStrategy::Adaptive => run(strategy, &RatePolicy::sample_paper_subset(), base_seed),
-        }
-    };
-
-    let (lone1, _) = best_over_rates(Strategy::Lone1, seed.wrapping_add(0x100));
-    let (_, lone2) = best_over_rates(Strategy::Lone2, seed.wrapping_add(0x200));
-    let (c1, c2) = best_over_rates(Strategy::Concurrency, seed.wrapping_add(0x300));
-    let (s1, s2) = best_over_rates(Strategy::CarrierSense, seed.wrapping_add(0x400));
-
-    ExperimentPoint {
+    let baselines = run_baselines(testbed, pairs, cfg, seed, rate_strategy);
+    baselines.point(
         pairs,
-        sender_rssi_db,
+        run_carrier_sense(testbed, pairs, cfg, seed, rate_strategy),
+    )
+}
+
+/// The half of one pair's protocol that never reads
+/// `cfg.cca_threshold_db`: the sender↔sender RSSI, both lone runs and
+/// the concurrency runs. Protocols that differ only in the threshold
+/// can share one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Baselines {
+    /// Sender↔sender RSSI (dB over noise).
+    pub sender_rssi_db: f64,
+    /// Combined multiplexing throughput (pkt/s).
+    pub multiplexing_pps: f64,
+    /// Combined concurrency throughput (pkt/s).
+    pub concurrency_pps: f64,
+}
+
+impl Baselines {
+    /// The protocol point these baselines and a carrier-sense
+    /// throughput make.
+    pub fn point(&self, pairs: PairExperiment, carrier_sense_pps: f64) -> ExperimentPoint {
+        ExperimentPoint {
+            pairs,
+            sender_rssi_db: self.sender_rssi_db,
+            multiplexing_pps: self.multiplexing_pps,
+            concurrency_pps: self.concurrency_pps,
+            carrier_sense_pps,
+        }
+    }
+}
+
+/// Run the CCA-independent half of the protocol (see [`Baselines`]).
+pub fn run_baselines(
+    testbed: &Testbed,
+    pairs: PairExperiment,
+    cfg: &ExperimentConfig,
+    seed: u64,
+    rate_strategy: RateStrategy,
+) -> Baselines {
+    let best = |strategy, base_seed| {
+        best_over_rates(testbed, pairs, cfg, rate_strategy, strategy, base_seed)
+    };
+    let (lone1, _) = best(Strategy::Lone1, seed.wrapping_add(0x100));
+    let (_, lone2) = best(Strategy::Lone2, seed.wrapping_add(0x200));
+    let (c1, c2) = best(Strategy::Concurrency, seed.wrapping_add(0x300));
+    Baselines {
+        sender_rssi_db: testbed.world().rssi_db(pairs.link1.src, pairs.link2.src),
         // Taking turns: each pair gets half the time at its lone rate.
         multiplexing_pps: (lone1 + lone2) / 2.0,
         concurrency_pps: c1 + c2,
-        carrier_sense_pps: s1 + s2,
     }
+}
+
+/// Run the carrier-sense half of the protocol, the only runs that read
+/// `cfg.cca_threshold_db`; returns the combined throughput (pkt/s).
+pub fn run_carrier_sense(
+    testbed: &Testbed,
+    pairs: PairExperiment,
+    cfg: &ExperimentConfig,
+    seed: u64,
+    rate_strategy: RateStrategy,
+) -> f64 {
+    let (s1, s2) = best_over_rates(
+        testbed,
+        pairs,
+        cfg,
+        rate_strategy,
+        Strategy::CarrierSense,
+        seed.wrapping_add(0x400),
+    );
+    s1 + s2
+}
+
+/// One strategy's throughput per sender: sweep rates and keep each
+/// sender's best, or run the adaptive controller once.
+fn best_over_rates(
+    testbed: &Testbed,
+    pairs: PairExperiment,
+    cfg: &ExperimentConfig,
+    rate_strategy: RateStrategy,
+    strategy: Strategy,
+    base_seed: u64,
+) -> (f64, f64) {
+    let run =
+        |policy: &RatePolicy, run_seed| run_once(testbed, pairs, cfg, strategy, policy, run_seed);
+    match rate_strategy {
+        RateStrategy::BestFixed => {
+            let mut best1 = 0.0f64;
+            let mut best2 = 0.0f64;
+            for (ri, &rate) in cfg.rates_mbps.iter().enumerate() {
+                let (a, b) = run(&RatePolicy::fixed(rate), base_seed.wrapping_add(ri as u64));
+                best1 = best1.max(a);
+                best2 = best2.max(b);
+            }
+            (best1, best2)
+        }
+        RateStrategy::Adaptive => run(&RatePolicy::sample_paper_subset(), base_seed),
+    }
+}
+
+/// One run: per-sender delivered pkt/s under the given rate policy
+/// (each flow gets its own controller instance).
+fn run_once(
+    testbed: &Testbed,
+    pairs: PairExperiment,
+    cfg: &ExperimentConfig,
+    strategy: Strategy,
+    policy: &RatePolicy,
+    run_seed: u64,
+) -> (f64, f64) {
+    let mac = match strategy {
+        Strategy::CarrierSense => MacConfig {
+            cca_mode: CcaMode::EnergyDetect,
+            cca_threshold_db: cfg.cca_threshold_db,
+            ..MacConfig::default()
+        },
+        _ => MacConfig {
+            cca_mode: CcaMode::Disabled,
+            ..MacConfig::default()
+        },
+    };
+    let sim_cfg = SimConfig {
+        phy: testbed_phy(),
+        mac,
+        payload_bytes: cfg.payload_bytes,
+        seed: run_seed,
+    };
+    let mut sim = Simulator::new(testbed.world(), sim_cfg);
+    let mut f1 = None;
+    let mut f2 = None;
+    if strategy != Strategy::Lone2 {
+        f1 = Some(sim.add_flow(pairs.link1.src, pairs.link1.dst, policy.clone()));
+    }
+    if strategy != Strategy::Lone1 {
+        f2 = Some(sim.add_flow(pairs.link2.src, pairs.link2.dst, policy.clone()));
+    }
+    sim.run_for(cfg.run_duration);
+    let pps =
+        |f: Option<usize>| f.map_or(0.0, |i| sim.flow_stats(i).throughput_pps(cfg.run_duration));
+    (pps(f1), pps(f2))
 }
 
 /// One planned-but-not-yet-run protocol task: the link pair to measure
@@ -268,6 +344,12 @@ pub struct PlannedPair {
     /// Seed for every run of this task.
     pub seed: u64,
 }
+
+/// The largest ensemble a sweep read from outside input may plan.
+/// [`plan_ensemble`] reserves room for every point up front and draws up
+/// to 100 candidate pairs per point, so a spec asking for more is
+/// refused where it is parsed, before anything is allocated.
+pub const MAX_POINTS: usize = 1000;
 
 /// Sample `n_points` node-disjoint link pairs from `links`, assigning
 /// each its per-task seed, without running anything.
@@ -308,17 +390,6 @@ pub fn run_planned(
     cfg: &ExperimentConfig,
 ) -> ExperimentPoint {
     run_pair_experiment(testbed, planned.pairs, cfg, planned.seed)
-}
-
-/// Execute one planned task under an explicit [`RateStrategy`] — the
-/// kernel the `wcs-runtime` sim workload's rate-policy axis maps over.
-pub fn run_planned_with(
-    testbed: &Testbed,
-    planned: &PlannedPair,
-    cfg: &ExperimentConfig,
-    rate_strategy: RateStrategy,
-) -> ExperimentPoint {
-    run_pair_experiment_with(testbed, planned.pairs, cfg, planned.seed, rate_strategy)
 }
 
 /// Execute a set of planned tasks serially, in order. This is the one
@@ -556,17 +627,20 @@ mod tests {
         let cfg = quick_cfg();
         let planned = plan_ensemble(&links, 2, &cfg);
         for p in &planned {
-            let a = run_planned_with(&t, p, &cfg, RateStrategy::Adaptive);
-            let b = run_planned_with(&t, p, &cfg, RateStrategy::Adaptive);
+            let run = |rs| run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, rs);
+            let a = run(RateStrategy::Adaptive);
+            let b = run(RateStrategy::Adaptive);
             assert_eq!(a, b, "adaptive runs must be seed-deterministic");
             // SampleRate on a good short-range link should deliver a
             // decent fraction of the best-fixed protocol's throughput.
-            let fixed = run_planned_with(&t, p, &cfg, RateStrategy::BestFixed);
+            let fixed = run(RateStrategy::BestFixed);
             assert!(a.optimal_pps() > 0.25 * fixed.optimal_pps());
         }
         // BestFixed through the _with seam is the classic path, bitwise.
-        let classic = run_planned(&t, &planned[0], &cfg);
-        let through_seam = run_planned_with(&t, &planned[0], &cfg, RateStrategy::BestFixed);
+        let p = &planned[0];
+        let classic = run_planned(&t, p, &cfg);
+        let through_seam =
+            run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, RateStrategy::BestFixed);
         assert_eq!(classic, through_seam);
     }
 

@@ -61,6 +61,14 @@ pub fn testbed_phy() -> PhyConfig {
     }
 }
 
+/// The most nodes a testbed read from outside input may have.
+/// [`Testbed::candidate_links`] visits every directed node pair, and a
+/// [`World`] keeps a row of received powers per sender, so both grow as
+/// nodes²: at 500 nodes planning one ensemble takes about 0.15 s and the
+/// rows about 2 MB. A spec asking for more is refused where it is
+/// parsed, before anything is allocated.
+pub const MAX_NODES: usize = 500;
+
 /// A generated testbed: node positions plus the frozen channel.
 #[derive(Debug, Clone)]
 pub struct Testbed {

@@ -473,6 +473,16 @@ impl SpanBuilder {
         self
     }
 
+    /// [`SpanBuilder::with`] for a value that costs work to compute:
+    /// `value` is called only while telemetry is enabled.
+    pub fn with_lazy<V: Into<Value>>(self, key: &'static str, value: impl FnOnce() -> V) -> Self {
+        if self.enabled {
+            self.with(key, value())
+        } else {
+            self
+        }
+    }
+
     /// Emit the `SpanEnter` event and return the guard whose drop emits
     /// `SpanExit` with a `dur_ns` field.
     pub fn start(self) -> SpanGuard {
@@ -539,7 +549,10 @@ mod tests {
         assert!(!enabled());
         let before = counter_total("test.inert");
         counter("test.inert", 2);
-        let _span = span("engine.run").with("n", 3u64).start();
+        let _span = span("engine.run")
+            .with("n", 3u64)
+            .with_lazy("tasks", || -> u64 { panic!("computed while disabled") })
+            .start();
         drop(_span);
         assert_eq!(counter_total("test.inert"), before + 2);
     }
@@ -550,7 +563,10 @@ mod tests {
         let mem = Arc::new(MemoryCollector::default());
         install(mem.clone());
         {
-            let mut s = span("workload.run").with("tasks", 7u64).start();
+            let mut s = span("workload.run")
+                .with("tasks", 7u64)
+                .with_lazy("lazy", || 9u64)
+                .start();
             s.add("cache_hit", true);
         }
         counter_with("cache.hit", 1, vec![("bytes".to_string(), Value::U64(128))]);
@@ -569,6 +585,7 @@ mod tests {
         );
         assert_eq!(events[0].kind, EventKind::SpanEnter);
         assert_eq!(events[0].u64_field("tasks"), Some(7));
+        assert_eq!(events[0].u64_field("lazy"), Some(9));
         assert_eq!(events[1].kind, EventKind::SpanExit);
         assert_eq!(events[1].field("cache_hit"), Some(&Value::Bool(true)));
         assert!(events[1].u64_field("dur_ns").is_some());

@@ -259,19 +259,27 @@ fn workload_redesign_preserves_builtin_scenario_identities() {
 fn sim_workload_is_bitwise_identical_across_thread_counts() {
     // The second Workload implementor honours the same contract as the
     // first: any engine width, same bits — report, CSV and JSON.
-    use in_defense_of_carrier_sense::runtime::{run_workload, SimSweep};
+    // The second grid's CCA siblings share baselines slots, which 4 and
+    // 11 workers then contend for.
+    use in_defense_of_carrier_sense::runtime::{run_workload, RateAxis, SimSweep};
     let sweep = SimSweep::new("determinism-sim")
         .cca_thresholds_db(&[7.0, 13.0])
         .points(2)
         .run_secs(1)
         .sweep_rates_mbps(&[6.0, 24.0])
         .seed(23);
-    let serial = run_workload(&sweep, &Engine::new(1), None);
-    let four = run_workload(&sweep, &Engine::new(4), None);
-    let many = run_workload(&sweep, &Engine::new(11), None);
-    assert_eq!(serial.report.to_csv(), four.report.to_csv());
-    assert_eq!(serial.report.to_csv(), many.report.to_csv());
-    assert_eq!(serial.report.to_json(), four.report.to_json());
+    let shared = sweep
+        .clone()
+        .cca_thresholds_db(&[7.0, 13.0, 19.0])
+        .rates(&[RateAxis::BestFixed, RateAxis::Fixed(6.0)]);
+    for sweep in [sweep, shared] {
+        let serial = run_workload(&sweep, &Engine::new(1), None);
+        let four = run_workload(&sweep, &Engine::new(4), None);
+        let many = run_workload(&sweep, &Engine::new(11), None);
+        assert_eq!(serial.report.to_csv(), four.report.to_csv());
+        assert_eq!(serial.report.to_csv(), many.report.to_csv());
+        assert_eq!(serial.report.to_json(), four.report.to_json());
+    }
 }
 
 #[test]

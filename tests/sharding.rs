@@ -6,8 +6,8 @@
 
 use in_defense_of_carrier_sense::runtime::{
     parse_any_spec_toml, parse_spec_toml, run_sweep, run_workload, scenarios, to_spec_toml,
-    AnyWorkload, EffortProfile, Engine, PolicyAxis, ResultCache, SimSweep, Sweep, Topology,
-    WorkloadSpec,
+    AnyWorkload, EffortProfile, Engine, PolicyAxis, RateAxis, ResultCache, SimSweep, Sweep,
+    Topology, WorkloadSpec,
 };
 use in_defense_of_carrier_sense::shard::{
     manifest::ShardManifest,
@@ -67,7 +67,7 @@ fn every_builtin_scenario_merges_bitwise_at_multiple_shard_counts() {
                 assert_eq!(
                     merged,
                     single,
-                    "{} diverged at k = {k} ({})",
+                    "sim sweep with {} thresholds diverged at k = {k} ({})",
                     sweep.name,
                     strategy.label()
                 );
@@ -87,16 +87,25 @@ fn sim_workload_shards_merge_bitwise_at_k_1_2_3() {
         .run_secs(1)
         .sweep_rates_mbps(&[6.0, 24.0])
         .seed(31);
-    let single = run_workload(&sim, &Engine::new(4), None).report.to_csv();
-    let workload = AnyWorkload::from(&sim);
-    for k in [1, 2, 3] {
-        for strategy in [ShardStrategy::Contiguous, ShardStrategy::Strided] {
-            assert_eq!(
-                shard_and_merge(&workload, k, strategy),
-                single,
-                "sim sweep diverged at k = {k} ({})",
-                strategy.label()
-            );
+    // Every shard boundary cuts some of this grid's groups of CCA
+    // siblings, which share baselines within one lowering.
+    let shared = sim
+        .clone()
+        .cca_thresholds_db(&[7.0, 13.0, 19.0])
+        .rates(&[RateAxis::BestFixed, RateAxis::Fixed(6.0)]);
+    for sim in [sim, shared] {
+        let single = run_workload(&sim, &Engine::new(4), None).report.to_csv();
+        let workload = AnyWorkload::from(&sim);
+        for k in [1, 2, 3] {
+            for strategy in [ShardStrategy::Contiguous, ShardStrategy::Strided] {
+                assert_eq!(
+                    shard_and_merge(&workload, k, strategy),
+                    single,
+                    "sim sweep with {} thresholds diverged at k = {k} ({})",
+                    sim.cca_thresholds_db.len(),
+                    strategy.label()
+                );
+            }
         }
     }
 }
