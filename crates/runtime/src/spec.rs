@@ -61,7 +61,9 @@
 //! finite, and every `sweep_rates` entry and `fixed(...)` rate must be
 //! an 802.11a rate (6, 9, 12, 18, 24, 36, 48 or 54 Mbit/s). `nodes` and
 //! `points` are capped (`MAX_NODES`, `MAX_POINTS`), since planning
-//! allocates for both before anything runs.
+//! allocates for both before anything runs, and so are `payload` and
+//! `run_secs` (`MAX_PAYLOAD_BYTES`, `MAX_RUN_SECS`), whose frame sizes
+//! and run lengths would otherwise overflow the simulator's arithmetic.
 //!
 //! Either family may also pin `expect_hash = "<16 hex digits>"`: after
 //! parsing, the spec's canonical hash is verified against it, so a file
@@ -75,8 +77,9 @@ use wcs_capacity::npair::{Placement, MAX_PAIRS};
 use wcs_capacity::rates::{rate_11a, RATES_11A};
 use wcs_capacity::shannon::CapacityModel;
 use wcs_core::params::StreamLayout;
-use wcs_sim::experiment::MAX_POINTS;
+use wcs_sim::experiment::{MAX_POINTS, MAX_RUN_SECS};
 use wcs_sim::testbed::MAX_NODES;
+use wcs_sim::timing::MAX_PAYLOAD_BYTES;
 
 /// A spec-file failure: what went wrong ([`SpecErrorKind`]) and on which
 /// line (1-based, 0 when no single line is at fault).
@@ -832,7 +835,9 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
                     .collect::<Result<_, _>>()?;
             }
             "points" => sweep.points = at_most(positive_int(value)?, MAX_POINTS)?,
-            "run_secs" => sweep.run_secs = positive_int(value)?,
+            "run_secs" => {
+                sweep.run_secs = at_most(positive_int(value)?, MAX_RUN_SECS as usize)? as u64
+            }
             "sweep_rates" => {
                 let rates = float_axis(value, key, lineno)?;
                 for &mbps in &rates {
@@ -840,7 +845,7 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
                 }
                 sweep.sweep_rates_mbps = rates;
             }
-            "payload" => sweep.payload_bytes = positive_int(value)? as usize,
+            "payload" => sweep.payload_bytes = at_most(positive_int(value)?, MAX_PAYLOAD_BYTES)?,
             "seed" => match value {
                 Value::Int(n) => sweep.seed = n,
                 _ => return Err(err(lineno, "'seed' must be an unsigned integer")),
@@ -1225,8 +1230,14 @@ mod tests {
             assert!(e.message().contains("6, 9, 12, 18, 24, 36, 48, 54"), "{e}");
         }
         // Planning would allocate for every point, or visit every
-        // directed node pair, before anything runs.
-        for (line, max) in [("points = 1000000000", 1000), ("nodes = 200000", 500)] {
+        // directed node pair, before anything runs; the frame size or
+        // run length would overflow the simulator's arithmetic.
+        for (line, max) in [
+            ("points = 1000000000", 1000),
+            ("nodes = 200000", 500),
+            ("payload = 18446744073709551615", 4063),
+            ("run_secs = 18446744073709551615", 3600),
+        ] {
             let e = parse_any_spec_toml(&sim(line)).unwrap_err();
             assert_eq!(e.code(), "bad_value", "{line}: {e}");
             assert_eq!(e.line, 3);
@@ -1235,7 +1246,7 @@ mod tests {
         // Real rates, positive floors and the caps themselves still parse.
         let ok = sim("floor = [0.5, 1e3]\nsweep_rates = [54]\nrates = [\"fixed(36.0)\"]");
         assert!(parse_any_spec_toml(&ok).is_ok());
-        let ok = sim("points = 1000\nnodes = 500");
+        let ok = sim("points = 1000\nnodes = 500\npayload = 4063\nrun_secs = 3600");
         assert!(parse_any_spec_toml(&ok).is_ok());
     }
 

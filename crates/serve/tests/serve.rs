@@ -302,14 +302,20 @@ fn malformed_specs_get_structured_400_bodies() {
     assert_eq!(status, 400);
     assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
     // And sim ensembles whose planning alone would abort on allocation
-    // or run for minutes: answering the POST plans them.
-    for line in ["points = 1000000000", "nodes = 200000"] {
+    // or run for minutes (answering the POST plans them), or whose frame
+    // size or run length overflows the simulator's arithmetic.
+    for line in [
+        "points = 1000000000\nrun_secs = 1",
+        "nodes = 200000\nrun_secs = 1",
+        "payload = 18446744073709551615",
+        "run_secs = 18446744073709551615",
+    ] {
         let (status, body) = http(
             server.addr(),
             "POST",
             "/v1/jobs",
             &[],
-            &format!("workload = \"sim\"\nname = \"big\"\n{line}\nrun_secs = 1\n"),
+            &format!("workload = \"sim\"\nname = \"big\"\n{line}\n"),
         );
         assert_eq!(status, 400, "{line}: {body}");
         assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));

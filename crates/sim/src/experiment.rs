@@ -351,6 +351,14 @@ pub struct PlannedPair {
 /// refused where it is parsed, before anything is allocated.
 pub const MAX_POINTS: usize = 1000;
 
+/// The longest protocol run, in simulated seconds, a sweep read from
+/// outside input may ask for: an hour, against 3 s (quick) and 15 s
+/// (full) in the built-in profiles. Far larger values overflow
+/// [`Duration::from_secs`](crate::time::Duration::from_secs) and would
+/// never finish, so a spec asking for more is refused where it is
+/// parsed.
+pub const MAX_RUN_SECS: u64 = 3600;
+
 /// Sample `n_points` node-disjoint link pairs from `links`, assigning
 /// each its per-task seed, without running anything.
 pub fn plan_ensemble(

@@ -10,6 +10,19 @@
 //! decodable. The frame decodes successfully iff the *worst* SINR seen
 //! during its airtime meets the bitrate's SNR requirement (optionally a
 //! logistic roll-off instead of a hard threshold).
+//!
+//! Bookkeeping: [`Medium`] keeps one state word per node — idle,
+//! transmitting, or the id of the frame the node is locked on — and a
+//! short list of the *reported* receptions, the only locks whose outcome
+//! anything reads: the addressee's lock on a data frame or an ACK, and
+//! every lock on an RTS or a CTS (each overhearer honours its NAV). Only
+//! those carry a signal and a worst-case SINR. Any other lock, such as a
+//! bystander's on someone else's data frame, is a state word and nothing
+//! more, and its SINR is unobservable: while the lock lasts it only keeps
+//! the node from locking onto another frame and, under preamble-detect
+//! CCA, makes the node busy, and neither reads the SINR; when it ends,
+//! the node takes its one draw of the sigmoid model in node order, as if
+//! its outcome were decided and thrown away.
 
 use crate::time::SimTime;
 use crate::world::{NodeId, World};
@@ -111,9 +124,16 @@ pub struct ActiveTx {
     pub end: SimTime,
 }
 
-/// An ongoing locked reception at some node.
+/// Node state: neither transmitting nor locked on a frame.
+const IDLE: u64 = u64::MAX;
+/// Node state: transmitting, so it cannot lock (half-duplex radio).
+/// Any other state is the id of the frame the node is locked on.
+const TRANSMITTING: u64 = u64::MAX - 1;
+
+/// A reported reception in progress (see the module doc).
 #[derive(Debug, Clone, Copy)]
-struct ActiveRx {
+struct Reception {
+    node: usize,
     tx_id: u64,
     signal: f64,
     /// Worst SINR (linear) observed so far during the frame.
@@ -135,7 +155,10 @@ pub struct DecodeResult {
     pub min_sinr_db: f64,
 }
 
-/// The shared medium: ambient power and reception state per node.
+/// The shared medium: ambient power and one state word per node (idle,
+/// transmitting, or the id of the frame it is locked on), plus the
+/// reported receptions in progress, the only ones that track their SINR
+/// (see the module doc for which those are and why the rest need not).
 #[derive(Debug)]
 pub struct Medium {
     cfg: PhyConfig,
@@ -144,13 +167,17 @@ pub struct Medium {
     lock_margin: f64,
     /// Sum of rx power at each node from all active transmissions
     /// (the node's own transmission contributes nothing to itself).
+    /// Never −0.0: it starts at +0.0, adds non-negative powers, and a
+    /// subtraction that reaches zero gives +0.0 or clamps to it.
     ambient: Vec<f64>,
     /// In-flight transmissions. Rarely more than a handful at once, so
     /// lookups scan by id.
     active: Vec<ActiveTx>,
-    rx: Vec<Option<ActiveRx>>,
-    /// Nodes currently transmitting (cannot lock).
-    transmitting: Vec<bool>,
+    /// Per node: [`IDLE`], [`TRANSMITTING`], or the id of the frame the
+    /// node is locked on.
+    state: Vec<u64>,
+    /// Reported receptions in progress; each frame's are in node order.
+    reported: Vec<Reception>,
 }
 
 impl Medium {
@@ -162,8 +189,8 @@ impl Medium {
             lock_margin: 10f64.powf(cfg.preamble_snr_db / 10.0),
             ambient: vec![0.0; n],
             active: Vec::new(),
-            rx: vec![None; n],
-            transmitting: vec![false; n],
+            state: vec![IDLE; n],
+            reported: Vec::new(),
         }
     }
 
@@ -174,12 +201,12 @@ impl Medium {
 
     /// Whether `node` is currently locked on an incoming frame.
     pub fn is_receiving(&self, node: NodeId) -> bool {
-        self.rx[node.0 as usize].is_some()
+        self.state[node.0 as usize] < TRANSMITTING
     }
 
     /// Whether `node` is currently transmitting.
     pub fn is_transmitting(&self, node: NodeId) -> bool {
-        self.transmitting[node.0 as usize]
+        self.state[node.0 as usize] == TRANSMITTING
     }
 
     /// Number of in-flight transmissions.
@@ -188,49 +215,66 @@ impl Medium {
     }
 
     /// Put `tx` on the air. Updates ambient powers, degrades the SINR of
-    /// every ongoing reception, and attempts preamble locks at idle
-    /// nodes, reading the sender's received powers from `world`'s
+    /// every reported reception in progress, and attempts preamble locks
+    /// at idle nodes, reading the sender's received powers from `world`'s
     /// memoised gain row.
     ///
     /// If the sender was itself locked on a frame, that reception is
     /// abandoned (half-duplex radio).
     pub fn begin_tx(&mut self, world: &mut World, tx: ActiveTx) {
         let s = tx.sender.0 as usize;
-        assert!(!self.transmitting[s], "{} already transmitting", tx.sender);
+        assert!(
+            self.state[s] != TRANSMITTING,
+            "{} already transmitting",
+            tx.sender
+        );
+        assert!(tx.id < TRANSMITTING, "tx id {} is a node state", tx.id);
 
         // Half-duplex: a sender abandons any reception in progress.
-        self.rx[s] = None;
-        self.transmitting[s] = true;
+        self.state[s] = TRANSMITTING;
+        self.reported.retain(|r| r.node != s);
 
-        // Per node: raise the ambient power, then either degrade the
-        // reception it is locked on or, if it is idle, try to lock onto
-        // this frame's preamble.
-        for (i, &signal) in world.rx_row(tx.sender).iter().enumerate() {
-            if i == s {
-                continue;
+        let n = self.state.len();
+        let row = &world.rx_row(tx.sender)[..n];
+        let ambient = &mut self.ambient[..n];
+        let (noise, margin) = (self.noise, self.lock_margin);
+        // Raise every ambient. The sender's own entry in its row is +0.0
+        // and an ambient is never −0.0, so the sender's keeps its bits.
+        for (a, &g) in ambient.iter_mut().zip(row) {
+            *a += g;
+        }
+        // Interference for a locked frame = ambient − its own signal.
+        for r in &mut self.reported {
+            let interf = (ambient[r.node] - r.signal).max(0.0);
+            let sinr = r.signal / (noise + interf);
+            if sinr < r.min_sinr {
+                r.min_sinr = sinr;
             }
-            self.ambient[i] += signal;
-            let ambient = self.ambient[i];
-            match self.rx[i].as_mut() {
-                Some(arx) => {
-                    // Interference for the locked frame = ambient − its own signal.
-                    let interf = (ambient - arx.signal).max(0.0);
-                    let sinr = arx.signal / (self.noise + interf);
-                    if sinr < arx.min_sinr {
-                        arx.min_sinr = sinr;
-                    }
-                }
-                None if !self.transmitting[i] => {
-                    let interf = (ambient - signal).max(0.0);
-                    if signal >= self.lock_margin * (self.noise + interf) {
-                        self.rx[i] = Some(ActiveRx {
-                            tx_id: tx.id,
-                            signal,
-                            min_sinr: signal / (self.noise + interf),
-                        });
-                    }
-                }
-                None => {}
+        }
+        // An idle node locks if the preamble clears the margin over noise
+        // plus everything else on the air. The sender is transmitting.
+        let state = &mut self.state[..n];
+        for i in 0..n {
+            let g = row[i];
+            let lock = (state[i] == IDLE) & (g >= margin * (noise + (ambient[i] - g).max(0.0)));
+            state[i] = if lock { tx.id } else { state[i] };
+        }
+        let reported = match tx.frame.kind {
+            FrameKind::Data { dst, .. } | FrameKind::Ack { dst } => {
+                dst.0 as usize..dst.0 as usize + 1
+            }
+            FrameKind::Rts { .. } | FrameKind::Cts { .. } => 0..n,
+        };
+        for i in reported {
+            if state[i] == tx.id {
+                let signal = row[i];
+                let interf = (ambient[i] - signal).max(0.0);
+                self.reported.push(Reception {
+                    node: i,
+                    tx_id: tx.id,
+                    signal,
+                    min_sinr: signal / (noise + interf),
+                });
             }
         }
         self.active.push(tx);
@@ -245,8 +289,8 @@ impl Medium {
     /// every locked node's for an RTS or CTS, whose NAV each overhearer
     /// honours, and only the addressee's for a data frame or an ACK.
     /// `rng` drives the sigmoid reception model (unused under
-    /// `HardThreshold`); every locked node takes its draw, so the stream
-    /// is the same as if every outcome were resolved.
+    /// `HardThreshold`); every locked node takes its draw in node order,
+    /// so the stream is the same as if every outcome were resolved.
     pub fn end_tx<R: Rng + ?Sized>(
         &mut self,
         world: &mut World,
@@ -260,60 +304,88 @@ impl Medium {
             .position(|tx| tx.id == tx_id)
             .expect("unknown tx_id");
         let tx = self.active.swap_remove(pos);
-        let s = tx.sender.0 as usize;
-        self.transmitting[s] = false;
+        self.state[tx.sender.0 as usize] = IDLE;
         results.clear();
-        let addressee = match tx.frame.kind {
-            FrameKind::Data { dst, .. } | FrameKind::Ack { dst } => Some(dst.0 as usize),
-            FrameKind::Rts { .. } | FrameKind::Cts { .. } => None,
-        };
-        // The sender never locks on its own frame, so skipping it loses
-        // no reception.
-        for (i, &signal) in world.rx_row(tx.sender).iter().enumerate() {
-            if i == s {
-                continue;
-            }
-            self.ambient[i] -= signal;
-            if self.ambient[i] < 0.0 {
-                // Exact cancellation can leave −0.0 or tiny negatives from
-                // FP non-associativity when many txs overlap; clamp.
-                self.ambient[i] = 0.0;
-            }
-            let arx = match self.rx[i] {
-                Some(arx) if arx.tx_id == tx_id => arx,
-                _ => continue,
-            };
-            self.rx[i] = None;
-            if addressee.is_some_and(|dst| dst != i) {
-                if let ReceptionModel::Sigmoid { .. } = self.cfg.reception {
-                    let _ = rng.gen::<f64>();
-                }
-                continue;
-            }
-            let min_sinr_db = 10.0 * arx.min_sinr.log10();
-            let success = match self.cfg.reception {
-                ReceptionModel::HardThreshold => min_sinr_db >= tx.frame.rate.min_snr_db,
-                ReceptionModel::Sigmoid { width_db } => {
-                    let x = (min_sinr_db - tx.frame.rate.min_snr_db) / width_db;
-                    let p = 1.0 / (1.0 + (-x).exp());
-                    rng.gen::<f64>() < p
-                }
-            };
-            results.push(DecodeResult {
-                receiver: NodeId(i as u32),
-                frame: tx.frame,
-                sender: tx.sender,
-                success,
-                min_sinr_db,
-            });
+
+        let n = self.state.len();
+        let row = &world.rx_row(tx.sender)[..n];
+        // Lower every ambient, clamping at +0.0: with many frames
+        // overlapping, removals in another order than the additions can
+        // leave tiny negatives. The sender's entry in its row is +0.0, so
+        // its ambient keeps its bits.
+        for (a, &g) in self.ambient[..n].iter_mut().zip(row) {
+            let left = *a - g;
+            *a = if left < 0.0 { 0.0 } else { left };
         }
+        // Release the locks in node order: the unreported ones before
+        // each reported reception take their draws, then that reception
+        // is decided with its own.
+        let mut from = 0;
+        let mut k = 0;
+        while k < self.reported.len() {
+            if self.reported[k].tx_id != tx_id {
+                k += 1;
+                continue;
+            }
+            let r = self.reported.remove(k);
+            let skipped = release(&mut self.state[from..r.node], tx_id);
+            self.skip_draws(skipped, rng);
+            debug_assert_eq!(self.state[r.node], tx_id);
+            self.state[r.node] = IDLE;
+            results.push(self.decide(&tx, r, rng));
+            from = r.node + 1;
+        }
+        let skipped = release(&mut self.state[from..], tx_id);
+        self.skip_draws(skipped, rng);
         tx
+    }
+
+    /// Decide reported reception `r` of `tx`.
+    fn decide<R: Rng + ?Sized>(&self, tx: &ActiveTx, r: Reception, rng: &mut R) -> DecodeResult {
+        let min_sinr_db = 10.0 * r.min_sinr.log10();
+        let success = match self.cfg.reception {
+            ReceptionModel::HardThreshold => min_sinr_db >= tx.frame.rate.min_snr_db,
+            ReceptionModel::Sigmoid { width_db } => {
+                let x = (min_sinr_db - tx.frame.rate.min_snr_db) / width_db;
+                let p = 1.0 / (1.0 + (-x).exp());
+                rng.gen::<f64>() < p
+            }
+        };
+        DecodeResult {
+            receiver: NodeId(r.node as u32),
+            frame: tx.frame,
+            sender: tx.sender,
+            success,
+            min_sinr_db,
+        }
+    }
+
+    /// Take the draws of `count` unreported receptions (none under
+    /// `HardThreshold`).
+    fn skip_draws<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) {
+        if let ReceptionModel::Sigmoid { .. } = self.cfg.reception {
+            for _ in 0..count {
+                let _ = rng.gen::<f64>();
+            }
+        }
     }
 
     /// The active transmission record, if in flight.
     pub fn active_tx(&self, tx_id: u64) -> Option<&ActiveTx> {
         self.active.iter().find(|tx| tx.id == tx_id)
     }
+}
+
+/// Set every node of `state` locked on `tx_id` idle; returns how many
+/// there were.
+fn release(state: &mut [u64], tx_id: u64) -> usize {
+    let mut count = 0;
+    for st in state {
+        let locked = *st == tx_id;
+        count += locked as usize;
+        *st = if locked { IDLE } else { *st };
+    }
+    count
 }
 
 #[cfg(test)]
@@ -497,14 +569,9 @@ mod tests {
 
     #[test]
     fn overheard_outcomes_resolve_only_for_rts_and_cts() {
-        // Node 0 sends to node 1 while node 2 overhears; both lock.
-        let mut w = world(vec![
-            Point2::new(0.0, 0.0),
-            Point2::new(20.0, 0.0),
-            Point2::new(0.0, 20.0),
-        ]);
+        let width_db = 1.0;
         let cfg = PhyConfig {
-            reception: ReceptionModel::Sigmoid { width_db: 1.0 },
+            reception: ReceptionModel::Sigmoid { width_db },
             ..Default::default()
         };
         let rts = Frame {
@@ -514,19 +581,61 @@ mod tests {
             },
             ..data(1, 0)
         };
-        for (frame, receivers) in [(data(1, 0), vec![1]), (rts, vec![1, 2])] {
-            let mut m = Medium::new(3, w.config().noise, cfg);
-            m.begin_tx(&mut w, tx(0, 0, frame, 100));
-            assert!(m.is_receiving(NodeId(1)) && m.is_receiving(NodeId(2)));
-            let mut rng = seeded_rng(10);
-            let res = end(&mut m, &mut w, 0, &mut rng);
-            let got: Vec<u32> = res.iter().map(|r| r.receiver.0).collect();
-            assert_eq!(got, receivers, "{:?}", frame.kind);
-            assert!(!m.is_receiving(NodeId(2)), "overhearer released");
-            // Both locked nodes took their draw either way.
-            let mut reference = seeded_rng(10);
-            let _ = (reference.gen::<f64>(), reference.gen::<f64>());
-            assert_eq!(rng.gen::<f64>(), reference.gen::<f64>());
+        // Node 0 sends to node 1 while node 2 overhears.
+        let three = vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(20.0, 0.0),
+            Point2::new(0.0, 20.0),
+        ];
+        // Node 1 sends at 24 Mbps to node 2, which sits at that rate's
+        // requirement, while nodes 0 and 3 overhear on both sides of the
+        // addressee in node order.
+        let four = vec![
+            Point2::new(0.0, 20.0),
+            Point2::new(0.0, 0.0),
+            Point2::new(50.1, 0.0),
+            Point2::new(0.0, -20.0),
+        ];
+        for (positions, sender, frame, receivers) in [
+            (three.clone(), 0, data(1, 0), vec![1]),
+            (three, 0, rts, vec![1, 2]),
+            (four, 1, data(2, 4), vec![2]),
+        ] {
+            let n = positions.len();
+            let mut w = world(positions);
+            let mut successes = 0;
+            for seed in 10..42 {
+                let mut m = Medium::new(n, w.config().noise, cfg);
+                m.begin_tx(&mut w, tx(0, sender, frame, 100));
+                let locked: Vec<u32> = (0..n as u32)
+                    .filter(|&i| m.is_receiving(NodeId(i)))
+                    .collect();
+                assert_eq!(locked.len(), n - 1, "every other node locks");
+                let mut rng = seeded_rng(seed);
+                let res = end(&mut m, &mut w, 0, &mut rng);
+                let got: Vec<u32> = res.iter().map(|r| r.receiver.0).collect();
+                assert_eq!(got, receivers, "{:?}", frame.kind);
+                assert!(
+                    (0..n as u32).all(|i| !m.is_receiving(NodeId(i))),
+                    "all released"
+                );
+                // Every locked node took exactly one draw, in node order,
+                // and each reported outcome was decided by its own node's.
+                let mut reference = seeded_rng(seed);
+                let draws: Vec<f64> = locked.iter().map(|_| reference.gen()).collect();
+                assert_eq!(rng.gen::<f64>(), reference.gen::<f64>());
+                for r in &res {
+                    let k = locked.iter().position(|&i| i == r.receiver.0).unwrap();
+                    let x = (r.min_sinr_db - frame.rate.min_snr_db) / width_db;
+                    let p = 1.0 / (1.0 + (-x).exp());
+                    assert_eq!(r.success, draws[k] < p, "{:?} seed {seed}", frame.kind);
+                    successes += r.success as usize;
+                }
+            }
+            if sender == 1 {
+                // At the requirement the outcome really turns on the draw.
+                assert!(successes > 0 && successes < 32, "{successes}");
+            }
         }
     }
 

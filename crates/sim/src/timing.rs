@@ -33,6 +33,11 @@ pub const ACK_BYTES: usize = 14;
 pub const RTS_BYTES: usize = 20;
 /// CTS frame MPDU size (bytes).
 pub const CTS_BYTES: usize = 14;
+/// The largest payload a data frame can carry: 802.11a's PLCP LENGTH
+/// field is 12 bits, so an MPDU is at most 4095 bytes, less the MAC
+/// overhead. A spec read from outside input is refused above it where it
+/// is parsed, since frame sizes beyond it overflow the airtime arithmetic.
+pub const MAX_PAYLOAD_BYTES: usize = 4095 - MAC_OVERHEAD_BYTES;
 
 /// Airtime of an MPDU of `mpdu_bytes` at `rate`.
 pub fn mpdu_airtime(mpdu_bytes: usize, rate: Bitrate) -> Duration {

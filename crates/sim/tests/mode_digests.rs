@@ -1,7 +1,8 @@
 //! Golden digests of seeded `Simulator` runs in the MAC/PHY modes that no
 //! built-in workload reaches: unicast ACK with retries, RTS/CTS `Always`
-//! and `LossTriggered`, preamble-detect CCA, hard-threshold reception, a
-//! per-node CCA offset, and frame tracing.
+//! (under hard-threshold and sigmoid reception) and `LossTriggered`,
+//! preamble-detect CCA, hard-threshold reception, a per-node CCA offset,
+//! and frame tracing.
 //!
 //! The sweep workloads only exercise broadcast energy-detect runs under
 //! the sigmoid testbed PHY, so their CSV goldens say nothing about these
@@ -155,6 +156,18 @@ fn cases() -> Vec<Case> {
             seed: 3,
         },
         Case {
+            name: "rts-always-sigmoid",
+            mac: unicast(2, RtsCtsPolicy::Always),
+            phy: PhyConfig {
+                reception: ReceptionModel::Sigmoid { width_db: 2.0 },
+                ..PhyConfig::default()
+            },
+            cca_offset: None,
+            trace: None,
+            rates: fixed(&[12.0, 12.0, 6.0]),
+            seed: 8,
+        },
+        Case {
             name: "rts-loss-triggered",
             mac: unicast(
                 2,
@@ -206,12 +219,16 @@ fn cases() -> Vec<Case> {
 
 /// Digests captured from the simulator before its fast path (per-sender
 /// gain rows, precomputed CCA thresholds, id-keyed vectors instead of
-/// hash maps). If a change is *meant* to alter simulator output, it is a
-/// new stream: say so, and re-pin all of these together.
-const PINNED: [(&str, u64); 7] = [
+/// hash maps). `rts-always-sigmoid` was captured later, before the medium
+/// kept one state word per node: it is the one case where a frame (an RTS
+/// or CTS) has several reported receptions, each decided by its own
+/// sigmoid draw in node order. If a change is *meant* to alter simulator
+/// output, it is a new stream: say so, and re-pin all of these together.
+const PINNED: [(&str, u64); 8] = [
     ("unicast-retries", 0xce14d390e14cb7e1),
     ("unicast-samplerate-sigmoid", 0xd2305fe083de6e8a),
     ("rts-always", 0xfc26e9bd5d28ea37),
+    ("rts-always-sigmoid", 0x13ecaae47c5b270f),
     ("rts-loss-triggered", 0xfb2b9772410b2e39),
     ("preamble-detect", 0xc4b50e37e8aec977),
     ("cca-offset", 0x0968bd3d37bee8d7),
@@ -247,8 +264,10 @@ fn each_case_exercises_its_mode() {
     let retries = by_name("unicast-retries");
     assert!(retries.iter().any(|s| s.timeouts > 0), "{retries:?}");
     assert!(retries.iter().all(|s| s.acked > 0), "{retries:?}");
-    let always = by_name("rts-always");
-    assert!(always.iter().all(|s| s.rts_sent > 0), "{always:?}");
+    for name in ["rts-always", "rts-always-sigmoid"] {
+        let always = by_name(name);
+        assert!(always.iter().all(|s| s.rts_sent > 0), "{name}: {always:?}");
+    }
     let triggered = by_name("rts-loss-triggered");
     assert!(triggered.iter().any(|s| s.rts_sent > 0), "{triggered:?}");
     let adaptive = by_name("unicast-samplerate-sigmoid");
