@@ -418,21 +418,36 @@ const SHARD_USAGE: &str = "usage: repro shard plan   <scenario|--spec FILE> -k K
        repro shard merge  <dir> [--csv|--json] [--cache-dir DIR|--no-cache]
        repro shard run    <scenario|--spec FILE> -k K ...   the same command as repro dispatch run (see its usage)";
 
-/// Shared flag soup for the `shard` subcommands. Every field is optional
-/// at parse time; each subcommand enforces what it needs.
+/// The command whose flags [`parse_shard_args`] accepts: `repro shard
+/// plan|worker|merge`, or `repro dispatch run` (= `repro shard run`).
+#[derive(Clone, Copy)]
+enum ShardCmd {
+    Shard,
+    Dispatch,
+}
+
+/// Shared flag soup for the `shard` subcommands and `dispatch run`.
+/// Every field is optional at parse time; each subcommand enforces what
+/// it needs.
 struct ShardArgs {
     sources: Vec<SweepSource>,
     k: Option<usize>,
     strategy: ShardStrategy,
     dir: Option<PathBuf>,
-    out: Option<PathBuf>,
     threads: usize,
     use_cache: bool,
     cache_dir: Option<PathBuf>,
-    heartbeat: Option<PathBuf>,
+    /// 0 = the default beat period.
     heartbeat_ms: u64,
     format: String,
     stream_layout: Option<StreamLayout>,
+    // `shard` only.
+    out: Option<PathBuf>,
+    heartbeat: Option<PathBuf>,
+    // `dispatch run` only.
+    hosts: Option<PathBuf>,
+    faults: Vec<String>,
+    dispatch: wcs_dispatch::DispatchOptions,
 }
 
 impl ShardArgs {
@@ -450,102 +465,138 @@ impl ShardArgs {
             None => ResultCache::default_location(),
         })
     }
+
+    /// The beat period a worker writes its heartbeat at.
+    fn heartbeat_ms(&self) -> u64 {
+        if self.heartbeat_ms > 0 {
+            self.heartbeat_ms
+        } else {
+            wcs_dispatch::heartbeat::DEFAULT_INTERVAL_MS
+        }
+    }
+
+    /// The one scenario source `what` (e.g. "shard plan") runs.
+    fn single_source(&self, what: &str) -> &SweepSource {
+        match self.sources.as_slice() {
+            [one] => one,
+            [] => usage_exit(&format!("{what} needs a scenario name or --spec FILE")),
+            _ => usage_exit(&format!("{what} takes exactly one scenario")),
+        }
+    }
+
+    /// The shard count `what` was given with `-k`.
+    fn require_k(&self, what: &str) -> usize {
+        match self.k {
+            Some(k) if k >= 1 => k,
+            _ => usage_exit(&format!("{what} needs -k K (K >= 1)")),
+        }
+    }
 }
 
-fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
+/// Parse the flags and positional sources of `cmd`. A flag that `cmd`
+/// does not take exits 2 with its usage text.
+fn parse_shard_args(mut args: Vec<String>, cmd: ShardCmd) -> ShardArgs {
     let mut parsed = ShardArgs {
         sources: Vec::new(),
         k: None,
         strategy: ShardStrategy::Contiguous,
         dir: None,
-        out: None,
         threads: 0,
         use_cache: true,
         cache_dir: None,
-        heartbeat: None,
         heartbeat_ms: 0,
         format: "render".to_string(),
         stream_layout: None,
+        out: None,
+        heartbeat: None,
+        hosts: None,
+        faults: Vec::new(),
+        dispatch: wcs_dispatch::DispatchOptions::default(),
     };
+    use ShardCmd::{Dispatch, Shard};
     while !args.is_empty() {
         let arg = args.remove(0);
-        match arg.as_str() {
-            "-k" | "--shards" => {
+        match (arg.as_str(), cmd) {
+            ("-k" | "--shards", _) => {
                 let v = take_flag_value(&mut args, "-k");
                 parsed.k = Some(v.parse().unwrap_or_else(|_| {
                     usage_exit("-k needs a positive integer");
                 }));
             }
-            "--strategy" => {
+            ("--strategy", _) => {
                 let v = take_flag_value(&mut args, "--strategy");
                 parsed.strategy = ShardStrategy::parse(&v).unwrap_or_else(|| {
                     usage_exit(&format!("unknown strategy '{v}' (contiguous or strided)"));
                 });
             }
-            "--dir" => {
-                let v = take_flag_value(&mut args, "--dir");
-                parsed.dir = Some(PathBuf::from(v));
-            }
-            "--out" => {
-                let v = take_flag_value(&mut args, "--out");
-                parsed.out = Some(PathBuf::from(v));
-            }
-            "--threads" => {
+            ("--dir", _) => parsed.dir = Some(PathBuf::from(take_flag_value(&mut args, "--dir"))),
+            ("--threads", _) => {
                 let v = take_flag_value(&mut args, "--threads");
                 parsed.threads = v.parse().unwrap_or_else(|_| {
                     usage_exit("--threads needs an integer");
                 });
             }
-            "--spec" => {
+            ("--spec", _) => {
                 let v = take_flag_value(&mut args, "--spec");
                 parsed.sources.push(SweepSource::SpecFile(PathBuf::from(v)));
             }
-            "--no-cache" => parsed.use_cache = false,
-            "--cache-dir" => {
+            ("--no-cache", _) => parsed.use_cache = false,
+            ("--cache-dir", _) => {
                 let v = take_flag_value(&mut args, "--cache-dir");
                 parsed.cache_dir = Some(PathBuf::from(v));
             }
-            "--heartbeat" => {
-                let v = take_flag_value(&mut args, "--heartbeat");
-                parsed.heartbeat = Some(PathBuf::from(v));
-            }
-            "--heartbeat-ms" => {
-                let v = take_flag_value(&mut args, "--heartbeat-ms");
-                parsed.heartbeat_ms = v.parse().unwrap_or_else(|_| {
-                    usage_exit("--heartbeat-ms needs an integer");
-                });
-            }
-            "--csv" => parsed.format = "csv".to_string(),
-            "--json" => parsed.format = "json".to_string(),
-            "--stream-layout" => {
+            ("--csv", _) => parsed.format = "csv".to_string(),
+            ("--json", _) => parsed.format = "json".to_string(),
+            ("--stream-layout", _) => {
                 let v = take_flag_value(&mut args, "--stream-layout");
                 parsed.stream_layout = Some(parse_stream_layout(&v));
             }
-            flag if flag.starts_with('-') => {
+            // A worker reads 0 as "the default period"; the dispatcher
+            // hands every worker an explicit one.
+            ("--heartbeat-ms", _) => {
+                let v = take_flag_value(&mut args, "--heartbeat-ms");
+                parsed.heartbeat_ms = match (v.parse(), cmd) {
+                    (Ok(ms), Shard) => ms,
+                    (Ok(ms), Dispatch) if ms > 0 => ms,
+                    (_, Shard) => usage_exit("--heartbeat-ms needs an integer"),
+                    (_, Dispatch) => usage_exit("--heartbeat-ms needs a positive integer"),
+                };
+            }
+            ("--out", Shard) => {
+                parsed.out = Some(PathBuf::from(take_flag_value(&mut args, "--out")))
+            }
+            ("--heartbeat", Shard) => {
+                let v = take_flag_value(&mut args, "--heartbeat");
+                parsed.heartbeat = Some(PathBuf::from(v));
+            }
+            ("--hosts", Dispatch) => {
+                parsed.hosts = Some(PathBuf::from(take_flag_value(&mut args, "--hosts")))
+            }
+            ("--fault", Dispatch) => parsed.faults.push(take_flag_value(&mut args, "--fault")),
+            ("--max-retries", Dispatch) => {
+                parsed.dispatch.max_retries = take_flag_value(&mut args, "--max-retries")
+                    .parse()
+                    .unwrap_or_else(|_| usage_exit("--max-retries needs an integer"));
+            }
+            ("--heartbeat-timeout", Dispatch) => {
+                let v = take_flag_value(&mut args, "--heartbeat-timeout");
+                let secs: f64 = v.parse().ok().filter(|s| *s > 0.0).unwrap_or_else(|| {
+                    usage_exit("--heartbeat-timeout needs a positive number of seconds");
+                });
+                parsed.dispatch.heartbeat_timeout = std::time::Duration::from_secs_f64(secs);
+            }
+            (flag, Shard) if flag.starts_with('-') => {
                 eprintln!("unknown flag '{flag}' for repro shard");
                 usage_exit(SHARD_USAGE);
+            }
+            (flag, Dispatch) if flag.starts_with('-') => {
+                eprintln!("unknown flag '{flag}' for repro dispatch");
+                usage_exit(DISPATCH_USAGE);
             }
             _ => parsed.sources.push(SweepSource::Named(arg)),
         }
     }
     parsed
-}
-
-fn single_source<'a>(parsed: &'a ShardArgs, what: &str) -> &'a SweepSource {
-    match parsed.sources.as_slice() {
-        [one] => one,
-        [] => usage_exit(&format!(
-            "shard {what} needs a scenario name or --spec FILE"
-        )),
-        _ => usage_exit(&format!("shard {what} takes exactly one scenario")),
-    }
-}
-
-fn require_k(parsed: &ShardArgs) -> usize {
-    match parsed.k {
-        Some(k) if k >= 1 => k,
-        _ => usage_exit("shard plan needs -k K (K >= 1)"),
-    }
 }
 
 fn fail(e: impl std::fmt::Display) -> ! {
@@ -569,14 +620,14 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         usage_exit(SHARD_USAGE);
     }
     let verb = args.remove(0);
-    let parsed = parse_shard_args(args);
+    let parsed = parse_shard_args(args, ShardCmd::Shard);
     match verb.as_str() {
         "plan" => {
             let workload = apply_stream_layout(
-                resolve_workload(single_source(&parsed, "plan"), effort),
+                resolve_workload(parsed.single_source("shard plan"), effort),
                 parsed.stream_layout,
             );
-            let k = require_k(&parsed);
+            let k = parsed.require_k("shard plan");
             let dir = parsed
                 .dir
                 .clone()
@@ -599,7 +650,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             if parsed.stream_layout.is_some() {
                 usage_exit("--stream-layout applies to shard plan/run (the manifest embeds it)");
             }
-            let manifest_file = match single_source(&parsed, "worker") {
+            let manifest_file = match parsed.single_source("shard worker") {
                 SweepSource::Named(p) => PathBuf::from(p),
                 SweepSource::SpecFile(_) => usage_exit("shard worker takes a manifest path"),
             };
@@ -609,12 +660,8 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             // so stopped) only when this scope ends, after the partial
             // is saved.
             let _hb = parsed.heartbeat.clone().map(|path| {
-                let ms = if parsed.heartbeat_ms > 0 {
-                    parsed.heartbeat_ms
-                } else {
-                    wcs_dispatch::heartbeat::DEFAULT_INTERVAL_MS
-                };
-                wcs_dispatch::HeartbeatWriter::start(path, std::time::Duration::from_millis(ms))
+                let period = std::time::Duration::from_millis(parsed.heartbeat_ms());
+                wcs_dispatch::HeartbeatWriter::start(path, period)
             });
             let out_dir = parsed
                 .out
@@ -645,7 +692,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             if parsed.stream_layout.is_some() {
                 usage_exit("--stream-layout applies to shard plan/run (the manifest embeds it)");
             }
-            let dir = match single_source(&parsed, "merge") {
+            let dir = match parsed.single_source("shard merge") {
                 SweepSource::Named(p) => PathBuf::from(p),
                 SweepSource::SpecFile(_) => usage_exit("shard merge takes a plan directory"),
             };
@@ -688,95 +735,20 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         eprintln!("unknown dispatch subcommand '{verb}'");
         usage_exit(DISPATCH_USAGE);
     }
-    let mut options = wcs_dispatch::DispatchOptions {
+    let parsed = parse_shard_args(args, ShardCmd::Dispatch);
+    let workload = apply_stream_layout(
+        resolve_workload(parsed.single_source("dispatch run"), effort),
+        parsed.stream_layout,
+    );
+    let k = parsed.require_k("dispatch run");
+    let options = wcs_dispatch::DispatchOptions {
+        threads_per_worker: parsed.threads,
+        heartbeat_ms: parsed.heartbeat_ms(),
         strict_cache: STRICT_CACHE.load(Ordering::Relaxed),
         worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
-        ..Default::default()
+        ..parsed.dispatch
     };
-    let mut sources: Vec<SweepSource> = Vec::new();
-    let mut k: Option<usize> = None;
-    let mut strategy = ShardStrategy::Contiguous;
-    let mut dir: Option<PathBuf> = None;
-    let mut hosts: Option<PathBuf> = None;
-    let mut use_cache = true;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut format = "render".to_string();
-    let mut stream_layout: Option<StreamLayout> = None;
-    let mut faults: Vec<String> = Vec::new();
-    while !args.is_empty() {
-        let arg = args.remove(0);
-        match arg.as_str() {
-            "-k" | "--shards" => {
-                let v = take_flag_value(&mut args, "-k");
-                k = Some(v.parse().unwrap_or_else(|_| {
-                    usage_exit("-k needs a positive integer");
-                }));
-            }
-            "--strategy" => {
-                let v = take_flag_value(&mut args, "--strategy");
-                strategy = ShardStrategy::parse(&v).unwrap_or_else(|| {
-                    usage_exit(&format!("unknown strategy '{v}' (contiguous or strided)"));
-                });
-            }
-            "--dir" => dir = Some(PathBuf::from(take_flag_value(&mut args, "--dir"))),
-            "--hosts" => hosts = Some(PathBuf::from(take_flag_value(&mut args, "--hosts"))),
-            "--threads" => {
-                options.threads_per_worker = take_flag_value(&mut args, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--threads needs an integer"));
-            }
-            "--max-retries" => {
-                options.max_retries = take_flag_value(&mut args, "--max-retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--max-retries needs an integer"));
-            }
-            "--heartbeat-timeout" => {
-                let v = take_flag_value(&mut args, "--heartbeat-timeout");
-                let secs: f64 = v.parse().ok().filter(|s| *s > 0.0).unwrap_or_else(|| {
-                    usage_exit("--heartbeat-timeout needs a positive number of seconds");
-                });
-                options.heartbeat_timeout = std::time::Duration::from_secs_f64(secs);
-            }
-            "--heartbeat-ms" => {
-                options.heartbeat_ms = take_flag_value(&mut args, "--heartbeat-ms")
-                    .parse()
-                    .ok()
-                    .filter(|ms| *ms > 0)
-                    .unwrap_or_else(|| usage_exit("--heartbeat-ms needs a positive integer"));
-            }
-            "--fault" => faults.push(take_flag_value(&mut args, "--fault")),
-            "--spec" => {
-                let v = take_flag_value(&mut args, "--spec");
-                sources.push(SweepSource::SpecFile(PathBuf::from(v)));
-            }
-            "--no-cache" => use_cache = false,
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(take_flag_value(&mut args, "--cache-dir")))
-            }
-            "--csv" => format = "csv".to_string(),
-            "--json" => format = "json".to_string(),
-            "--stream-layout" => {
-                let v = take_flag_value(&mut args, "--stream-layout");
-                stream_layout = Some(parse_stream_layout(&v));
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag '{flag}' for repro dispatch");
-                usage_exit(DISPATCH_USAGE);
-            }
-            _ => sources.push(SweepSource::Named(arg)),
-        }
-    }
-    let source = match sources.as_slice() {
-        [one] => one,
-        [] => usage_exit("dispatch run needs a scenario name or --spec FILE"),
-        _ => usage_exit("dispatch run takes exactly one scenario"),
-    };
-    let workload = apply_stream_layout(resolve_workload(source, effort), stream_layout);
-    let k = match k {
-        Some(k) if k >= 1 => k,
-        _ => usage_exit("dispatch run needs -k K (K >= 1)"),
-    };
-    let pool = match &hosts {
+    let pool = match &parsed.hosts {
         Some(path) => {
             wcs_dispatch::HostPool::load(path).unwrap_or_else(|e| usage_exit(&e.to_string()))
         }
@@ -788,16 +760,16 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     }
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
     let base: Box<dyn wcs_dispatch::Transport> = Box::new(wcs_dispatch::SshExec::new(exe));
-    let transport: Box<dyn wcs_dispatch::Transport> = if faults.is_empty() {
+    let transport: Box<dyn wcs_dispatch::Transport> = if parsed.faults.is_empty() {
         base
     } else {
         let mut faulty = wcs_dispatch::FaultyTransport::new(base);
-        for spec in &faults {
+        for spec in &parsed.faults {
             faulty.add_spec(spec).unwrap_or_else(|e| usage_exit(&e));
         }
         Box::new(faulty)
     };
-    let (dir, ephemeral) = match dir {
+    let (dir, ephemeral) = match parsed.dir.clone() {
         Some(d) => (d, false),
         None => (
             std::env::temp_dir().join(format!(
@@ -808,19 +780,12 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             true,
         ),
     };
-    let cache = if use_cache {
-        Some(match &cache_dir {
-            Some(d) => ResultCache::new(d.clone()),
-            None => ResultCache::default_location(),
-        })
-    } else {
-        None
-    };
+    let cache = parsed.cache();
     let t0 = std::time::Instant::now();
     let dispatcher = wcs_dispatch::Dispatcher::new(transport.as_ref(), &pool, options);
-    match dispatcher.run(&dir, workload.clone(), k, strategy, cache.as_ref()) {
+    match dispatcher.run(&dir, workload.clone(), k, parsed.strategy, cache.as_ref()) {
         Ok(outcome) => {
-            print_report(&outcome.merge.report, &format);
+            print_report(&outcome.merge.report, &parsed.format);
             // Dispatch runs land in the run history like sweeps do; the
             // merge already stored the full report under the single-run
             // cache key, so history and cache agree on identity.

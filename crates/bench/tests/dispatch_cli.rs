@@ -232,6 +232,19 @@ fn dispatch_usage_errors_exit_2() {
         vec![
             "dispatch", "run", "--spec", &spec_s, "-k", "2", "--hosts", &hosts_s,
         ],
+        // `shard worker` flags, and a period `shard worker` would read as
+        // "default", are not `dispatch run` flags.
+        vec!["dispatch", "run", "figure4-family", "-k", "2", "--out", "d"],
+        vec![
+            "dispatch",
+            "run",
+            "--spec",
+            &spec_s,
+            "-k",
+            "2",
+            "--heartbeat-ms",
+            "0",
+        ],
     ];
     for args in cases {
         let out = repro().args(&args).output().unwrap();

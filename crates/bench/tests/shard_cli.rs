@@ -343,6 +343,16 @@ fn unknown_scenarios_and_flags_exit_2_before_running() {
         vec!["sweep", "--bogus-flag"],
         vec!["shard", "plan", "figure4-family"], // missing -k
         vec!["shard", "plan", "-k", "3"],        // missing scenario
+        // A `dispatch run` flag.
+        vec![
+            "shard",
+            "plan",
+            "figure4-family",
+            "-k",
+            "2",
+            "--hosts",
+            "h.txt",
+        ],
         vec!["shard", "frobnicate"],
         vec!["cache", "defrag"],
     ] {

@@ -348,21 +348,6 @@ impl NPairScenario {
     pub fn optimal_prefers_concurrency(&self) -> bool {
         self.concurrent_sum() > self.multiplexing_sum()
     }
-
-    /// Per-pair throughput under the joint optimal choice.
-    pub fn c_optimal(&self, i: usize) -> f64 {
-        if self.optimal_prefers_concurrency() {
-            self.c_concurrent(i)
-        } else {
-            self.c_multiplexing(i)
-        }
-    }
-
-    /// C_UBmax for pair i: max(concurrent, multiplexing), ignoring the
-    /// other pairs' preferences (footnote 10).
-    pub fn c_ub_max(&self, i: usize) -> f64 {
-        self.c_concurrent(i).max(self.c_multiplexing(i))
-    }
 }
 
 /// Per-task evaluation context for the N-pair Monte Carlo hot path.
@@ -1022,8 +1007,6 @@ mod tests {
             assert!(s.c_max() >= conc_avg - 1e-12);
             assert!(s.c_max() >= mux_avg - 1e-12);
             for i in 0..s.n() {
-                assert!(s.c_ub_max(i) >= s.c_concurrent(i));
-                assert!(s.c_ub_max(i) >= s.c_multiplexing(i));
                 assert!(s.c_cs(i, 55.0) >= 0.0);
             }
         }
@@ -1048,8 +1031,6 @@ mod tests {
             prop_assert_eq!(np.c_concurrent(0).to_bits(), tp.c_concurrent_1().to_bits());
             prop_assert_eq!(np.c_concurrent(1).to_bits(), tp.c_concurrent_2().to_bits());
             prop_assert_eq!(np.c_max().to_bits(), tp.c_max().to_bits());
-            prop_assert_eq!(np.c_ub_max(0).to_bits(), tp.c_ub_max_1().to_bits());
-            prop_assert_eq!(np.c_ub_max(1).to_bits(), tp.c_ub_max_2().to_bits());
             prop_assert_eq!(
                 np.optimal_prefers_concurrency(),
                 tp.optimal_prefers_concurrency()

@@ -131,11 +131,6 @@ impl RateTable {
         self.rates[0]
     }
 
-    /// The highest rate.
-    pub fn top_rate(&self) -> Bitrate {
-        *self.rates.last().unwrap()
-    }
-
     /// The fastest rate whose SNR requirement is met, or `None` if even
     /// the base rate can't decode at this SNR.
     pub fn best_rate_for_snr_db(&self, snr_db: f64) -> Option<Bitrate> {
@@ -197,7 +192,6 @@ mod tests {
     fn paper_subset_is_6_to_24() {
         let t = RateTable::paper_subset();
         assert_eq!(t.base_rate().mbps, 6.0);
-        assert_eq!(t.top_rate().mbps, 24.0);
         assert_eq!(t.rates().len(), 5);
     }
 

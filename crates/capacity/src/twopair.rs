@@ -314,16 +314,6 @@ impl TwoPairKernel {
             decision,
         }
     }
-
-    /// Score one fully-specified scenario (convenience for callers that
-    /// already built a [`TwoPairScenario`]). The scenario's own prop/cap
-    /// are ignored in favour of the kernel's — they must agree.
-    #[inline]
-    pub fn evaluate_scenario(&self, s: &TwoPairScenario) -> TwoPairSampleScores {
-        debug_assert_eq!(s.prop, self.prop);
-        debug_assert_eq!(s.d, self.d);
-        self.evaluate(s.pair1, s.pair2, &s.shadows)
-    }
 }
 
 /// The two-pair evaluation kernel for the **v2 stream layout**.
@@ -582,7 +572,7 @@ mod tests {
                 cap: CapacityModel::SHANNON,
             };
             let kernel = TwoPairKernel::new(s.prop, s.cap, d, d_thresh);
-            let k = kernel.evaluate_scenario(&s);
+            let k = kernel.evaluate(s.pair1, s.pair2, &s.shadows);
             prop_assert_eq!(k.mux[0].to_bits(), s.c_multiplexing_1().to_bits());
             prop_assert_eq!(k.mux[1].to_bits(), s.c_multiplexing_2().to_bits());
             prop_assert_eq!(k.conc[0].to_bits(), s.c_concurrent_1().to_bits());

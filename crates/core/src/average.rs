@@ -190,152 +190,6 @@ pub fn mc_averages_v2(
     }
 }
 
-/// Number of independent sample chunks the parallel path decomposes an
-/// estimate into. Fixed (not thread-count-dependent) so the stream layout
-/// — and therefore every output bit — is identical no matter how many
-/// workers execute the chunks.
-pub const PAR_CHUNKS: u64 = 32;
-
-/// One chunk of the parallel Monte Carlo decomposition: accumulators for
-/// chunk `chunk` of `PAR_CHUNKS`, drawing from that chunk's private
-/// stream. Exposed so `wcs-runtime` (or any thread pool) can evaluate
-/// chunks concurrently and [`merge_chunks`] them in order.
-pub fn mc_chunk(
-    params: &ModelParams,
-    rmax: f64,
-    d: f64,
-    d_thresh: f64,
-    n_total: u64,
-    seed: u64,
-    chunk: u64,
-) -> ChunkAccumulators {
-    assert!(chunk < PAR_CHUNKS);
-    // Chunk sample counts: near-equal split, remainder on the low chunks.
-    let base = n_total / PAR_CHUNKS;
-    let n = base + u64::from(chunk < n_total % PAR_CHUNKS);
-    let mut rng = split_rng(seed, 0xC4_0000 | chunk);
-    let mut acc = ChunkAccumulators::default();
-    let kernel = TwoPairKernel::new(params.prop, params.cap, d, d_thresh);
-    for _ in 0..n {
-        let pair1 = PairSample::sample_uniform(rmax, &mut rng);
-        let pair2 = PairSample::sample_uniform(rmax, &mut rng);
-        let shadows = ShadowDraws::sample(&params.prop, &mut rng);
-        let k = kernel.evaluate(pair1, pair2, &shadows);
-        acc.mux.add(0.5 * (k.mux[0] + k.mux[1]));
-        acc.conc.add(0.5 * (k.conc[0] + k.conc[1]));
-        if k.decision == wcs_capacity::twopair::CsDecision::Multiplex {
-            acc.n_multiplex += 1;
-        }
-        acc.cs.add(0.5 * (k.cs[0] + k.cs[1]));
-        acc.opt.add(k.c_max);
-        acc.ub.add(0.5 * (k.ub[0] + k.ub[1]));
-    }
-    acc
-}
-
-/// Per-chunk accumulators for the parallel Monte Carlo decomposition.
-#[derive(Debug, Clone, Default)]
-pub struct ChunkAccumulators {
-    /// Multiplexing accumulator.
-    pub mux: MonteCarlo,
-    /// Concurrency accumulator.
-    pub conc: MonteCarlo,
-    /// Carrier-sense accumulator.
-    pub cs: MonteCarlo,
-    /// Optimal accumulator.
-    pub opt: MonteCarlo,
-    /// Upper-bound accumulator.
-    pub ub: MonteCarlo,
-    /// Count of configurations where carrier sense multiplexed.
-    pub n_multiplex: u64,
-}
-
-/// Merge per-chunk accumulators — **in chunk order** — into the final
-/// policy averages. Welford merging is deterministic, so any execution
-/// that produces the same chunks yields bitwise-identical output here.
-pub fn merge_chunks(chunks: &[ChunkAccumulators]) -> PolicyAverages {
-    let mut total = ChunkAccumulators::default();
-    for c in chunks {
-        total.mux.merge(&c.mux);
-        total.conc.merge(&c.conc);
-        total.cs.merge(&c.cs);
-        total.opt.merge(&c.opt);
-        total.ub.merge(&c.ub);
-        total.n_multiplex += c.n_multiplex;
-    }
-    let n = total.mux.n();
-    PolicyAverages {
-        multiplexing: total.mux.estimate(),
-        concurrency: total.conc.estimate(),
-        carrier_sense: total.cs.estimate(),
-        optimal: total.opt.estimate(),
-        upper_bound: total.ub.estimate(),
-        multiplex_fraction: total.n_multiplex as f64 / n as f64,
-    }
-}
-
-/// Parallel Monte Carlo averages: the same estimator as [`mc_averages`]
-/// but decomposed into [`PAR_CHUNKS`] independent sample streams executed
-/// on `threads` std threads and merged in chunk order.
-///
-/// The decomposition — not the thread count — defines the stream layout,
-/// so `mc_averages_par(.., 1)` and `mc_averages_par(.., 8)` are bitwise
-/// identical. (The chunked layout intentionally differs from the serial
-/// single-stream [`mc_averages`]; the two agree statistically, not
-/// bitwise.)
-///
-/// The small scheduler below intentionally mirrors
-/// `wcs_runtime::Engine::run_indexed`: `wcs-core` sits *below* the
-/// runtime in the crate graph, so single-point parallelism has to be
-/// self-contained here. Grid-level parallelism (many points at once)
-/// belongs on the engine, which calls the serial [`mc_averages`] per
-/// task; use this path when one expensive point is the whole job.
-pub fn mc_averages_par(
-    params: &ModelParams,
-    rmax: f64,
-    d: f64,
-    d_thresh: f64,
-    n: u64,
-    seed: u64,
-    threads: usize,
-) -> PolicyAverages {
-    let chunks: Vec<ChunkAccumulators> = if threads <= 1 {
-        (0..PAR_CHUNKS)
-            .map(|c| mc_chunk(params, rmax, d, d_thresh, n, seed, c))
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let cursor = AtomicU64::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(u64, ChunkAccumulators)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(PAR_CHUNKS as usize) {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= PAR_CHUNKS {
-                        break;
-                    }
-                    let acc = mc_chunk(params, rmax, d, d_thresh, n, seed, c);
-                    if tx.send((c, acc)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<ChunkAccumulators>> = (0..PAR_CHUNKS).map(|_| None).collect();
-            for (c, acc) in rx {
-                slots[c as usize] = Some(acc);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("chunk worker died"))
-                .collect()
-        })
-    };
-    merge_chunks(&chunks)
-}
-
 /// Draw one full two-pair configuration.
 pub fn sample_scenario<R: Rng + ?Sized>(
     params: &ModelParams,
@@ -494,50 +348,5 @@ mod tests {
     #[should_panic]
     fn quadrature_rejects_shadowing() {
         let _ = quad_multiplexing(&ModelParams::paper_default(), 20.0);
-    }
-
-    #[test]
-    fn parallel_path_is_thread_count_invariant() {
-        let p = ModelParams::paper_default();
-        let a = mc_averages_par(&p, 40.0, 55.0, 55.0, 8_000, 9, 1);
-        let b = mc_averages_par(&p, 40.0, 55.0, 55.0, 8_000, 9, 4);
-        assert_eq!(
-            a.carrier_sense.mean.to_bits(),
-            b.carrier_sense.mean.to_bits()
-        );
-        assert_eq!(a.optimal.mean.to_bits(), b.optimal.mean.to_bits());
-        assert_eq!(
-            a.upper_bound.std_error.to_bits(),
-            b.upper_bound.std_error.to_bits()
-        );
-        assert_eq!(
-            a.multiplex_fraction.to_bits(),
-            b.multiplex_fraction.to_bits()
-        );
-        assert_eq!(a.multiplexing.n, 8_000);
-    }
-
-    #[test]
-    fn parallel_path_agrees_with_serial_statistically() {
-        let p = ModelParams::paper_default();
-        let serial = mc_averages(&p, 40.0, 55.0, 55.0, 30_000, 10);
-        let par = mc_averages_par(&p, 40.0, 55.0, 55.0, 30_000, 11, 2);
-        let tol = 4.0 * (serial.carrier_sense.std_error + par.carrier_sense.std_error);
-        assert!(
-            (serial.carrier_sense.mean - par.carrier_sense.mean).abs() < tol,
-            "serial {} vs parallel {}",
-            serial.carrier_sense.mean,
-            par.carrier_sense.mean
-        );
-    }
-
-    #[test]
-    fn chunk_split_covers_all_samples() {
-        // Sample counts across chunks must sum to n even when n is not a
-        // multiple of PAR_CHUNKS.
-        let p = ModelParams::paper_sigma0();
-        let n = PAR_CHUNKS * 3 + 7;
-        let avg = mc_averages_par(&p, 40.0, 55.0, 55.0, n, 12, 2);
-        assert_eq!(avg.multiplexing.n, n);
     }
 }

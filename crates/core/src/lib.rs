@@ -47,9 +47,7 @@ pub use average::{
 };
 pub use curves::{throughput_curves, CurvePoint, ThroughputCurves};
 pub use efficiency::{cs_efficiency, efficiency_table, EfficiencyCell, EfficiencyTable};
-pub use npair::{
-    mc_averages_npair, mc_averages_npair_v2, npair_curves, NPairAverages, NPairPolicyStats,
-};
+pub use npair::{mc_averages_npair, mc_averages_npair_v2, NPairAverages, NPairPolicyStats};
 pub use params::{ModelParams, StreamLayout};
 pub use regimes::{classify_regime, RangeRegime};
 pub use threshold::{

@@ -12,8 +12,7 @@
 use crate::fairness::jain_index;
 use crate::params::ModelParams;
 use serde::{Deserialize, Serialize};
-use wcs_capacity::npair::{NPairKernel, NPairKernelV2, NPairScenario, NPairTopology};
-use wcs_propagation::geometry::Point2;
+use wcs_capacity::npair::{NPairKernel, NPairKernelV2, NPairTopology};
 use wcs_stats::montecarlo::{MonteCarlo, MonteCarloEstimate};
 use wcs_stats::rng::split_rng;
 
@@ -57,11 +56,6 @@ impl NPairAverages {
     pub fn cs_efficiency(&self) -> f64 {
         self.carrier_sense.mean.mean / self.optimal.mean.mean
     }
-
-    /// Carrier-sense inefficiency 1 − ⟨C_cs⟩/⟨C_max⟩.
-    pub fn cs_inefficiency(&self) -> f64 {
-        1.0 - self.cs_efficiency()
-    }
 }
 
 /// One accumulator triple per policy.
@@ -96,16 +90,6 @@ fn fill(buf: &mut [f64], f: impl Fn(usize) -> f64) {
     for (i, v) in buf.iter_mut().enumerate() {
         *v = f(i);
     }
-}
-
-/// Draw one full N-pair configuration around fixed sender positions.
-pub fn sample_npair_scenario<R: rand::Rng + ?Sized>(
-    params: &ModelParams,
-    senders: &[Point2],
-    rmax: f64,
-    rng: &mut R,
-) -> NPairScenario {
-    NPairScenario::sample(senders, rmax, &params.prop, params.cap, rng)
 }
 
 /// Estimate every policy's N-pair statistics for topology `topo` at
@@ -232,44 +216,6 @@ pub fn mc_averages_npair_v2(
     }
 }
 
-/// A point of an N-pair worst-pair/fairness curve over D.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NPairCurvePoint {
-    /// Sender spacing D.
-    pub d: f64,
-    /// The full policy statistics at this spacing.
-    pub averages: NPairAverages,
-}
-
-/// Evaluate the N-pair statistics along a D grid — the per-pair and
-/// worst-pair curves the topology-axis sweeps plot. Each grid point gets
-/// its own decorrelated seed stream.
-pub fn npair_curves(
-    params: &ModelParams,
-    topo: NPairTopology,
-    rmax: f64,
-    ds: &[f64],
-    d_thresh: f64,
-    samples: u64,
-    seed: u64,
-) -> Vec<NPairCurvePoint> {
-    ds.iter()
-        .enumerate()
-        .map(|(i, &d)| NPairCurvePoint {
-            d,
-            averages: mc_averages_npair(
-                params,
-                topo,
-                rmax,
-                d,
-                d_thresh,
-                samples,
-                seed ^ ((i as u64 + 1) << 32),
-            ),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +277,6 @@ mod tests {
             }
             assert!((0.0..=1.0).contains(&a.multiplex_fraction));
             assert!(a.cs_efficiency() > 0.0);
-            assert!(a.cs_inefficiency() < 1.0);
             assert_eq!(a.n_pairs, n);
         }
     }
@@ -426,23 +371,24 @@ mod tests {
 
     #[test]
     fn curves_cover_grid() {
-        let pts = npair_curves(
-            &ModelParams::paper_default(),
-            NPairTopology {
-                n: 3,
-                placement: Placement::Grid,
-            },
-            30.0,
-            &[20.0, 55.0, 120.0],
-            55.0,
-            2_000,
-            5,
-        );
-        assert_eq!(pts.len(), 3);
+        let at = |d: f64, seed: u64| {
+            mc_averages_npair(
+                &ModelParams::paper_default(),
+                NPairTopology {
+                    n: 3,
+                    placement: Placement::Grid,
+                },
+                30.0,
+                d,
+                55.0,
+                2_000,
+                seed,
+            )
+        };
         // Spreading senders out raises the worst pair's lot under CS.
-        assert!(
-            pts[2].averages.carrier_sense.worst.mean > pts[0].averages.carrier_sense.worst.mean
-        );
+        let near = at(20.0, 5 ^ (1 << 32));
+        let far = at(120.0, 5 ^ (3 << 32));
+        assert!(far.carrier_sense.worst.mean > near.carrier_sense.worst.mean);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! Implements the paper's §2 "path loss – shadowing – fading" model and the
 //! supporting material of its appendix (§9):
 //!
-//! * dB/linear power conversions with strong types ([`db`]),
 //! * 2-D geometry for the two-pair scenario, including the paper's
 //!   interferer-distance formula Δr = √[(r cosθ + D)² + (r sinθ)²]
 //!   ([`geometry`]),
@@ -13,7 +12,6 @@
 //!   ([`shadowing`]),
 //! * Rayleigh/Rician multipath fading with wideband averaging
 //!   ([`fading`]),
-//! * the two-ray ground-reflection model (appendix) ([`tworay`]),
 //! * knife-edge diffraction (§3.4's "weak signal rounds the corner")
 //!   ([`diffraction`]),
 //! * a composite [`model::PropagationModel`] that the capacity layer and
@@ -23,21 +21,17 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod db;
 pub mod diffraction;
 pub mod fading;
 pub mod geometry;
 pub mod model;
 pub mod pathloss;
 pub mod shadowing;
-pub mod tworay;
 
 pub use barrier::BarrierScenario;
-pub use db::{db_to_linear, linear_to_db, Db};
 pub use diffraction::knife_edge_loss_db;
 pub use fading::Fading;
 pub use geometry::{interferer_distance, Point2};
 pub use model::{LinkDraw, PropagationModel};
 pub use pathloss::PathLoss;
 pub use shadowing::{ShadowField, Shadowing};
-pub use tworay::two_ray_gain;

@@ -23,13 +23,6 @@ pub struct LinkDraw {
     pub fading: f64,
 }
 
-impl LinkDraw {
-    /// Total linear gain: product of the three components.
-    pub fn total_gain(&self) -> f64 {
-        self.path_gain * self.shadow * self.fading
-    }
-}
-
 /// Composite statistical propagation model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PropagationModel {
@@ -87,12 +80,6 @@ impl PropagationModel {
     /// Override the shadowing σ (dB).
     pub fn with_sigma_db(mut self, sigma_db: f64) -> Self {
         self.shadowing = Shadowing::new(sigma_db);
-        self
-    }
-
-    /// Override the fading model.
-    pub fn with_fading(mut self, fading: Fading) -> Self {
-        self.fading = fading;
         self
     }
 
@@ -167,7 +154,6 @@ mod tests {
         let m = PropagationModel::paper_default();
         let mut rng = seeded_rng(1);
         let d = m.draw(10.0, &mut rng);
-        assert!((d.total_gain() - d.path_gain * d.shadow * d.fading).abs() < 1e-15);
         assert_eq!(d.fading, 1.0); // Fading::None
         assert!((d.path_gain - 1e-3).abs() < 1e-12);
     }

@@ -34,10 +34,9 @@
 //!   ([`scenarios`]).
 //!
 //! The existing layers route through it: `wcs-bench`'s figure/table
-//! generators fan their point loops out on the engine, `wcs-core` gains a
-//! chunk-parallel Monte Carlo path, `wcs-sim` exposes its §4 protocol
-//! runs as engine tasks, and the `repro` binary's `sweep` subcommand is
-//! driven entirely by [`Sweep`] specs.
+//! generators fan their point loops out on the engine, `wcs-sim` exposes
+//! its §4 protocol runs as engine tasks, and the `repro` binary's `sweep`
+//! subcommand is driven entirely by [`Sweep`] specs.
 //!
 //! ```
 //! use wcs_runtime::{Engine, EffortProfile, run_sweep, Sweep, PolicyAxis};
@@ -74,12 +73,12 @@ pub use cache::{sanitize_name, CacheEntry, ResultCache};
 pub use config::EffortProfile;
 pub use engine::Engine;
 pub use index::{IndexQuery, ResultIndex, RowPage};
-pub use model::{finalize_report, run_sweep, run_task_subset, sweep_columns, SweepOutcome};
+pub use model::{finalize_report, run_sweep, sweep_columns, SweepOutcome};
 pub use report::RunReport;
 pub use scenario::{PolicyAxis, Sweep, Task, Topology};
 pub use simsweep::{RateAxis, SimSweep, SimTask};
 pub use spec::{
-    load_any_spec_file, load_spec_file, parse_any_spec_toml, parse_sim_spec_toml, parse_spec_toml,
+    load_any_spec_file, parse_any_spec_toml, parse_sim_spec_toml, parse_spec_toml,
     to_sim_spec_toml, to_spec_toml, SpecError, SpecErrorKind,
 };
 pub use wcs_core::params::StreamLayout;

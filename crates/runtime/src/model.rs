@@ -22,7 +22,7 @@ use crate::engine::Engine;
 use crate::index::ResultIndex;
 use crate::report::RunReport;
 use crate::scenario::{PolicyAxis, Sweep, Task, Topology};
-use crate::workload::{run_workload, run_workload_subset, Workload, WorkloadKind, WorkloadSpec};
+use crate::workload::{run_workload, Workload, WorkloadKind, WorkloadSpec};
 use wcs_core::average::{mc_averages, mc_averages_v2, PolicyAverages};
 use wcs_core::npair::{mc_averages_npair, mc_averages_npair_v2, NPairAverages, NPairPolicyStats};
 use wcs_core::params::StreamLayout;
@@ -256,16 +256,6 @@ impl Workload for Sweep {
         }
         block
     }
-}
-
-/// Run the tasks at `indices` (in the order given) and return their
-/// **all-policy** rows — the partial-report building block of `wcs-shard`
-/// workers. Thin wrapper over the generic [`run_workload_subset`].
-///
-/// Panics if any index is out of range for the sweep's task list (shard
-/// manifests are validated before execution reaches this point).
-pub fn run_task_subset(sweep: &Sweep, indices: &[usize], engine: &Engine) -> RunReport {
-    run_workload_subset(sweep, indices, engine)
 }
 
 /// Finish an **all-policy** report for presentation: project it onto the

@@ -18,7 +18,6 @@
 use crate::config::EffortProfile;
 use wcs_capacity::npair::{NPairTopology, Placement};
 use wcs_capacity::shannon::CapacityModel;
-use wcs_capacity::MacPolicy;
 use wcs_core::params::{ModelParams, StreamLayout};
 use wcs_stats::rng::splitmix64;
 
@@ -117,17 +116,6 @@ impl PolicyAxis {
     /// Inverse of [`PolicyAxis::label`] (spec-file parsing).
     pub fn from_label(label: &str) -> Option<Self> {
         PolicyAxis::ALL.into_iter().find(|p| p.label() == label)
-    }
-
-    /// The corresponding `wcs-capacity` policy at threshold `d_thresh`.
-    pub fn to_policy(self, d_thresh: f64) -> MacPolicy {
-        match self {
-            PolicyAxis::Multiplexing => MacPolicy::Multiplexing,
-            PolicyAxis::Concurrency => MacPolicy::Concurrency,
-            PolicyAxis::CarrierSense => MacPolicy::CarrierSense { d_thresh },
-            PolicyAxis::Optimal => MacPolicy::Optimal,
-            PolicyAxis::OptimalUpperBound => MacPolicy::OptimalUpperBound,
-        }
     }
 }
 
@@ -625,10 +613,6 @@ mod tests {
     #[test]
     fn policy_axis_roundtrips() {
         for p in PolicyAxis::ALL {
-            let mac = p.to_policy(40.0);
-            if p == PolicyAxis::CarrierSense {
-                assert_eq!(mac, MacPolicy::CarrierSense { d_thresh: 40.0 });
-            }
             assert!(!p.label().is_empty());
             assert_eq!(PolicyAxis::from_label(p.label()), Some(p));
         }

@@ -98,6 +98,14 @@ impl RateAxis {
     }
 }
 
+/// The most simulated time one sim spec may ask for, in seconds: the
+/// product `testbeds × ccas × rates × points × run_secs`, one `run_secs`
+/// per task. Each task's protocol makes several runs of that length (one
+/// per candidate rate and strategy); single-threaded, one point-second
+/// took about 13 ms of host time, so the budget is about 8 minutes. The
+/// built-in sim scenarios ask for 315 at full effort.
+pub const MAX_SIMULATED_SECS: u64 = 36_000;
+
 /// A declarative protocol-simulation sweep (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSweep {

@@ -64,6 +64,9 @@
 //! allocates for both before anything runs, and so are `payload` and
 //! `run_secs` (`MAX_PAYLOAD_BYTES`, `MAX_RUN_SECS`), whose frame sizes
 //! and run lengths would otherwise overflow the simulator's arithmetic.
+//! Once every key is read, the simulated time the whole spec asks for,
+//! `testbeds × ccas × rates × points × run_secs`, must stay within
+//! [`MAX_SIMULATED_SECS`]: the keys' own caps multiply out to hours.
 //!
 //! Either family may also pin `expect_hash = "<16 hex digits>"`: after
 //! parsing, the spec's canonical hash is verified against it, so a file
@@ -71,7 +74,7 @@
 //! computing different numbers under a stale name.
 
 use crate::scenario::{PolicyAxis, Sweep, Topology};
-use crate::simsweep::{RateAxis, SimSweep};
+use crate::simsweep::{RateAxis, SimSweep, MAX_SIMULATED_SECS};
 use crate::workload::{AnyWorkload, WorkloadKind, WorkloadSpec};
 use wcs_capacity::npair::{Placement, MAX_PAIRS};
 use wcs_capacity::rates::{rate_11a, RATES_11A};
@@ -661,24 +664,6 @@ pub fn parse_spec_toml(text: &str) -> Result<Sweep, SpecError> {
     Ok(sweep)
 }
 
-/// Read and parse a spec file from `path`.
-pub fn load_spec_file(path: &std::path::Path) -> Result<Sweep, SpecError> {
-    let mut span = wcs_telemetry::span("spec.parse")
-        .with("path", path.display().to_string())
-        .start();
-    let text = std::fs::read_to_string(path).map_err(|e| SpecError {
-        line: 0,
-        kind: SpecErrorKind::Io {
-            detail: format!("cannot read {}: {e}", path.display()),
-        },
-    })?;
-    let sweep = parse_spec_toml(&text)?;
-    span.add("name", sweep.name.as_str());
-    span.add("kind", WorkloadKind::Model.label());
-    span.add("hash", sweep.scenario_hash());
-    Ok(sweep)
-}
-
 /// Serialize a sim sweep to the spec-file format (self-describing via
 /// the leading `workload = "sim"` key). The output parses back to an
 /// identical `SimSweep` (same canonical string, same scenario hash).
@@ -855,6 +840,23 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
         Ok(())
     })?;
     sweep.name = name.ok_or_else(|| missing_key_err("name"))?;
+    let axes = [
+        sweep.testbed_seeds.len() as u64,
+        sweep.cca_thresholds_db.len() as u64,
+        sweep.rates.len() as u64,
+        sweep.points as u64,
+        sweep.run_secs,
+    ];
+    let simulated_secs = axes.iter().fold(1u64, |acc, &n| acc.saturating_mul(n));
+    if simulated_secs > MAX_SIMULATED_SECS {
+        let [testbeds, ccas, rates, points, run_secs] = axes;
+        return Err(err(
+            0,
+            format!(
+                "testbeds × ccas × rates × points × run_secs = {testbeds} × {ccas} × {rates} × {points} × {run_secs} = {simulated_secs} simulated seconds, more than the budget of {MAX_SIMULATED_SECS}"
+            ),
+        ));
+    }
     Ok(sweep)
 }
 
@@ -1243,11 +1245,30 @@ mod tests {
             assert_eq!(e.line, 3);
             assert!(e.message().contains(&format!("at most {max}")), "{e}");
         }
-        // Real rates, positive floors and the caps themselves still parse.
+        // Every key at its cap would simulate for hours: the spec's
+        // total simulated time has a budget of its own.
+        let e = parse_any_spec_toml(&sim(
+            "points = 1000\nnodes = 500\npayload = 4063\nrun_secs = 3600",
+        ))
+        .unwrap_err();
+        assert_eq!(e.code(), "bad_value", "{e}");
+        assert_eq!(e.line, 0);
+        assert!(
+            e.message()
+                .contains("1 × 1 × 1 × 1000 × 3600 = 3600000 simulated seconds"),
+            "{e}"
+        );
+        // Real rates, positive floors and each cap on its own still parse.
         let ok = sim("floor = [0.5, 1e3]\nsweep_rates = [54]\nrates = [\"fixed(36.0)\"]");
         assert!(parse_any_spec_toml(&ok).is_ok());
-        let ok = sim("points = 1000\nnodes = 500\npayload = 4063\nrun_secs = 3600");
-        assert!(parse_any_spec_toml(&ok).is_ok());
+        for cap in [
+            "points = 1000",
+            "nodes = 500",
+            "payload = 4063",
+            "run_secs = 3600",
+        ] {
+            assert!(parse_any_spec_toml(&sim(cap)).is_ok(), "{cap}");
+        }
     }
 
     #[test]

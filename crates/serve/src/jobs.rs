@@ -21,7 +21,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 use wcs_runtime::{AnyWorkload, RunReport, WorkloadKind, WorkloadSpec};
 
 /// Where a job is in its lifecycle.
@@ -128,21 +127,6 @@ impl Job {
             st = self.done.wait(st).unwrap();
         }
         st.clone()
-    }
-
-    /// [`Job::wait_done`] with a deadline; `None` on timeout.
-    pub fn wait_done_timeout(&self, timeout: Duration) -> Option<JobState> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap();
-        while !st.phase.terminal() {
-            let left = deadline.checked_duration_since(std::time::Instant::now())?;
-            let (next, res) = self.done.wait_timeout(st, left).unwrap();
-            st = next;
-            if res.timed_out() && !st.phase.terminal() {
-                return None;
-            }
-        }
-        Some(st.clone())
     }
 
     /// Transition to `Running` (worker slot picked it up).
@@ -352,7 +336,6 @@ mod tests {
             Submit::New(j) => j,
             _ => panic!(),
         };
-        assert!(job.wait_done_timeout(Duration::from_millis(10)).is_none());
         let j2 = job.clone();
         let t = std::thread::spawn(move || j2.wait_done());
         job.mark_running();

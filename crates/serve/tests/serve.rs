@@ -321,6 +321,18 @@ fn malformed_specs_get_structured_400_bodies() {
         assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
         assert_eq!(json_u64(&body, "line"), Some(3));
     }
+    // So is one whose keys each pass but whose simulated time would hold
+    // a worker for hours.
+    let (status, body) = http(
+        server.addr(),
+        "POST",
+        "/v1/jobs",
+        &[],
+        "workload = \"sim\"\nname = \"big\"\npoints = 1000\nrun_secs = 3600\n",
+    );
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
+    assert_eq!(json_u64(&body, "line"), Some(0));
     let (status, _) = http(server.addr(), "GET", "/v1/healthz", &[], "");
     assert_eq!(status, 200);
     let (status, jobs) = http(server.addr(), "GET", "/v1/jobs", &[], "");

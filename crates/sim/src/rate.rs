@@ -3,35 +3,14 @@
 //! The paper's experiments pick rates by exhaustive sweep ("we repeat
 //! every run at each of 6, 9, 12, 18, and 24 Mbps, independently
 //! identifying the maximum throughput bitrate for each transmitter") —
-//! that is [`FixedRate`] driven by the experiment harness. The paper also
-//! leans on SampleRate \[Bicket05\] as the canonical adaptive algorithm;
-//! [`SampleRate`] implements its core idea: transmit at the rate with the
-//! best measured expected throughput, and periodically sample other rates
-//! that could plausibly beat it.
+//! that is [`RatePolicy::Fixed`] driven by the experiment harness. The
+//! paper also leans on SampleRate \[Bicket05\] as the canonical adaptive
+//! algorithm; [`SampleRate`] implements its core idea: transmit at the
+//! rate with the best measured expected throughput, and periodically
+//! sample other rates that could plausibly beat it.
 
 use rand::Rng;
 use wcs_capacity::rates::{Bitrate, RateTable};
-
-/// A bitrate selection policy with per-frame feedback.
-pub trait RateController: std::fmt::Debug + Send {
-    /// Choose the rate for the next data frame.
-    fn pick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Bitrate
-    where
-        Self: Sized;
-    /// Report the outcome of a frame sent at `rate`.
-    fn feedback(&mut self, rate: Bitrate, success: bool);
-}
-
-/// Always the same rate (the experiment harness sweeps these).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedRate(pub Bitrate);
-
-impl RateController for FixedRate {
-    fn pick<R: Rng + ?Sized>(&mut self, _rng: &mut R) -> Bitrate {
-        self.0
-    }
-    fn feedback(&mut self, _rate: Bitrate, _success: bool) {}
-}
 
 /// SampleRate-style adaptation \[Bicket05\], simplified:
 ///
@@ -88,10 +67,9 @@ impl SampleRate {
             .map(|i| self.ewma_success[i])
             .unwrap_or(0.0)
     }
-}
 
-impl RateController for SampleRate {
-    fn pick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Bitrate {
+    /// Choose the rate for the next data frame.
+    pub fn pick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Bitrate {
         self.frames += 1;
         let best = self.current_best();
         let best_tp = best.mbps * self.estimated_success(best);
@@ -111,7 +89,8 @@ impl RateController for SampleRate {
         best
     }
 
-    fn feedback(&mut self, rate: Bitrate, success: bool) {
+    /// Report the outcome of a frame sent at `rate`.
+    pub fn feedback(&mut self, rate: Bitrate, success: bool) {
         if let Some(i) = self.table.index_of(rate) {
             self.attempts[i] += 1;
             let obs = if success { 1.0 } else { 0.0 };
@@ -120,11 +99,11 @@ impl RateController for SampleRate {
     }
 }
 
-/// Runtime-polymorphic rate controller for flow configuration.
+/// A flow's bitrate selection policy, with per-frame feedback.
 #[derive(Debug, Clone)]
 pub enum RatePolicy {
-    /// Fixed rate.
-    Fixed(FixedRate),
+    /// Always the same rate (the experiment harness sweeps these).
+    Fixed(Bitrate),
     /// SampleRate adaptation.
     Sample(SampleRate),
 }
@@ -132,7 +111,7 @@ pub enum RatePolicy {
 impl RatePolicy {
     /// Fixed-rate policy at `mbps`.
     pub fn fixed(mbps: f64) -> Self {
-        RatePolicy::Fixed(FixedRate(RateTable::fixed(mbps).base_rate()))
+        RatePolicy::Fixed(RateTable::fixed(mbps).base_rate())
     }
 
     /// SampleRate over the paper's {6,9,12,18,24} subset.
@@ -143,16 +122,15 @@ impl RatePolicy {
     /// Choose the next rate.
     pub fn pick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Bitrate {
         match self {
-            RatePolicy::Fixed(f) => f.pick(rng),
+            RatePolicy::Fixed(rate) => *rate,
             RatePolicy::Sample(s) => s.pick(rng),
         }
     }
 
     /// Report an outcome.
     pub fn feedback(&mut self, rate: Bitrate, success: bool) {
-        match self {
-            RatePolicy::Fixed(f) => f.feedback(rate, success),
-            RatePolicy::Sample(s) => s.feedback(rate, success),
+        if let RatePolicy::Sample(s) = self {
+            s.feedback(rate, success);
         }
     }
 }
@@ -166,7 +144,7 @@ mod tests {
     #[test]
     fn fixed_rate_never_changes() {
         let mut rng = seeded_rng(1);
-        let mut f = FixedRate(RATES_11A[2]);
+        let mut f = RatePolicy::Fixed(RATES_11A[2]);
         for _ in 0..100 {
             assert_eq!(f.pick(&mut rng).mbps, 12.0);
         }

@@ -293,11 +293,6 @@ impl Simulator {
         self.now
     }
 
-    /// Mutable world access (e.g. to probe RSSI between nodes).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
-    }
-
     /// The MAC state of a node (read-only; used by tests and pathology
     /// scenarios).
     pub fn mac(&self, node: NodeId) -> &MacState {

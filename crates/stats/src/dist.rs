@@ -199,11 +199,6 @@ impl Rayleigh {
         let a = self.sample_amplitude(rng);
         a * a
     }
-
-    /// Mean power 2σ².
-    pub fn mean_power(&self) -> f64 {
-        2.0 * self.sigma * self.sigma
-    }
 }
 
 /// Rician-distributed amplitude (line-of-sight fast fading).
@@ -231,11 +226,6 @@ impl Rician {
         }
     }
 
-    /// The Rician K-factor v²/(2σ²).
-    pub fn k_factor(&self) -> f64 {
-        self.v * self.v / (2.0 * self.sigma * self.sigma)
-    }
-
     /// Draw an amplitude: |v + (σ·Z₁ + iσ·Z₂)|.
     pub fn sample_amplitude<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let re = self.v + self.sigma * standard_normal(rng);
@@ -247,11 +237,6 @@ impl Rician {
     pub fn sample_power<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let a = self.sample_amplitude(rng);
         a * a
-    }
-
-    /// Mean power v² + 2σ².
-    pub fn mean_power(&self) -> f64 {
-        self.v * self.v + 2.0 * self.sigma * self.sigma
     }
 }
 
@@ -496,7 +481,6 @@ mod tests {
     fn rician_k0_is_rayleigh() {
         let d = Rician::from_k_factor(0.0);
         assert!(d.v == 0.0);
-        assert!((d.mean_power() - 1.0).abs() < 1e-12);
         let mut rng = seeded_rng(5);
         let n = 100_000;
         let mut acc = 0.0;
@@ -509,7 +493,6 @@ mod tests {
     #[test]
     fn rician_high_k_concentrates() {
         let d = Rician::from_k_factor(100.0);
-        assert!((d.k_factor() - 100.0).abs() < 1e-9);
         let mut rng = seeded_rng(6);
         let n = 50_000;
         let mut acc = 0.0;

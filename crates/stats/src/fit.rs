@@ -38,13 +38,6 @@ pub struct PathLossFit {
     pub log_likelihood: f64,
 }
 
-impl PathLossFit {
-    /// Predicted mean RSSI at `distance` (dB).
-    pub fn predict_db(&self, distance: f64) -> f64 {
-        self.rssi0_db - 10.0 * self.alpha * (distance / self.ref_distance).log10()
-    }
-}
-
 fn log_norm_pdf(z: f64) -> f64 {
     -0.5 * z * z - 0.5 * (2.0 * std::f64::consts::PI).ln()
 }
@@ -230,19 +223,5 @@ mod tests {
             "sigma {}",
             with_cens.sigma_db
         );
-    }
-
-    #[test]
-    fn predict_matches_model_shape() {
-        let fit = PathLossFit {
-            alpha: 3.0,
-            sigma_db: 8.0,
-            rssi0_db: 46.0,
-            ref_distance: 20.0,
-            log_likelihood: 0.0,
-        };
-        assert!((fit.predict_db(20.0) - 46.0).abs() < 1e-12);
-        // Doubling distance costs 10·α·log10 2 ≈ 9.03 dB at α = 3.
-        assert!((fit.predict_db(40.0) - (46.0 - 9.030_899_869_919_435)).abs() < 1e-9);
     }
 }

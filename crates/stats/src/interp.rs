@@ -1,8 +1,7 @@
 //! Piecewise-linear interpolation tables.
 //!
-//! Used to tabulate expensive curves once (e.g. ⟨C_concurrent⟩(D) in the
-//! threshold optimiser) and evaluate them cheaply thereafter, and to invert
-//! monotone curves such as the SNR → best-bitrate mapping.
+//! The threshold optimiser samples the concurrency − multiplexing curve
+//! once on a grid and root-finds on its interpolant.
 
 /// A piecewise-linear function defined by sorted knots.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,19 +23,6 @@ impl LinearInterp {
         LinearInterp { xs, ys }
     }
 
-    /// Tabulate `f` at `n` equally spaced points on `[a, b]`.
-    pub fn tabulate<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> Self {
-        assert!(n >= 2 && b > a);
-        let mut xs = Vec::with_capacity(n);
-        let mut ys = Vec::with_capacity(n);
-        for i in 0..n {
-            let x = a + (b - a) * i as f64 / (n - 1) as f64;
-            xs.push(x);
-            ys.push(f(x));
-        }
-        LinearInterp::new(xs, ys)
-    }
-
     /// Evaluate with constant extrapolation beyond the knot range.
     pub fn eval(&self, x: f64) -> f64 {
         if x <= self.xs[0] {
@@ -52,44 +38,6 @@ impl LinearInterp {
         };
         let t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i]);
         self.ys[i] + t * (self.ys[i + 1] - self.ys[i])
-    }
-
-    /// Domain of the table.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], *self.xs.last().unwrap())
-    }
-
-    /// The knot abscissae.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The knot ordinates.
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
-    }
-
-    /// For a *monotone increasing* table, find x with eval(x) = y by
-    /// scanning knots and interpolating. Returns the domain edge if `y`
-    /// is out of range.
-    pub fn inverse_monotone(&self, y: f64) -> f64 {
-        if y <= self.ys[0] {
-            return self.xs[0];
-        }
-        if y >= *self.ys.last().unwrap() {
-            return *self.xs.last().unwrap();
-        }
-        for i in 0..self.ys.len() - 1 {
-            let (y0, y1) = (self.ys[i], self.ys[i + 1]);
-            if (y0 <= y && y <= y1) || (y1 <= y && y <= y0) {
-                if (y1 - y0).abs() < f64::EPSILON {
-                    return self.xs[i];
-                }
-                let t = (y - y0) / (y1 - y0);
-                return self.xs[i] + t * (self.xs[i + 1] - self.xs[i]);
-            }
-        }
-        *self.xs.last().unwrap()
     }
 }
 
@@ -111,23 +59,6 @@ mod tests {
         let li = LinearInterp::new(vec![1.0, 2.0], vec![5.0, 6.0]);
         assert_eq!(li.eval(0.0), 5.0);
         assert_eq!(li.eval(100.0), 6.0);
-    }
-
-    #[test]
-    fn tabulate_approximates_function() {
-        let li = LinearInterp::tabulate(|x| x * x, 0.0, 2.0, 201);
-        for &x in &[0.1, 0.77, 1.5, 1.99] {
-            assert!((li.eval(x) - x * x).abs() < 1e-3, "x={x}");
-        }
-    }
-
-    #[test]
-    fn inverse_of_monotone() {
-        let li = LinearInterp::tabulate(|x| x.exp(), 0.0, 2.0, 400);
-        let x = li.inverse_monotone(std::f64::consts::E);
-        assert!((x - 1.0).abs() < 1e-3, "{x}");
-        assert_eq!(li.inverse_monotone(0.0), 0.0);
-        assert_eq!(li.inverse_monotone(1e9), 2.0);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! * samplers for the propagation distributions — normal, lognormal-in-dB,
 //!   Rayleigh, Rician ([`dist`]),
 //! * Monte Carlo integration with running standard error ([`montecarlo`]),
-//! * deterministic Gauss–Legendre and adaptive-Simpson quadrature for the
-//!   no-shadowing model ([`quadrature`]),
+//! * deterministic Gauss–Legendre quadrature for the no-shadowing model
+//!   ([`quadrature`]),
 //! * bisection/Brent root finding ([`rootfind`]),
-//! * golden-section / grid / Nelder–Mead optimisation ([`optimize`]),
+//! * Nelder–Mead optimisation ([`optimize`]),
 //! * censored maximum-likelihood fitting of the path-loss + shadowing model
 //!   (paper Figure 14) ([`fit`]),
-//! * descriptive statistics, histograms and interpolation tables
-//!   ([`summary`], [`interp`]).
+//! * descriptive statistics and interpolation tables ([`summary`],
+//!   [`interp`]).
 //!
 //! The paper evaluated its model "in Maple with Monte Carlo integration"
 //! (§3.2.5); this crate is the Rust equivalent of that computational layer,
@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod dist;
 pub mod fastmath;
 pub mod fit;
@@ -39,15 +38,14 @@ pub mod rootfind;
 pub mod special;
 pub mod summary;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, BootstrapCi};
 pub use dist::{fill_standard_normal, standard_normal_v2, LogNormalDb, Rayleigh, Rician};
 pub use fastmath::{fast_exp, fast_ln, fast_log2};
 pub use fit::{fit_pathloss_shadowing, PathLossFit, RssiSample};
 pub use interp::LinearInterp;
 pub use montecarlo::{MonteCarlo, MonteCarloEstimate};
-pub use optimize::{golden_section_max, grid_refine_max, nelder_mead_min};
-pub use quadrature::{gauss_legendre, integrate_polar_disc, simpson_adaptive};
+pub use optimize::nelder_mead_min;
+pub use quadrature::{gauss_legendre, integrate_polar_disc};
 pub use rng::{seeded_rng, split_rng, SeedStream};
 pub use rootfind::{bisect, brent};
-pub use special::{erf, erfc, norm_cdf, norm_pdf};
-pub use summary::{Histogram, Summary};
+pub use special::{erf, erfc, norm_cdf};
+pub use summary::Summary;

@@ -21,13 +21,6 @@ pub struct MonteCarloEstimate {
     pub n: u64,
 }
 
-impl MonteCarloEstimate {
-    /// Half-width of the ~95 % confidence interval (1.96 standard errors).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error
-    }
-}
-
 /// Streaming Monte Carlo estimator.
 ///
 /// ```
@@ -63,11 +56,6 @@ impl MonteCarlo {
         self.summary.add(x);
     }
 
-    /// Number of samples so far.
-    pub fn n(&self) -> u64 {
-        self.summary.n()
-    }
-
     /// Current estimate (mean ± standard error). Panics if no samples.
     pub fn estimate(&self) -> MonteCarloEstimate {
         let n = self.summary.n();
@@ -82,28 +70,6 @@ impl MonteCarlo {
             std_error: se,
             n,
         }
-    }
-
-    /// Run `f` until the standard error drops below `target_se` or
-    /// `max_samples` is reached, whichever comes first, sampling in blocks
-    /// of `block` to avoid checking the stopping rule on every draw.
-    pub fn run_until<F: FnMut() -> f64>(
-        mut f: F,
-        target_se: f64,
-        max_samples: u64,
-        block: u64,
-    ) -> MonteCarloEstimate {
-        let mut mc = MonteCarlo::new();
-        while mc.n() < max_samples {
-            for _ in 0..block.min(max_samples - mc.n()) {
-                mc.add(f());
-            }
-            let est = mc.estimate();
-            if est.std_error <= target_se && mc.n() >= 2 * block {
-                return est;
-            }
-        }
-        mc.estimate()
     }
 
     /// Merge another estimator's samples into this one (parallel reduction).
@@ -133,21 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_reaches_target() {
-        let mut rng = seeded_rng(2);
-        let est = MonteCarlo::run_until(|| rng.gen::<f64>(), 1e-3, 10_000_000, 10_000);
-        assert!(est.std_error <= 1e-3);
-        assert!((est.mean - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn run_until_respects_max_samples() {
-        let mut rng = seeded_rng(3);
-        let est = MonteCarlo::run_until(|| rng.gen::<f64>() * 1e6, 1e-9, 5_000, 1_000);
-        assert_eq!(est.n, 5_000);
-    }
-
-    #[test]
     fn merge_equals_combined_stream() {
         let mut rng = seeded_rng(4);
         let xs: Vec<f64> = (0..10_000).map(|_| rng.gen::<f64>()).collect();
@@ -170,15 +121,5 @@ mod tests {
         assert_eq!(ea.n, ew.n);
         assert!((ea.mean - ew.mean).abs() < 1e-12);
         assert!((ea.std_error - ew.std_error).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ci95_scales_with_se() {
-        let mut mc = MonteCarlo::new();
-        for i in 0..100 {
-            mc.add(i as f64);
-        }
-        let est = mc.estimate();
-        assert!((est.ci95_half_width() - 1.96 * est.std_error).abs() < 1e-12);
     }
 }

@@ -1,88 +1,5 @@
-//! Scalar and small-dimension optimisation.
-//!
-//! The model layer maximises expected carrier-sense throughput over the
-//! sense threshold (Figure 7, Table 2). With shadowing the objective is
-//! estimated by Monte Carlo and therefore noisy, so we provide both a
-//! golden-section search (for smooth deterministic objectives) and a
-//! grid-then-refine search that tolerates noise. Nelder–Mead handles the
-//! 3-parameter censored ML fit of Figure 14.
-
-/// Maximise a unimodal function on `[a, b]` by golden-section search.
-///
-/// Returns `(argmax, max)`. Requires ~`log((b−a)/tol)/log(φ)` evaluations.
-pub fn golden_section_max<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-) -> (f64, f64) {
-    assert!(b > a);
-    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a).abs() > tol {
-        if fc > fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    let fx = f(x);
-    (x, fx)
-}
-
-/// Maximise a possibly-noisy function on `[a, b]` by iterative grid
-/// refinement: evaluate `points` equally spaced samples, zoom into the
-/// neighbourhood of the best one, repeat `rounds` times.
-///
-/// Robust to Monte Carlo noise at the cost of more evaluations; the final
-/// resolution is `(b−a)·(2/(points−1))^rounds`.
-pub fn grid_refine_max<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    points: usize,
-    rounds: usize,
-) -> (f64, f64) {
-    assert!(points >= 3 && b > a);
-    let mut best_x = 0.5 * (a + b);
-    let mut best_f = f64::NEG_INFINITY;
-    for _ in 0..rounds {
-        let step = (b - a) / (points - 1) as f64;
-        let mut round_best_x = a;
-        let mut round_best_f = f64::NEG_INFINITY;
-        for i in 0..points {
-            let x = a + i as f64 * step;
-            let v = f(x);
-            if v > round_best_f {
-                round_best_f = v;
-                round_best_x = x;
-            }
-        }
-        if round_best_f > best_f {
-            best_f = round_best_f;
-            best_x = round_best_x;
-        }
-        let half = step; // zoom to ±1 grid step around the winner
-        a = (round_best_x - half).max(a);
-        b = (round_best_x + half).min(b);
-        if b <= a {
-            break;
-        }
-    }
-    (best_x, best_f)
-}
+//! Small-dimension optimisation: Nelder–Mead for the 3-parameter
+//! censored ML fit of Figure 14.
 
 /// Minimise `f` over ℝⁿ with the Nelder–Mead simplex method.
 ///
@@ -177,40 +94,6 @@ pub fn nelder_mead_min<F: FnMut(&[f64]) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn golden_section_quadratic() {
-        let (x, v) = golden_section_max(|x| -(x - 1.3) * (x - 1.3) + 2.0, -10.0, 10.0, 1e-10);
-        assert!((x - 1.3).abs() < 1e-7, "{x}");
-        assert!((v - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn golden_section_asymmetric() {
-        let (x, _) = golden_section_max(|x: f64| x.sin(), 0.0, std::f64::consts::PI, 1e-10);
-        assert!((x - std::f64::consts::FRAC_PI_2).abs() < 1e-7);
-    }
-
-    #[test]
-    fn grid_refine_quadratic() {
-        let (x, v) = grid_refine_max(|x| -(x - 3.7) * (x - 3.7), 0.0, 10.0, 21, 8);
-        assert!((x - 3.7).abs() < 1e-3, "{x}");
-        assert!(v > -1e-5);
-    }
-
-    #[test]
-    fn grid_refine_tolerates_noise() {
-        // Deterministic pseudo-noise at the 1e-3 level on a unit-curvature
-        // objective: argmax should still land within ~5e-2.
-        let (x, _) = grid_refine_max(
-            |x| -(x - 5.0) * (x - 5.0) + 1e-3 * (x * 1000.0).sin(),
-            0.0,
-            10.0,
-            41,
-            6,
-        );
-        assert!((x - 5.0).abs() < 5e-2, "{x}");
-    }
 
     #[test]
     fn nelder_mead_rosenbrock() {

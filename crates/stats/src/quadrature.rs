@@ -50,18 +50,6 @@ pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     (nodes, weights)
 }
 
-/// Integrate `f` over `[a, b]` with `n`-point Gauss–Legendre.
-pub fn gauss_legendre_integrate<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 {
-    let (nodes, weights) = gauss_legendre(n);
-    let half = 0.5 * (b - a);
-    let mid = 0.5 * (a + b);
-    let mut acc = 0.0;
-    for (x, w) in nodes.iter().zip(&weights) {
-        acc += w * f(mid + half * x);
-    }
-    acc * half
-}
-
 /// Average `f(r, θ)` over the disc of radius `rmax`, weighting by area:
 /// (1/πR²) ∫₀^R ∫₀^{2π} f(r,θ) r dθ dr.
 ///
@@ -91,49 +79,6 @@ pub fn integrate_polar_disc<F: FnMut(f64, f64) -> f64>(
     acc * rhalf / (std::f64::consts::PI * rmax * rmax)
 }
 
-/// Adaptive Simpson integration of `f` over `[a, b]` to tolerance `tol`.
-///
-/// Used where the integrand has localized structure (e.g. the starvation
-/// boundary in the preference maps) that fixed-order Gauss misses.
-pub fn simpson_adaptive<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> f64 {
-    fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-    #[allow(clippy::too_many_arguments)] // internal recursion carries the Simpson state
-    fn recurse<F: FnMut(f64) -> f64>(
-        f: &mut F,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: u32,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson(fa, flm, fm, a, m);
-        let right = simpson(fm, frm, fb, m, b);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-        }
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = simpson(fa, fm, fb, a, b);
-    recurse(&mut f, a, b, fa, fm, fb, whole, tol, 50)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +95,12 @@ mod tests {
     #[test]
     fn gl_exact_for_polynomials() {
         // n-point GL is exact for degree ≤ 2n−1.
-        let val = gauss_legendre_integrate(|x| x.powi(9) + 3.0 * x * x, -1.0, 1.0, 5);
+        let (x, w) = gauss_legendre(5);
+        let val: f64 = x
+            .iter()
+            .zip(&w)
+            .map(|(x, w)| w * (x.powi(9) + 3.0 * x * x))
+            .sum();
         assert!((val - 2.0).abs() < 1e-13, "{val}");
     }
 
@@ -165,7 +115,15 @@ mod tests {
 
     #[test]
     fn gl_integrates_transcendental() {
-        let val = gauss_legendre_integrate(f64::sin, 0.0, std::f64::consts::PI, 30);
+        // ∫₀^π sin = 2, mapped onto [-1, 1] by x ↦ π/2·(x + 1).
+        let half = std::f64::consts::FRAC_PI_2;
+        let (x, w) = gauss_legendre(30);
+        let val: f64 = x
+            .iter()
+            .zip(&w)
+            .map(|(x, w)| w * (half * (x + 1.0)).sin())
+            .sum::<f64>()
+            * half;
         assert!((val - 2.0).abs() < 1e-12);
     }
 
@@ -187,18 +145,5 @@ mod tests {
         // Mean of cos²θ over the disc is 1/2 regardless of radius.
         let avg = integrate_polar_disc(|_, t| t.cos() * t.cos(), 4.0, 8, 64);
         assert!((avg - 0.5).abs() < 1e-10, "{avg}");
-    }
-
-    #[test]
-    fn simpson_matches_known_integral() {
-        let v = simpson_adaptive(|x| (x * x).exp(), 0.0, 1.0, 1e-10);
-        // ∫₀¹ e^{x²} dx = √π/2 · erfi(1) ≈ 1.46265174590718…
-        assert!((v - 1.462_651_745_907_18).abs() < 1e-8, "{v}");
-    }
-
-    #[test]
-    fn simpson_handles_kinks() {
-        let v = simpson_adaptive(|x: f64| x.abs(), -1.0, 1.0, 1e-10);
-        assert!((v - 1.0).abs() < 1e-8);
     }
 }

@@ -98,11 +98,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Standard normal probability density function.
-pub fn norm_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Standard normal cumulative distribution function Φ(x).
 pub fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
@@ -173,19 +168,5 @@ mod tests {
         let shortfall_db = 10.0 * 3.0 * (2.0f64).log10();
         let p = norm_cdf(-shortfall_db / 8.0);
         assert!(p > 0.10 && p < 0.16, "p = {p}");
-    }
-
-    #[test]
-    fn norm_pdf_integrates_to_cdf_increment() {
-        let a = -1.3;
-        let b = 0.9;
-        let n = 20_000;
-        let h = (b - a) / n as f64;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let x0 = a + i as f64 * h;
-            acc += 0.5 * (norm_pdf(x0) + norm_pdf(x0 + h)) * h;
-        }
-        close(acc, norm_cdf(b) - norm_cdf(a), 1e-8);
     }
 }

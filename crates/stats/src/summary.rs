@@ -1,4 +1,4 @@
-//! Descriptive statistics: Welford summaries, percentiles, histograms.
+//! Descriptive statistics: Welford summaries and percentiles.
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -121,88 +121,6 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Fixed-bin histogram over a closed range.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Create a histogram of `n_bins` equal bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n_bins: usize) -> Self {
-        assert!(hi > lo && n_bins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; n_bins],
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Record an observation.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bin counts (within range).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below the range.
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Count of observations at-or-above the range's upper bound.
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// Total observations recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.below + self.above + self.bins.iter().sum::<u64>()
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Fraction of in-range mass at or below `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let total: u64 = self.bins.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut acc = 0u64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let edge = self.lo + (i as f64 + 1.0) * w;
-            if edge <= x {
-                acc += c;
-            } else {
-                break;
-            }
-        }
-        acc as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,21 +169,5 @@ mod tests {
         assert_eq!(quantile(&xs, 0.5), 3.0);
         assert!((quantile(&xs, 0.25) - 2.0).abs() < 1e-12);
         assert!((quantile(&xs, 0.1) - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_counts_and_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.add(i as f64 / 10.0); // 0.0 .. 9.9
-        }
-        h.add(-1.0);
-        h.add(42.0);
-        assert_eq!(h.total(), 102);
-        assert_eq!(h.below(), 1);
-        assert_eq!(h.above(), 1);
-        assert_eq!(h.bins().iter().sum::<u64>(), 100);
-        assert!((h.cdf(5.0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 }

@@ -308,20 +308,3 @@ fn sim_scenarios_reproduce_their_pinned_report_bytes() {
         );
     }
 }
-
-#[test]
-fn parallel_mc_path_is_thread_count_invariant() {
-    use in_defense_of_carrier_sense::model::average::mc_averages_par;
-    let p = ModelParams::paper_default();
-    let a = mc_averages_par(&p, 40.0, 55.0, 55.0, 10_000, 123, 1);
-    let b = mc_averages_par(&p, 40.0, 55.0, 55.0, 10_000, 123, 8);
-    assert_eq!(
-        a.carrier_sense.mean.to_bits(),
-        b.carrier_sense.mean.to_bits()
-    );
-    assert_eq!(a.optimal.std_error.to_bits(), b.optimal.std_error.to_bits());
-    assert_eq!(
-        a.multiplex_fraction.to_bits(),
-        b.multiplex_fraction.to_bits()
-    );
-}
