@@ -96,7 +96,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use wcs_bench::{figures, tables, Effort, TestbedCategory};
+use wcs_bench::Effort;
 use wcs_runtime::{
     scenarios, AnyWorkload, Engine, ResultCache, StreamLayout, WorkloadKind, WorkloadSpec,
 };
@@ -166,56 +166,6 @@ fn finish(code: i32) -> ! {
     wcs_telemetry::flush();
     std::process::exit(code);
 }
-
-fn run_one(name: &str, effort: Effort) -> Option<String> {
-    let out = match name {
-        "fig2" => figures::fig2(effort),
-        "fig3" => figures::fig3(effort),
-        "fig4" | "fig5" | "fig4-5" => figures::fig4_5(effort),
-        "fig6" => figures::fig6(effort),
-        "fig7" => figures::fig7(effort),
-        "fig9" => figures::fig9(effort),
-        "fig10-11" => wcs_bench::testbed_report(TestbedCategory::ShortRange, effort),
-        "fig12-13" => wcs_bench::testbed_report(TestbedCategory::LongRange, effort),
-        "fig14" => wcs_bench::experiments::fig14(effort),
-        "table1" => tables::table1(effort),
-        "table2" => tables::table2(effort),
-        "table-short" => wcs_bench::testbed_report(TestbedCategory::ShortRange, effort),
-        "table-long" => wcs_bench::testbed_report(TestbedCategory::LongRange, effort),
-        "sweep-alpha-sigma" => tables::alpha_sigma_sweep(effort),
-        "slope-bound" => figures::slope_bound(effort),
-        "shadow-example" => figures::shadow_example_report(effort),
-        "exposed-vs-rate" => wcs_bench::exposed_vs_rate_report(effort),
-        "pathologies" => wcs_bench::pathology_report(effort),
-        "fairness" => figures::fairness_report(effort),
-        "fig8-barrier" => figures::barrier_report(effort),
-        "fixed-bitrate" => tables::fixed_bitrate_report(effort),
-        _ => return None,
-    };
-    Some(out)
-}
-
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "sweep-alpha-sigma",
-    "fig2",
-    "fig3",
-    "fig4-5",
-    "fig6",
-    "fig7",
-    "fig9",
-    "slope-bound",
-    "shadow-example",
-    "fig10-11",
-    "fig12-13",
-    "fig14",
-    "exposed-vs-rate",
-    "pathologies",
-    "fairness",
-    "fig8-barrier",
-    "fixed-bitrate",
-];
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -1423,7 +1373,12 @@ fn run_bench_cmd(mut args: Vec<String>) -> ! {
         let base_text = std::fs::read_to_string(&base_path)
             .unwrap_or_else(|e| fail(format!("reading baseline {}: {e}", base_path.display())));
         let baseline = wcs_bench::perf::BenchReport::parse(&base_text).unwrap_or_else(|e| fail(e));
-        let cmp = wcs_bench::perf::compare(&report, &baseline);
+        let mut reruns = 0;
+        let cmp = wcs_bench::perf::compare(&report, &baseline, || {
+            reruns += 1;
+            eprintln!("[bench compare: a bench is over the bound; rerun {reruns} of the suite in a fresh process]");
+            wcs_bench::perf::rerun_suite(mode)
+        });
         // Same-run speedup floors certify optimizations that exist only
         // under `-O`; a debug binary measuring 1.5x where the release
         // binary measures 2.5x would gate the build profile, not the
@@ -1537,7 +1492,7 @@ fn main() {
         );
         eprintln!("       repro spec <scenario>");
         eprintln!("global flags: --telemetry[=PATH] --strict-cache");
-        eprintln!("experiments: {}", ALL.join(" "));
+        eprintln!("experiments: {}", wcs_bench::EXPERIMENTS.join(" "));
         eprintln!(
             "scenarios: {}",
             wcs_runtime::scenarios::all_names().join(" ")
@@ -1545,13 +1500,16 @@ fn main() {
         std::process::exit(2);
     }
     let names: Vec<String> = if args.iter().any(|a| a == "all") {
-        ALL.iter().map(|s| s.to_string()).collect()
+        wcs_bench::EXPERIMENTS
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
     } else {
         args
     };
     for name in names {
         let t0 = std::time::Instant::now();
-        match run_one(&name, effort) {
+        match wcs_bench::run_experiment(&name, effort) {
             Some(out) => {
                 println!("==================== {name} ====================");
                 println!("{out}");
@@ -1571,7 +1529,10 @@ fn main() {
                 );
             }
             None => {
-                eprintln!("unknown experiment '{name}'; known: {}", ALL.join(" "));
+                eprintln!(
+                    "unknown experiment '{name}'; known: {}",
+                    wcs_bench::EXPERIMENTS.join(" ")
+                );
                 wcs_telemetry::flush();
                 std::process::exit(2);
             }

@@ -64,6 +64,60 @@ impl Effort {
     }
 }
 
+/// The rendered report of experiment `name` (one of [`EXPERIMENTS`], or
+/// an alias such as `fig4`), or `None` for an unknown name. `repro
+/// <name>` prints it under a `==== name ====` banner.
+pub fn run_experiment(name: &str, effort: Effort) -> Option<String> {
+    let out = match name {
+        "fig2" => figures::fig2(effort),
+        "fig3" => figures::fig3(effort),
+        "fig4" | "fig5" | "fig4-5" => figures::fig4_5(effort),
+        "fig6" => figures::fig6(effort),
+        "fig7" => figures::fig7(effort),
+        "fig9" => figures::fig9(effort),
+        "fig10-11" => testbed_report(TestbedCategory::ShortRange, effort),
+        "fig12-13" => testbed_report(TestbedCategory::LongRange, effort),
+        "fig14" => experiments::fig14(effort),
+        "table1" => tables::table1(effort),
+        "table2" => tables::table2(effort),
+        "table-short" => testbed_report(TestbedCategory::ShortRange, effort),
+        "table-long" => testbed_report(TestbedCategory::LongRange, effort),
+        "sweep-alpha-sigma" => tables::alpha_sigma_sweep(effort),
+        "slope-bound" => figures::slope_bound(effort),
+        "shadow-example" => figures::shadow_example_report(effort),
+        "exposed-vs-rate" => exposed_vs_rate_report(effort),
+        "pathologies" => pathology_report(effort),
+        "fairness" => figures::fairness_report(effort),
+        "fig8-barrier" => figures::barrier_report(effort),
+        "fixed-bitrate" => tables::fixed_bitrate_report(effort),
+        _ => return None,
+    };
+    Some(out)
+}
+
+/// Every experiment `repro` runs by default, in order.
+pub const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "sweep-alpha-sigma",
+    "fig2",
+    "fig3",
+    "fig4-5",
+    "fig6",
+    "fig7",
+    "fig9",
+    "slope-bound",
+    "shadow-example",
+    "fig10-11",
+    "fig12-13",
+    "fig14",
+    "exposed-vs-rate",
+    "pathologies",
+    "fairness",
+    "fig8-barrier",
+    "fixed-bitrate",
+];
+
 /// The engine every generator in this crate schedules onto: auto-sized
 /// from the hardware, overridable with `WCS_THREADS` (results are
 /// bitwise identical either way).

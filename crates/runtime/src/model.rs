@@ -190,6 +190,14 @@ impl WorkloadSpec for Sweep {
         Sweep::task_count(self)
     }
 
+    fn cost(&self) -> u64 {
+        let per_topology = self.points_per_topology().saturating_mul(self.samples);
+        self.topologies.iter().fold(0u64, |acc, t| {
+            let n = t.n_pairs() as u64;
+            acc.saturating_add(per_topology.saturating_mul(n.saturating_mul(n)))
+        })
+    }
+
     fn finalize(&self, full: &RunReport) -> RunReport {
         finalize_report(self, full)
     }

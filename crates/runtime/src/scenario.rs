@@ -253,15 +253,24 @@ impl Sweep {
         self
     }
 
-    /// Number of tasks this sweep lowers to.
+    /// Number of tasks this sweep lowers to (saturating: a spec that
+    /// asks for more is refused by its task cap).
     pub fn task_count(&self) -> usize {
-        self.topologies.len()
-            * self.rmaxes.len()
-            * self.ds.len()
-            * self.sigmas.len()
-            * self.alphas.len()
-            * self.d_threshes.len()
-            * self.caps.len()
+        let n = (self.topologies.len() as u64).saturating_mul(self.points_per_topology());
+        usize::try_from(n).unwrap_or(usize::MAX)
+    }
+
+    /// Configuration points per topology: the product of every other
+    /// axis's length (saturating).
+    pub(crate) fn points_per_topology(&self) -> u64 {
+        axis_product([
+            self.rmaxes.len(),
+            self.ds.len(),
+            self.sigmas.len(),
+            self.alphas.len(),
+            self.d_threshes.len(),
+            self.caps.len(),
+        ])
     }
 
     /// Lower the grid to its flat task list. Task order — and therefore
@@ -403,6 +412,14 @@ impl Task {
             cap: self.cap,
         }
     }
+}
+
+/// The product of axis lengths, saturating at `u64::MAX` instead of
+/// wrapping: a spec read from outside input can ask for any lengths,
+/// and its budget check must see the true (or a larger) count.
+pub(crate) fn axis_product(lens: impl IntoIterator<Item = usize>) -> u64 {
+    lens.into_iter()
+        .fold(1u64, |acc, n| acc.saturating_mul(n as u64))
 }
 
 /// Derive the per-task seed from the sweep root: decorrelated streams via

@@ -16,20 +16,24 @@
 //! axis point measures the *same* link pairs under common random
 //! numbers — the §4 protocol's own discipline, extended across axes.
 //!
-//! Only a protocol's carrier-sense runs read the CCA threshold, so the
-//! tasks that differ only in it (one testbed, rate-axis entry and point)
-//! share a slot for the rest of the protocol, its
-//! [`Baselines`]: whichever of them gets there first runs them, and the
-//! others reuse the same runs. A sweep with more than one threshold
-//! simulates each pair's baselines once instead of once per threshold.
+//! Only a protocol's carrier-sense runs read the CCA threshold, and
+//! only in the simulator's energy-detect check (`Simulator::medium_busy`,
+//! the place a second reader would be added and certified). So the tasks
+//! that differ only in it (one testbed, rate-axis entry and point) share
+//! one [`ProtocolSlot`]: its CCA-independent runs are claimed one at a
+//! time by whichever sibling gets there first, and a carrier-sense run is
+//! reused by every sibling whose threshold the run's [`CcaCertificate`]
+//! accepts. Every row is still the protocol run alone.
+//!
+//! [`CcaCertificate`]: wcs_sim::sim::CcaCertificate
 
 use crate::report::RunReport;
-use crate::scenario::task_seed;
+use crate::scenario::{axis_product, task_seed};
 use crate::workload::{Workload, WorkloadKind, WorkloadSpec};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use wcs_sim::experiment::{
-    plan_ensemble, run_baselines, run_carrier_sense, Baselines, ExperimentConfig, ExperimentPoint,
-    PlannedPair, RateStrategy,
+    plan_ensemble, run_protocol, ExperimentConfig, ExperimentPoint, PlannedPair, ProtocolSlot,
+    RateStrategy,
 };
 use wcs_sim::testbed::{Testbed, TestbedConfig};
 use wcs_sim::time::Duration;
@@ -98,12 +102,13 @@ impl RateAxis {
     }
 }
 
-/// The most simulated time one sim spec may ask for, in seconds: the
-/// product `testbeds × ccas × rates × points × run_secs`, one `run_secs`
-/// per task. Each task's protocol makes several runs of that length (one
-/// per candidate rate and strategy); single-threaded, one point-second
-/// took about 13 ms of host time, so the budget is about 8 minutes. The
-/// built-in sim scenarios ask for 315 at full effort.
+/// The most simulated time one sim spec may ask for, in seconds (the
+/// sim case of [`WorkloadKind::budget`]): the product `testbeds × ccas ×
+/// rates × points × run_secs`, one `run_secs` per task. Each task's
+/// protocol makes several runs of that length (one per candidate rate
+/// and strategy); single-threaded, one point-second took about 13 ms of
+/// host time, so the budget is about 8 minutes. The built-in sim
+/// scenarios ask for 315 at full effort.
 pub const MAX_SIMULATED_SECS: u64 = 36_000;
 
 /// A declarative protocol-simulation sweep (see module docs).
@@ -230,6 +235,18 @@ impl SimSweep {
         self
     }
 
+    /// The most tasks this sweep can lower to, from its axes alone:
+    /// `testbeds × ccas × rates × points` (a testbed may plan fewer
+    /// points). Saturating.
+    pub(crate) fn task_bound(&self) -> u64 {
+        axis_product([
+            self.testbed_seeds.len(),
+            self.cca_thresholds_db.len(),
+            self.rates.len(),
+            self.points,
+        ])
+    }
+
     /// The generation parameters of testbed `ti` on the axis.
     fn testbed_config(&self, testbed_index: usize) -> TestbedConfig {
         TestbedConfig {
@@ -290,10 +307,10 @@ impl SimSweep {
 
 /// One sim task: a planned link pair plus its grid coordinates. Seeded
 /// data (`PlannedPair` carries the run seed), so any engine worker can
-/// execute it. The one state it shares is its baselines slot, with the
+/// execute it. The one state it shares is its protocol slot, with the
 /// tasks of the same lowering that differ from it only in the CCA
-/// threshold; the slot holds runs every one of them would make
-/// identically, so a task's row does not depend on who fills it.
+/// threshold; the slot holds only runs that each of them would make
+/// identically, so a task's row does not depend on who made them.
 #[derive(Debug, Clone)]
 pub struct SimTask {
     /// Position in the lowered task list.
@@ -311,9 +328,8 @@ pub struct SimTask {
     pub rate_index: usize,
     /// The planned link pair, with its private run seed.
     pub planned: PlannedPair,
-    /// The CCA-independent half of this task's protocol, shared with
-    /// its CCA siblings and filled by the first of them to need it.
-    pub baselines: Arc<OnceLock<Baselines>>,
+    /// This task's protocol runs, shared with its CCA siblings.
+    pub runs: Arc<ProtocolSlot>,
 }
 
 impl WorkloadSpec for SimSweep {
@@ -362,6 +378,12 @@ impl WorkloadSpec for SimSweep {
         SIM_SWEEP_COLUMNS.to_vec()
     }
 
+    /// Simulated seconds: `testbeds × ccas × rates × points × run_secs`,
+    /// one `run_secs` per task (see [`MAX_SIMULATED_SECS`]).
+    fn cost(&self) -> u64 {
+        self.task_bound().saturating_mul(self.run_secs)
+    }
+
     fn task_count(&self) -> usize {
         let per_point = self.cca_thresholds_db.len() * self.rates.len();
         (0..self.testbed_seeds.len())
@@ -391,14 +413,18 @@ impl Workload for SimSweep {
     /// the testbed loop is outermost so appending a testbed seed extends
     /// the list without reshuffling existing tasks, and every (CCA,
     /// rate) cell of one testbed measures the same planned pairs. Each
-    /// (testbed, rate, point) group gets one fresh baselines slot, so
+    /// (testbed, rate, point) group gets one fresh protocol slot, so
     /// nothing carries over from one lowering to the next.
     fn lower(&self) -> Vec<SimTask> {
         let mut tasks = Vec::new();
         for ti in 0..self.testbed_seeds.len() {
             let planned = self.planned_for(ti);
-            let slots: Vec<Arc<OnceLock<Baselines>>> = (0..self.rates.len() * planned.len())
-                .map(|_| Arc::default())
+            let slots: Vec<Arc<ProtocolSlot>> = (self.rates.iter())
+                .flat_map(|&rate| {
+                    let cfg = self.experiment_config(0.0, Some(rate), 0);
+                    (0..planned.len())
+                        .map(move |_| Arc::new(ProtocolSlot::new(&cfg, rate.strategy())))
+                })
                 .collect();
             for &cca_db in &self.cca_thresholds_db {
                 for (ri, &rate) in self.rates.iter().enumerate() {
@@ -411,7 +437,7 @@ impl Workload for SimSweep {
                             rate,
                             rate_index: ri,
                             planned: pp,
-                            baselines: Arc::clone(&slots[ri * planned.len() + pi]),
+                            runs: Arc::clone(&slots[ri * planned.len() + pi]),
                         });
                     }
                 }
@@ -420,19 +446,17 @@ impl Workload for SimSweep {
         tasks
     }
 
-    /// Runs the task's own carrier-sense runs first, then takes the
-    /// baselines from its slot, running them if no CCA sibling has.
-    /// The row equals that of the whole protocol run for this task
-    /// alone.
+    /// Runs the task's protocol through its slot: its carrier-sense
+    /// runs first (reusing any a CCA sibling made that certifies this
+    /// threshold), then the unclaimed CCA-independent runs, then waits
+    /// for the ones siblings are making. The row equals that of the
+    /// whole protocol run for this task alone.
     fn run_task(&self, task: &SimTask) -> Vec<Vec<f64>> {
         let bed = Testbed::generate(self.testbed_config(task.testbed_index));
         let cfg = self.experiment_config(task.cca_db, Some(task.rate), 0);
         let (pairs, seed, strategy) = (task.planned.pairs, task.planned.seed, task.rate.strategy());
-        let carrier_sense_pps = run_carrier_sense(&bed, pairs, &cfg, seed, strategy);
-        let baselines = task
-            .baselines
-            .get_or_init(|| run_baselines(&bed, pairs, &cfg, seed, strategy));
-        vec![task_row(task, &baselines.point(pairs, carrier_sense_pps))]
+        let point = run_protocol(&bed, pairs, &cfg, seed, strategy, &task.runs);
+        vec![task_row(task, &point)]
     }
 }
 
@@ -497,11 +521,12 @@ mod tests {
         let group = |t: &SimTask| (t.testbed_index, t.rate_index, t.point_index);
         for t in &tasks {
             assert_eq!(
-                t.baselines.get().is_some(),
+                t.runs.runs_simulated() > 0,
                 group(t) == group(ran),
                 "task {}",
                 t.index
             );
+            assert_eq!(Arc::ptr_eq(&t.runs, &ran.runs), group(t) == group(ran));
         }
         assert_eq!(tasks.iter().filter(|t| group(t) == group(ran)).count(), 3);
         // Every row, reused baselines or not, is the whole protocol run
@@ -513,6 +538,24 @@ mod tests {
             let alone = run_pair_experiment_with(&bed, pairs, &cfg, seed, t.rate.strategy());
             assert_eq!(s.run_task(t), vec![task_row(t, &alone)], "task {}", t.index);
         }
+    }
+
+    #[test]
+    fn serial_threshold_grid_simulates_each_run_once() {
+        // The quick built-in grid: 3 points × 3 thresholds, best-fixed
+        // over 5 rates. Without sharing that is 3 × 3 × 20 = 180 runs;
+        // sharing each point's 15 CCA-independent runs makes it 90, and
+        // reusing certified carrier-sense runs leaves 65: all 45 shared
+        // runs and 20 of the 45 carrier-sense runs.
+        let s = crate::scenarios::sim_threshold_grid(&crate::EffortProfile::quick());
+        let tasks = s.lower();
+        assert_eq!(tasks.len(), 9);
+        for t in &tasks {
+            s.run_task(t);
+        }
+        let slots: Vec<&SimTask> = tasks.iter().filter(|t| t.cca_db == 7.0).collect();
+        let simulated: usize = slots.iter().map(|t| t.runs.runs_simulated()).sum();
+        assert_eq!(simulated, 65);
     }
 
     #[test]

@@ -64,9 +64,14 @@
 //! allocates for both before anything runs, and so are `payload` and
 //! `run_secs` (`MAX_PAYLOAD_BYTES`, `MAX_RUN_SECS`), whose frame sizes
 //! and run lengths would otherwise overflow the simulator's arithmetic.
-//! Once every key is read, the simulated time the whole spec asks for,
-//! `testbeds × ccas × rates × points × run_secs`, must stay within
-//! [`MAX_SIMULATED_SECS`]: the keys' own caps multiply out to hours.
+//!
+//! Once every key is read, a spec of either family must lower to at most
+//! [`MAX_TASKS`] tasks, and the work it asks for ([`WorkloadSpec::cost`])
+//! must stay within its family's [`WorkloadKind::budget`]: tasks ×
+//! samples × N² for a model sweep, and `testbeds × ccas × rates × points
+//! × run_secs` simulated seconds for a sim sweep. Each key's own limit
+//! is not enough: a 1 MB model spec can ask for billions of tasks, and
+//! the sim keys' caps multiply out to hours.
 //!
 //! Either family may also pin `expect_hash = "<16 hex digits>"`: after
 //! parsing, the spec's canonical hash is verified against it, so a file
@@ -74,8 +79,8 @@
 //! computing different numbers under a stale name.
 
 use crate::scenario::{PolicyAxis, Sweep, Topology};
-use crate::simsweep::{RateAxis, SimSweep, MAX_SIMULATED_SECS};
-use crate::workload::{AnyWorkload, WorkloadKind, WorkloadSpec};
+use crate::simsweep::{RateAxis, SimSweep};
+use crate::workload::{AnyWorkload, WorkloadKind, WorkloadSpec, MAX_TASKS};
 use wcs_capacity::npair::{Placement, MAX_PAIRS};
 use wcs_capacity::rates::{rate_11a, RATES_11A};
 use wcs_capacity::shannon::CapacityModel;
@@ -661,7 +666,32 @@ pub fn parse_spec_toml(text: &str) -> Result<Sweep, SpecError> {
         Ok(())
     })?;
     sweep.name = name.ok_or_else(|| missing_key_err("name"))?;
+    within_budget(&sweep, sweep.task_count() as u64, |cost, budget| {
+        format!("tasks × samples × N² summed over the topologies = {cost}, more than the budget of {budget}")
+    })?;
     Ok(sweep)
+}
+
+/// Refuse a spec that lowers to more than [`MAX_TASKS`] tasks or whose
+/// [`WorkloadSpec::cost`] is over its family's
+/// [`budget`](WorkloadKind::budget), before anything is lowered.
+/// `over_budget(cost, budget)` says how the cost was reckoned.
+fn within_budget(
+    spec: &dyn WorkloadSpec,
+    tasks: u64,
+    over_budget: impl FnOnce(u64, u64) -> String,
+) -> Result<(), SpecError> {
+    if tasks > MAX_TASKS {
+        return Err(err(
+            0,
+            format!("the grid lowers to {tasks} tasks, more than the cap of {MAX_TASKS}"),
+        ));
+    }
+    let (cost, budget) = (spec.cost(), spec.kind().budget());
+    if cost > budget {
+        return Err(err(0, over_budget(cost, budget)));
+    }
+    Ok(())
 }
 
 /// Serialize a sim sweep to the spec-file format (self-describing via
@@ -840,23 +870,17 @@ pub fn parse_sim_spec_toml(text: &str) -> Result<SimSweep, SpecError> {
         Ok(())
     })?;
     sweep.name = name.ok_or_else(|| missing_key_err("name"))?;
-    let axes = [
-        sweep.testbed_seeds.len() as u64,
-        sweep.cca_thresholds_db.len() as u64,
-        sweep.rates.len() as u64,
-        sweep.points as u64,
-        sweep.run_secs,
-    ];
-    let simulated_secs = axes.iter().fold(1u64, |acc, &n| acc.saturating_mul(n));
-    if simulated_secs > MAX_SIMULATED_SECS {
-        let [testbeds, ccas, rates, points, run_secs] = axes;
-        return Err(err(
-            0,
-            format!(
-                "testbeds × ccas × rates × points × run_secs = {testbeds} × {ccas} × {rates} × {points} × {run_secs} = {simulated_secs} simulated seconds, more than the budget of {MAX_SIMULATED_SECS}"
-            ),
-        ));
-    }
+    within_budget(&sweep, sweep.task_bound(), |cost, budget| {
+        let (testbeds, ccas, rates) = (
+            sweep.testbed_seeds.len(),
+            sweep.cca_thresholds_db.len(),
+            sweep.rates.len(),
+        );
+        let (points, run_secs) = (sweep.points, sweep.run_secs);
+        format!(
+            "testbeds × ccas × rates × points × run_secs = {testbeds} × {ccas} × {rates} × {points} × {run_secs} = {cost} simulated seconds, more than the budget of {budget}"
+        )
+    })?;
     Ok(sweep)
 }
 
@@ -1080,6 +1104,59 @@ mod tests {
             "name=\"x\"\nds = []\n",
         ] {
             assert!(parse_spec_toml(bad).is_err(), "accepted: {bad}");
+        }
+        // Specs whose keys each parse but whose work would abort or hang
+        // a run: 60,000 × 60,000 tasks (lowering alone would allocate
+        // hundreds of GB), or a one-task grid sampled for weeks.
+        let wide = wide_axis_spec();
+        assert!(wide.len() < 1 << 20, "fits under the daemon's body cap");
+        for (bad, needle) in [
+            (
+                wide.as_str(),
+                "lowers to 3600000000 tasks, more than the cap of 100000",
+            ),
+            (
+                "name = \"x\"\nsamples = 10000000000000\n",
+                "over the topologies = 40000000000000, more than the budget of 5000000000",
+            ),
+        ] {
+            let e = parse_any_spec_toml(bad).unwrap_err();
+            assert_eq!(e.code(), "bad_value", "{e}");
+            assert_eq!(e.line, 0);
+            assert!(e.message().contains(needle), "{e}");
+        }
+        // The budget counts N² per topology.
+        let npair = |samples: u64| {
+            format!("name = \"x\"\ntopologies = [\"npair(n=256,placement=line)\"]\nsamples = {samples}\n")
+        };
+        assert!(parse_spec_toml(&npair(76_000)).is_ok());
+        assert!(parse_spec_toml(&npair(77_000)).is_err());
+    }
+
+    /// A 0.9 MB model spec with 60,000 `rmaxes` and 60,000 `ds`.
+    fn wide_axis_spec() -> String {
+        let axis: Vec<String> = (1..=60_000).map(|i| format!("{i}.0")).collect();
+        let axis = axis.join(",");
+        format!("name = \"wide\"\nrmaxes = [{axis}]\nds = [{axis}]\n")
+    }
+
+    #[test]
+    fn builtins_and_documented_specs_stay_within_budget() {
+        for p in [EffortProfile::quick(), EffortProfile::full()] {
+            for name in scenarios::all_names() {
+                let w = scenarios::any_by_name(name, &p).unwrap();
+                assert!(w.cost() * 100 < w.kind().budget(), "{name}: {}", w.cost());
+                let spec = parse_any_spec_toml(&w.to_spec_toml()).expect(name);
+                assert_eq!(spec.scenario_hash(), w.scenario_hash(), "{name}");
+            }
+        }
+        // README's example spec and CI's telemetry smoke spec.
+        for doc in [
+            "name = \"my-grid\"\nrmaxes = [20.0, 55.0]\nds = [30.0, 90.0]\nsigmas = [0.0, 8.0]\ncaps = [\"shannon\", \"eff=0.85,cap=2.7\"]\ntopologies = [\"two-pair\", \"npair(n=4,placement=line)\"]\npolicies = [\"carrier-sense\", \"optimal\"]\nsamples = 20000\nseed = 7\n",
+            "name = \"ci-telemetry-smoke\"\nrmaxes = [40.0]\nds = [25.0, 80.0]\nsigmas = [0.0, 8.0]\ntopologies = [\"two-pair\", \"npair(n=3,placement=line)\"]\nsamples = 800\nseed = 9090\n",
+        ] {
+            let w = parse_any_spec_toml(doc).unwrap();
+            assert!(w.cost() * 100 < w.kind().budget(), "{doc}");
         }
     }
 

@@ -33,7 +33,7 @@ use crate::engine::Engine;
 use crate::index::ResultIndex;
 use crate::report::RunReport;
 use crate::scenario::{fnv1a64, PolicyAxis, Sweep};
-use crate::simsweep::SimSweep;
+use crate::simsweep::{SimSweep, MAX_SIMULATED_SECS};
 
 /// Which family of computation a workload runs. Carried by spec files,
 /// cache entries (via the canonical-string prefix), shard manifests and
@@ -83,6 +83,21 @@ impl WorkloadKind {
         }
     }
 
+    /// The most [`WorkloadSpec::cost`] a spec of this kind read from
+    /// outside input may ask for; a spec file over it is refused where it
+    /// is parsed, as is one that lowers to more than [`MAX_TASKS`] tasks.
+    /// Single-threaded, either budget is roughly ten minutes of work: a
+    /// model cost unit took about 115 ns (`figure4-family --full`, 3.5e7
+    /// units in ≈ 4 s), and one task's simulated second about 13 ms.
+    /// Every built-in scenario at full effort costs under 1 % of its
+    /// budget.
+    pub fn budget(self) -> u64 {
+        match self {
+            WorkloadKind::Model => MAX_MODEL_COST,
+            WorkloadKind::Sim => MAX_SIMULATED_SECS,
+        }
+    }
+
     /// Classify a canonical spec string by its version prefix.
     pub fn of_canonical(spec: &str) -> Option<Self> {
         [WorkloadKind::Model, WorkloadKind::Sim]
@@ -90,6 +105,16 @@ impl WorkloadKind {
             .find(|k| spec.starts_with(k.canonical_prefix()))
     }
 }
+
+/// The model family's [`WorkloadKind::budget`]: tasks × samples × N²
+/// (5e9; the largest built-in, `threshold-robustness --full`, costs
+/// 4.9e7).
+pub const MAX_MODEL_COST: u64 = 5_000_000_000;
+
+/// The most tasks a spec read from outside input may lower to. Lowering
+/// allocates every task before any runs, and each task's rows stay in
+/// the report; the largest built-in lowers to 432.
+pub const MAX_TASKS: u64 = 100_000;
 
 impl std::fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -120,6 +145,13 @@ pub trait WorkloadSpec {
     }
     /// Number of tasks this workload lowers to.
     fn task_count(&self) -> usize;
+    /// The work this spec asks for, from the spec alone (nothing is
+    /// lowered or planned), in the units its hot loop pays. A model
+    /// sweep costs tasks × samples × N² (the N-pair kernel scales with
+    /// N², and two-pair counts as N = 2); a sim sweep costs its
+    /// simulated seconds. A spec read from outside input must stay
+    /// within [`WorkloadKind::budget`]. Saturates instead of wrapping.
+    fn cost(&self) -> u64;
     /// Finish a full (cache-form) report for presentation: project /
     /// annotate it exactly as a direct run would. Must be a pure
     /// function of (self, full) so shard merges emit byte-identical
@@ -419,6 +451,9 @@ impl WorkloadSpec for AnyWorkload {
     }
     fn task_count(&self) -> usize {
         self.spec().task_count()
+    }
+    fn cost(&self) -> u64 {
+        self.spec().cost()
     }
     fn finalize(&self, full: &RunReport) -> RunReport {
         self.spec().finalize(full)

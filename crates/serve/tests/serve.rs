@@ -333,6 +333,18 @@ fn malformed_specs_get_structured_400_bodies() {
     assert_eq!(status, 400, "{body}");
     assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
     assert_eq!(json_u64(&body, "line"), Some(0));
+    // And so are model specs over the work budget: 3.6e9 tasks in a
+    // 0.9 MB body (lowering them used to abort the daemon), and a
+    // one-task grid sampled for weeks.
+    let axis: Vec<String> = (1..=60_000).map(|i| format!("{i}.0")).collect();
+    let axis = axis.join(",");
+    let wide = format!("name = \"wide\"\nrmaxes = [{axis}]\nds = [{axis}]\n");
+    for spec in [wide.as_str(), "name = \"x\"\nsamples = 10000000000000\n"] {
+        let (status, body) = http(server.addr(), "POST", "/v1/jobs", &[], spec);
+        assert_eq!(status, 400, "{body}");
+        assert_eq!(json_str(&body, "code").as_deref(), Some("bad_value"));
+        assert_eq!(json_u64(&body, "line"), Some(0));
+    }
     let (status, _) = http(server.addr(), "GET", "/v1/healthz", &[], "");
     assert_eq!(status, 200);
     let (status, jobs) = http(server.addr(), "GET", "/v1/jobs", &[], "");

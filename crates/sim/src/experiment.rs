@@ -14,19 +14,25 @@
 //! "Optimal" is the max over strategies, exactly as in the paper's
 //! summary tables (§4.1, §4.2).
 //!
-//! Only the carrier-sense runs read the CCA threshold
-//! ([`run_carrier_sense`]); the lone runs, the concurrency runs and the
-//! sender RSSI ([`run_baselines`]) run with CCA disabled. A sweep over
-//! thresholds can therefore run each pair's [`Baselines`] once and
-//! reuse them at every threshold: a reused run is the same run with the
-//! same seed.
+//! Only the carrier-sense runs read the CCA threshold, and within them
+//! only the energy-detect check in `Simulator::medium_busy` does (a
+//! second reader there would have to join the [`CcaCertificate`]). The
+//! lone runs, the concurrency runs and the sender RSSI never read it. A
+//! sweep over thresholds therefore shares one [`ProtocolSlot`] among the
+//! protocols of a pair that differ only in the threshold: each
+//! CCA-independent run is made once, by whichever protocol claims it
+//! first, and a carrier-sense run is reused at every other threshold its
+//! certificate accepts. A reused run is the same run with the same seed,
+//! so every protocol's point is the one it would measure alone.
 
 use crate::mac::{CcaMode, MacConfig};
 use crate::rate::RatePolicy;
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::{CcaCertificate, SimConfig, Simulator};
 use crate::testbed::{testbed_phy, CandidateLink, Testbed};
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use wcs_stats::rng::split_rng;
 
 use rand::seq::SliceRandom;
@@ -150,6 +156,21 @@ enum Strategy {
     CarrierSense,
 }
 
+impl Strategy {
+    /// The CCA-independent strategies, in the order a slot indexes them.
+    const BASELINE: [Strategy; 3] = [Strategy::Lone1, Strategy::Lone2, Strategy::Concurrency];
+
+    /// Offset of this strategy's run seeds from the pair's seed.
+    fn seed_offset(self) -> u64 {
+        match self {
+            Strategy::Lone1 => 0x100,
+            Strategy::Lone2 => 0x200,
+            Strategy::Concurrency => 0x300,
+            Strategy::CarrierSense => 0x400,
+        }
+    }
+}
+
 /// How the protocol picks bitrates for a run — the seam the
 /// `wcs-runtime` sim workload's rate-policy axis lowers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +182,36 @@ pub enum RateStrategy {
     /// One run per MAC strategy under SampleRate adaptation
     /// \[Bicket05\] over the paper's rate subset.
     Adaptive,
+}
+
+impl RateStrategy {
+    /// Runs per MAC strategy: one per candidate rate, or one adaptive
+    /// run.
+    fn runs(self, cfg: &ExperimentConfig) -> usize {
+        match self {
+            RateStrategy::BestFixed => cfg.rates_mbps.len(),
+            RateStrategy::Adaptive => 1,
+        }
+    }
+
+    /// The rate policy of run `ri` of a strategy.
+    fn policy(self, cfg: &ExperimentConfig, ri: usize) -> RatePolicy {
+        match self {
+            RateStrategy::BestFixed => RatePolicy::fixed(cfg.rates_mbps[ri]),
+            RateStrategy::Adaptive => RatePolicy::sample_paper_subset(),
+        }
+    }
+
+    /// One strategy's throughput per sender from its runs in rate
+    /// order: each sender's best over the rates, or the adaptive run.
+    fn best(self, runs: &[(f64, f64)]) -> (f64, f64) {
+        match self {
+            RateStrategy::BestFixed => runs
+                .iter()
+                .fold((0.0f64, 0.0f64), |(b1, b2), &(a, b)| (b1.max(a), b2.max(b))),
+            RateStrategy::Adaptive => runs[0],
+        }
+    }
 }
 
 /// Run the full protocol for one pair of links (the paper's best-fixed
@@ -175,10 +226,10 @@ pub fn run_pair_experiment(
 }
 
 /// Run the full protocol for one pair of links under an explicit
-/// [`RateStrategy`]: [`run_baselines`] completed by
-/// [`run_carrier_sense`]. `RateStrategy::BestFixed` is bit-for-bit the
-/// classic [`run_pair_experiment`] path (same per-run seed derivation,
-/// same fixed-rate policies).
+/// [`RateStrategy`]: [`run_protocol`] over a fresh [`ProtocolSlot`].
+/// `RateStrategy::BestFixed` is bit-for-bit the classic
+/// [`run_pair_experiment`] path (same per-run seed derivation, same
+/// fixed-rate policies).
 pub fn run_pair_experiment_with(
     testbed: &Testbed,
     pairs: PairExperiment,
@@ -186,112 +237,152 @@ pub fn run_pair_experiment_with(
     seed: u64,
     rate_strategy: RateStrategy,
 ) -> ExperimentPoint {
-    let baselines = run_baselines(testbed, pairs, cfg, seed, rate_strategy);
-    baselines.point(
-        pairs,
-        run_carrier_sense(testbed, pairs, cfg, seed, rate_strategy),
-    )
+    let slot = ProtocolSlot::new(cfg, rate_strategy);
+    run_protocol(testbed, pairs, cfg, seed, rate_strategy, &slot)
 }
 
-/// The half of one pair's protocol that never reads
-/// `cfg.cca_threshold_db`: the sender↔sender RSSI, both lone runs and
-/// the concurrency runs. Protocols that differ only in the threshold
-/// can share one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Baselines {
-    /// Sender↔sender RSSI (dB over noise).
-    pub sender_rssi_db: f64,
-    /// Combined multiplexing throughput (pkt/s).
-    pub multiplexing_pps: f64,
-    /// Combined concurrency throughput (pkt/s).
-    pub concurrency_pps: f64,
+/// One carrier-sense run kept for reuse: its certificate and its
+/// per-sender throughputs.
+type CertifiedRun = (CcaCertificate, (f64, f64));
+
+/// The runs of one pair's protocol, shared by protocols that differ
+/// only in `cfg.cca_threshold_db` (same testbed, pair, seed, rates and
+/// [`RateStrategy`]).
+///
+/// The CCA-independent runs — lone 1, lone 2 and concurrency, each at
+/// every rate — are claimed one at a time from a cursor, so a protocol
+/// that arrives while some are in flight runs the unclaimed ones instead
+/// of waiting. Completed carrier-sense runs are kept with their
+/// [`CcaCertificate`]s, and a protocol at another threshold reuses any
+/// run at the same rate whose certificate accepts its threshold. Which
+/// protocol makes a run never changes the run, so every protocol's point
+/// is the one it would measure alone.
+#[derive(Debug)]
+pub struct ProtocolSlot {
+    /// Runs per strategy ([`RateStrategy::runs`]).
+    rates: usize,
+    /// The CCA-independent runs, strategy-major in
+    /// [`Strategy::BASELINE`] order, rate-minor.
+    baseline: Vec<OnceLock<(f64, f64)>>,
+    /// The next baseline run no protocol has claimed.
+    next_baseline: AtomicUsize,
+    /// Completed carrier-sense runs, per rate.
+    carrier_sense: Vec<Mutex<Vec<CertifiedRun>>>,
 }
 
-impl Baselines {
-    /// The protocol point these baselines and a carrier-sense
-    /// throughput make.
-    pub fn point(&self, pairs: PairExperiment, carrier_sense_pps: f64) -> ExperimentPoint {
-        ExperimentPoint {
-            pairs,
-            sender_rssi_db: self.sender_rssi_db,
-            multiplexing_pps: self.multiplexing_pps,
-            concurrency_pps: self.concurrency_pps,
-            carrier_sense_pps,
+impl ProtocolSlot {
+    /// An empty slot for protocols run under `cfg` (any threshold) and
+    /// `rate_strategy`.
+    pub fn new(cfg: &ExperimentConfig, rate_strategy: RateStrategy) -> Self {
+        let rates = rate_strategy.runs(cfg);
+        ProtocolSlot {
+            rates,
+            baseline: (0..Strategy::BASELINE.len() * rates)
+                .map(|_| OnceLock::new())
+                .collect(),
+            next_baseline: AtomicUsize::new(0),
+            carrier_sense: (0..rates).map(|_| Mutex::default()).collect(),
         }
+    }
+
+    /// How many runs the protocols sharing this slot have simulated so
+    /// far.
+    pub fn runs_simulated(&self) -> usize {
+        let baseline = self.baseline.iter().filter(|c| c.get().is_some()).count();
+        let carrier_sense: usize = self.carrier_sense.iter().map(|m| lock(m).len()).sum();
+        baseline + carrier_sense
     }
 }
 
-/// Run the CCA-independent half of the protocol (see [`Baselines`]).
-pub fn run_baselines(
+/// A slot's run lists stay whole across a panicking run (no run holds
+/// the lock while it simulates), so a poisoned lock is still good.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run the full protocol for one pair of links through `slot`, which
+/// must have been made for the same configuration but for the CCA
+/// threshold (see [`ProtocolSlot`]).
+///
+/// The carrier-sense runs go first, reusing any certified run, so their
+/// certificates are published early. Then the protocol helps with
+/// unclaimed CCA-independent runs and waits for the rest. The result
+/// equals the protocol run alone, bit for bit.
+pub fn run_protocol(
     testbed: &Testbed,
     pairs: PairExperiment,
     cfg: &ExperimentConfig,
     seed: u64,
     rate_strategy: RateStrategy,
-) -> Baselines {
-    let best = |strategy, base_seed| {
-        best_over_rates(testbed, pairs, cfg, rate_strategy, strategy, base_seed)
+    slot: &ProtocolSlot,
+) -> ExperimentPoint {
+    let run = |strategy: Strategy, ri: usize| {
+        let run_seed = seed
+            .wrapping_add(strategy.seed_offset())
+            .wrapping_add(ri as u64);
+        let policy = rate_strategy.policy(cfg, ri);
+        run_once(testbed, pairs, cfg, strategy, &policy, run_seed)
     };
-    let (lone1, _) = best(Strategy::Lone1, seed.wrapping_add(0x100));
-    let (_, lone2) = best(Strategy::Lone2, seed.wrapping_add(0x200));
-    let (c1, c2) = best(Strategy::Concurrency, seed.wrapping_add(0x300));
-    Baselines {
+    let carrier_sense: Vec<(f64, f64)> = (0..slot.rates)
+        .map(|ri| {
+            let runs = &slot.carrier_sense[ri];
+            let known = lock(runs)
+                .iter()
+                .find(|(cert, _)| cert.certifies(cfg.cca_threshold_db))
+                .map(|&(_, pps)| pps);
+            known.unwrap_or_else(|| {
+                let (pps, cert) = run(Strategy::CarrierSense, ri);
+                lock(runs).push((cert, pps));
+                pps
+            })
+        })
+        .collect();
+    let baseline = claim_runs(&slot.baseline, &slot.next_baseline, |k| {
+        run(Strategy::BASELINE[k / slot.rates], k % slot.rates).0
+    });
+    let best = |strategy: usize| {
+        rate_strategy.best(&baseline[strategy * slot.rates..(strategy + 1) * slot.rates])
+    };
+    let (lone1, _) = best(0);
+    let (_, lone2) = best(1);
+    let (c1, c2) = best(2);
+    let (s1, s2) = rate_strategy.best(&carrier_sense);
+    ExperimentPoint {
+        pairs,
         sender_rssi_db: testbed.world().rssi_db(pairs.link1.src, pairs.link2.src),
         // Taking turns: each pair gets half the time at its lone rate.
         multiplexing_pps: (lone1 + lone2) / 2.0,
         concurrency_pps: c1 + c2,
+        carrier_sense_pps: s1 + s2,
     }
 }
 
-/// Run the carrier-sense half of the protocol, the only runs that read
-/// `cfg.cca_threshold_db`; returns the combined throughput (pkt/s).
-pub fn run_carrier_sense(
-    testbed: &Testbed,
-    pairs: PairExperiment,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    rate_strategy: RateStrategy,
-) -> f64 {
-    let (s1, s2) = best_over_rates(
-        testbed,
-        pairs,
-        cfg,
-        rate_strategy,
-        Strategy::CarrierSense,
-        seed.wrapping_add(0x400),
-    );
-    s1 + s2
-}
-
-/// One strategy's throughput per sender: sweep rates and keep each
-/// sender's best, or run the adaptive controller once.
-fn best_over_rates(
-    testbed: &Testbed,
-    pairs: PairExperiment,
-    cfg: &ExperimentConfig,
-    rate_strategy: RateStrategy,
-    strategy: Strategy,
-    base_seed: u64,
-) -> (f64, f64) {
-    let run =
-        |policy: &RatePolicy, run_seed| run_once(testbed, pairs, cfg, strategy, policy, run_seed);
-    match rate_strategy {
-        RateStrategy::BestFixed => {
-            let mut best1 = 0.0f64;
-            let mut best2 = 0.0f64;
-            for (ri, &rate) in cfg.rates_mbps.iter().enumerate() {
-                let (a, b) = run(&RatePolicy::fixed(rate), base_seed.wrapping_add(ri as u64));
-                best1 = best1.max(a);
-                best2 = best2.max(b);
-            }
-            (best1, best2)
-        }
-        RateStrategy::Adaptive => run(&RatePolicy::sample_paper_subset(), base_seed),
+/// Make the unclaimed runs of `cells`, claiming one at a time from
+/// `cursor`, then collect every cell. The final pass uses `get_or_init`:
+/// it waits for a run another caller has in flight, and reruns one whose
+/// run panicked (propagating the panic) instead of waiting forever.
+fn claim_runs<T: Copy>(
+    cells: &[OnceLock<T>],
+    cursor: &AtomicUsize,
+    run: impl Fn(usize) -> T,
+) -> Vec<T> {
+    loop {
+        // Relaxed: the cursor only hands out indices; each cell's
+        // `OnceLock` publishes its run.
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(cell) = cells.get(k) else {
+            break;
+        };
+        cell.get_or_init(|| run(k));
     }
+    (cells.iter().enumerate())
+        .map(|(k, cell)| *cell.get_or_init(|| run(k)))
+        .collect()
 }
 
 /// One run: per-sender delivered pkt/s under the given rate policy
-/// (each flow gets its own controller instance).
+/// (each flow gets its own controller instance), and the run's CCA
+/// certificate.
 fn run_once(
     testbed: &Testbed,
     pairs: PairExperiment,
@@ -299,7 +390,7 @@ fn run_once(
     strategy: Strategy,
     policy: &RatePolicy,
     run_seed: u64,
-) -> (f64, f64) {
+) -> ((f64, f64), CcaCertificate) {
     let mac = match strategy {
         Strategy::CarrierSense => MacConfig {
             cca_mode: CcaMode::EnergyDetect,
@@ -329,7 +420,7 @@ fn run_once(
     sim.run_for(cfg.run_duration);
     let pps =
         |f: Option<usize>| f.map_or(0.0, |i| sim.flow_stats(i).throughput_pps(cfg.run_duration));
-    (pps(f1), pps(f2))
+    ((pps(f1), pps(f2)), sim.cca_certificate())
 }
 
 /// One planned-but-not-yet-run protocol task: the link pair to measure
@@ -650,6 +741,91 @@ mod tests {
         let through_seam =
             run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, RateStrategy::BestFixed);
         assert_eq!(classic, through_seam);
+    }
+
+    #[test]
+    fn shared_slot_reproduces_every_threshold_alone() {
+        let t = Testbed::generate(TestbedConfig::default());
+        let links = t.candidate_links(0.94, 1.0);
+        let base = ExperimentConfig {
+            run_duration: Duration::from_secs(1),
+            rates_mbps: vec![6.0, 12.0, 24.0],
+            ..Default::default()
+        };
+        let at = |db: f64| ExperimentConfig {
+            cca_threshold_db: db,
+            ..base.clone()
+        };
+        let grid: Vec<f64> = (0..=20).map(|i| 1.5 * i as f64).collect();
+        let forward: Vec<usize> = (0..grid.len()).collect();
+        let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut shuffled = forward.clone();
+        shuffled.shuffle(&mut split_rng(5, 0));
+        let (mut simulated, mut unshared, mut refused) = (0, 0, 0);
+        for strategy in [RateStrategy::BestFixed, RateStrategy::Adaptive] {
+            for p in plan_ensemble(&links, 4, &base) {
+                let alone: Vec<ExperimentPoint> = (grid.iter())
+                    .map(|&db| run_pair_experiment_with(&t, p.pairs, &at(db), p.seed, strategy))
+                    .collect();
+                for order in [&forward, &reverse, &shuffled] {
+                    let slot = ProtocolSlot::new(&base, strategy);
+                    for &i in order {
+                        let shared =
+                            run_protocol(&t, p.pairs, &at(grid[i]), p.seed, strategy, &slot);
+                        assert_eq!(
+                            shared, alone[i],
+                            "{strategy:?} {:?} at {} dB",
+                            p.pairs, grid[i]
+                        );
+                    }
+                    simulated += slot.runs_simulated();
+                    unshared += (3 + grid.len()) * strategy.runs(&base);
+                    // Every kept run certifies its own threshold, and on
+                    // this grid some run refuses some threshold.
+                    for runs in &slot.carrier_sense {
+                        for (cert, _) in lock(runs).iter() {
+                            let certified = grid.iter().filter(|&&db| cert.certifies(db)).count();
+                            assert!(certified > 0);
+                            refused += grid.len() - certified;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(simulated < unshared / 2, "{simulated} of {unshared} runs");
+        assert!(refused > 0);
+    }
+
+    #[test]
+    fn a_panicked_claim_is_rerun_not_waited_for() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, Barrier};
+        let cells: Vec<OnceLock<usize>> = (0..4).map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let failed_once = AtomicBool::new(false);
+        let (claimed, started) = mpsc::channel();
+        let last_claimed = Barrier::new(2);
+        let run = |k: usize| {
+            if k == 0 && !failed_once.swap(true, Ordering::SeqCst) {
+                claimed.send(()).unwrap();
+                last_claimed.wait();
+                panic!("run 0 failed");
+            }
+            if k == 3 {
+                last_claimed.wait();
+            }
+            10 * k
+        };
+        std::thread::scope(|s| {
+            // The first caller claims run 0 and fails it only once the
+            // second has claimed every other run, so the second can get
+            // run 0 only from its final pass: by rerunning it.
+            let first = s.spawn(|| claim_runs(&cells, &cursor, run));
+            started.recv().unwrap();
+            let second = s.spawn(|| claim_runs(&cells, &cursor, run));
+            assert!(first.join().is_err());
+            assert_eq!(second.join().unwrap(), vec![0, 10, 20, 30]);
+        });
     }
 
     #[test]

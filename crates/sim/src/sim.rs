@@ -23,6 +23,15 @@
 //!   id-keyed vectors, so a steady-state event allocates nothing. None
 //!   of this changes an output bit: the arithmetic and its order are the
 //!   same as computing everything afresh per frame.
+//! * **One reader of the CCA threshold.** The energy-detect comparison
+//!   in `Simulator::medium_busy` is the only place a run reads
+//!   `MacConfig::cca_threshold_db` (through the per-node powers that
+//!   `refresh_cca_power` derives from it). Each such check records the
+//!   ambient power it compared, and [`Simulator::cca_certificate`] hands
+//!   out the resulting bounds: a run at any threshold the certificate
+//!   accepts makes every decision, draw and count the same, so it is
+//!   the same run. A second reader of the threshold would have to be
+//!   recorded in the certificate too.
 
 use crate::event::{Event, EventQueue};
 #[cfg(test)]
@@ -167,6 +176,76 @@ struct PendingCtrl {
     airtime: Duration,
 }
 
+/// A node's energy-detect threshold as a linear power: the MAC's
+/// threshold plus the node's offset, above the noise floor. Both the
+/// simulator and [`CcaCertificate::certifies`] compute it here, so they
+/// agree to the bit.
+fn cca_power(noise: f64, threshold_db: f64, offset_db: f64) -> f64 {
+    noise * 10f64.powf((threshold_db + offset_db) / 10.0)
+}
+
+/// One node's energy-detect state.
+#[derive(Debug, Clone, Copy)]
+struct CcaNode {
+    /// The threshold as a linear power ([`cca_power`]).
+    power: f64,
+    /// The largest ambient power a check found idle.
+    idle_max: f64,
+    /// The smallest ambient power a check found busy.
+    busy_min: f64,
+}
+
+impl CcaNode {
+    const UNCHECKED: CcaNode = CcaNode {
+        power: 0.0,
+        idle_max: f64::NEG_INFINITY,
+        busy_min: f64::INFINITY,
+    };
+}
+
+/// What one node's energy-detect checks compared against its threshold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CheckedNode {
+    offset_db: f64,
+    idle_max: f64,
+    busy_min: f64,
+}
+
+/// The CCA thresholds at which a run makes the same decisions.
+///
+/// A run reads its threshold only in its energy-detect checks, each of
+/// which compares a node's ambient power `a` against that node's
+/// threshold power `p`: busy when `a > p`. The certificate keeps, per
+/// checked node, the largest `a` found idle and the smallest found busy.
+/// At another threshold whose power `p'` lies in `idle_max ≤ p' <
+/// busy_min` on every checked node, the first check decides the same,
+/// so the run's next state is the same, and by induction over the event
+/// sequence so is every later check, draw and count: it is the same
+/// run. The run's own threshold is always certified.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CcaCertificate {
+    threshold_db: f64,
+    noise: f64,
+    checked: Vec<CheckedNode>,
+    /// An offset moved mid-run: only the run's own threshold is
+    /// certified.
+    exact: bool,
+}
+
+impl CcaCertificate {
+    /// Whether a run identical but for `MacConfig::cca_threshold_db =
+    /// threshold_db` is the run this certificate was taken from.
+    pub fn certifies(&self, threshold_db: f64) -> bool {
+        if self.exact {
+            return threshold_db == self.threshold_db;
+        }
+        self.checked.iter().all(|c| {
+            let p = cca_power(self.noise, threshold_db, c.offset_db);
+            c.idle_max <= p && p < c.busy_min
+        })
+    }
+}
+
 /// The simulator.
 pub struct Simulator {
     world: World,
@@ -180,9 +259,11 @@ pub struct Simulator {
     /// Flow sources in ascending node order: the only MACs that ever
     /// contend, so the only ones a medium change can replan.
     senders: Vec<NodeId>,
-    /// Per-node energy-detect threshold as a linear power: the MAC's
-    /// threshold plus the node's CCA offset, above the noise floor.
-    cca_power: Vec<f64>,
+    /// Per-node energy-detect state (see [`CcaNode`]).
+    cca: Vec<CcaNode>,
+    /// A CCA offset moved after the run started, so the run's decisions
+    /// were not all made against one set of node thresholds.
+    cca_offset_moved: bool,
     next_tx_id: u64,
     /// SIFS-scheduled frames waiting for their `ControlTxStart`, keyed
     /// by control id (only a few are ever pending, so lookups scan).
@@ -224,7 +305,8 @@ impl Simulator {
             flows: Vec::new(),
             flow_of: vec![None; n],
             senders: Vec::new(),
-            cca_power: vec![0.0; n],
+            cca: vec![CcaNode::UNCHECKED; n],
+            cca_offset_moved: false,
             next_tx_id: 0,
             pending_ctrl: Vec::new(),
             next_ctrl_id: 0,
@@ -271,7 +353,10 @@ impl Simulator {
     }
 
     /// Inject a per-node CCA threshold offset (threshold asymmetry, §5).
+    /// Called after the run has started, it leaves the run's
+    /// [`CcaCertificate`] accepting only the run's own threshold.
     pub fn set_cca_offset_db(&mut self, node: NodeId, db: f64) {
+        self.cca_offset_moved |= self.started;
         self.macs[node.0 as usize].cca_offset_db = db;
         self.refresh_cca_power(node);
     }
@@ -279,8 +364,33 @@ impl Simulator {
     /// Recompute `node`'s energy-detect threshold from its MAC state.
     fn refresh_cca_power(&mut self, node: NodeId) {
         let i = node.0 as usize;
-        let thresh_db = self.cfg.mac.cca_threshold_db + self.macs[i].cca_offset_db;
-        self.cca_power[i] = self.world.config().noise * 10f64.powf(thresh_db / 10.0);
+        self.cca[i].power = cca_power(
+            self.world.config().noise,
+            self.cfg.mac.cca_threshold_db,
+            self.macs[i].cca_offset_db,
+        );
+    }
+
+    /// The CCA thresholds at which this run, so far, would have made
+    /// every energy-detect decision it made (see [`CcaCertificate`]).
+    pub fn cca_certificate(&self) -> CcaCertificate {
+        let checked = self
+            .cca
+            .iter()
+            .zip(&self.macs)
+            .filter(|(c, _)| c.idle_max > f64::NEG_INFINITY || c.busy_min < f64::INFINITY)
+            .map(|(c, mac)| CheckedNode {
+                offset_db: mac.cca_offset_db,
+                idle_max: c.idle_max,
+                busy_min: c.busy_min,
+            })
+            .collect();
+        CcaCertificate {
+            threshold_db: self.cfg.mac.cca_threshold_db,
+            noise: self.world.config().noise,
+            checked,
+            exact: self.cca_offset_moved,
+        }
     }
 
     /// Statistics of flow `idx`.
@@ -368,15 +478,27 @@ impl Simulator {
         }
     }
 
-    /// Is the medium busy from `node`'s point of view?
-    fn medium_busy(&self, node: NodeId) -> bool {
-        let mac = &self.macs[node.0 as usize];
-        if self.now < mac.nav_until {
+    /// Is the medium busy from `node`'s point of view? The
+    /// energy-detect arm is the run's only reader of the CCA threshold,
+    /// and it records what it compared for the [`CcaCertificate`].
+    fn medium_busy(&mut self, node: NodeId) -> bool {
+        let i = node.0 as usize;
+        if self.now < self.macs[i].nav_until {
             return true;
         }
         match self.cfg.mac.cca_mode {
             CcaMode::Disabled => false,
-            CcaMode::EnergyDetect => self.medium.ambient(node) > self.cca_power[node.0 as usize],
+            CcaMode::EnergyDetect => {
+                let ambient = self.medium.ambient(node);
+                let c = &mut self.cca[i];
+                let busy = ambient > c.power;
+                if busy {
+                    c.busy_min = c.busy_min.min(ambient);
+                } else {
+                    c.idle_max = c.idle_max.max(ambient);
+                }
+                busy
+            }
             CcaMode::PreambleDetect => self.medium.is_receiving(node),
         }
     }
@@ -1065,6 +1187,91 @@ mod tests {
         let airtime = s.airtime_us(NodeId(0));
         assert_eq!(airtime, frames * per_frame);
         assert_eq!(s.airtime_us(NodeId(1)), 0, "receiver never transmits");
+    }
+
+    /// Two pairs whose senders are `d` apart, run for 2 s at
+    /// `threshold_db`: the per-flow stats and the run's certificate.
+    fn certified_run(d: f64, threshold_db: f64) -> (FlowStats, FlowStats, CcaCertificate) {
+        let mac = MacConfig {
+            cca_threshold_db: threshold_db,
+            ..MacConfig::paper_cs()
+        };
+        let mut s = sim(two_pair_world(d, 10.0), mac, 9);
+        s.add_flow(NodeId(0), NodeId(1), RatePolicy::fixed(12.0));
+        s.add_flow(NodeId(2), NodeId(3), RatePolicy::fixed(12.0));
+        s.run_for(Duration::from_secs(2));
+        let (a, b) = (s.flow_stats(0).clone(), s.flow_stats(1).clone());
+        (a, b, s.cca_certificate())
+    }
+
+    #[test]
+    fn cca_certificate_is_the_interval_of_identical_runs() {
+        let noise = two_pair_world(40.0, 10.0).config().noise;
+        let db = |p: f64| 10.0 * (p / noise).log10();
+        // Senders 40 apart sense each other at ≈ 17 dB: a 13 dB check
+        // finds the other's frame busy and a silent medium (ambient 0)
+        // idle. Senders 300 apart sense each other at ≈ −9 dB: idle.
+        let mut ends = 0;
+        for d in [40.0, 300.0] {
+            let (a, b, cert) = certified_run(d, 13.0);
+            assert!(cert.certifies(13.0) && !cert.exact);
+            assert_eq!(cert.checked.len(), 2, "both senders check");
+            for c in &cert.checked {
+                assert_eq!(c.offset_db, 0.0);
+                // Just past either end of a node's recorded interval the
+                // threshold is refused; just inside, it is accepted and
+                // the run is the same run.
+                for (end, inward) in [(c.idle_max, 1.0), (c.busy_min, -1.0)] {
+                    if !(end > 0.0 && end.is_finite()) {
+                        continue;
+                    }
+                    ends += 1;
+                    assert!(!cert.certifies(db(end) - inward * 1e-6), "{d}: {c:?}");
+                    let inside = db(end) + inward * 1e-6;
+                    assert!(cert.certifies(inside), "{d}: {c:?}");
+                    let (a2, b2, _) = certified_run(d, inside);
+                    assert_eq!((&a, &b), (&a2, &b2), "{d}: {inside} dB");
+                }
+            }
+        }
+        assert_eq!(ends, 4, "each geometry bounds each sender once");
+        // Any threshold below the sensed 17 dB is the same 40-apart run;
+        // one above it is not, and neither are its decisions.
+        let (a, _, cert) = certified_run(40.0, 13.0);
+        assert!(cert.certifies(0.0) && !cert.certifies(30.0));
+        assert_eq!(certified_run(40.0, 0.0).0, a);
+        assert_ne!(certified_run(40.0, 30.0).0, a);
+    }
+
+    #[test]
+    fn cca_offset_moved_mid_run_certifies_only_the_runs_own_threshold() {
+        let run = |offset_before: bool| {
+            let mut s = sim(two_pair_world(300.0, 20.0), MacConfig::paper_cs(), 4);
+            s.add_flow(NodeId(0), NodeId(1), RatePolicy::fixed(18.0));
+            s.add_flow(NodeId(2), NodeId(3), RatePolicy::fixed(18.0));
+            if offset_before {
+                s.set_cca_offset_db(NodeId(0), 3.0);
+            }
+            s.run_for(Duration::from_secs(1));
+            let first = s.cca_certificate();
+            s.set_cca_offset_db(NodeId(2), 3.0);
+            s.run_for(Duration::from_secs(1));
+            (first, s.cca_certificate())
+        };
+        // Far senders never find the medium busy: every threshold high
+        // enough to call the noise idle is the same run.
+        let (first, moved) = run(false);
+        assert!(first.certifies(13.0) && first.certifies(14.5) && first.certifies(25.0));
+        // After the offset moved, only the run's own threshold is.
+        assert!(moved.exact);
+        assert!(moved.certifies(13.0));
+        for other in [12.0, 13.0 + 1e-9, 14.5, 25.0] {
+            assert!(!moved.certifies(other), "{other} dB");
+        }
+        // An offset set before the run starts is part of the run's
+        // configuration, not a move.
+        let (first, _) = run(true);
+        assert!(!first.exact && first.certifies(14.5));
     }
 
     #[test]

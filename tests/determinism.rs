@@ -44,6 +44,42 @@ fn harness_text_is_stable() {
 }
 
 #[test]
+fn model_paper_outputs_reproduce_their_pinned_bytes() {
+    // The 15 model-side outputs of `repro <name>` at quick effort, as
+    // printed: a banner line, the report, a blank line. Hashed with the
+    // cache-key hash `fnv1a64`; their sha256 prefixes are listed in
+    // ROADMAP item 1. The §4 simulator reports are pinned by sha256 in
+    // CI.
+    use in_defense_of_carrier_sense::runtime::scenario::fnv1a64;
+    let pinned: [(&str, u64); 15] = [
+        ("table1", 0xfb479f1447ab44b1),
+        ("table2", 0xd83dad70fcab4d9c),
+        ("sweep-alpha-sigma", 0x11a43c73b83b766c),
+        ("fig2", 0xdfe4657afd242f5d),
+        ("fig3", 0x71dd231f84155ed6),
+        ("fig4-5", 0xbc99314118a790fe),
+        ("fig6", 0x97e5a4ffd15d425b),
+        ("fig7", 0x9d0e5d843689659d),
+        ("fig9", 0xc33222a106f4cb06),
+        ("slope-bound", 0x486daeee6e810883),
+        ("shadow-example", 0x9732265733f49f21),
+        ("fig14", 0xa7c1769808fd7527),
+        ("fairness", 0xb86b7c1c1f9d68fd),
+        ("fig8-barrier", 0x56473057e5ea5142),
+        ("fixed-bitrate", 0xe33153635aee27c7),
+    ];
+    let got: Vec<(&str, u64)> = pinned
+        .iter()
+        .map(|&(name, _)| {
+            let report = wcs_bench::run_experiment(name, Effort::Quick).unwrap();
+            let stdout = format!("==================== {name} ====================\n{report}\n");
+            (name, fnv1a64(stdout.as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, pinned, "paper output bytes changed (name, fnv1a64)");
+}
+
+#[test]
 fn testbed_experiment_is_stable() {
     use wcs_bench::TestbedCategory;
     let a = wcs_bench::testbed_report(TestbedCategory::ShortRange, Effort::Quick);
