@@ -434,10 +434,15 @@ impl ShardArgs {
         }
     }
 
-    /// The shard count `what` was given with `-k`.
+    /// The shard count `what` was given with `-k`; one no plan can
+    /// have (see [`wcs_shard::ShardPlan::new`]) is a usage error.
     fn require_k(&self, what: &str) -> usize {
         match self.k {
-            Some(k) if k >= 1 => k,
+            Some(k) if k >= 1 => {
+                wcs_shard::ShardPlan::new(0, k, self.strategy)
+                    .unwrap_or_else(|e| usage_exit(&e.to_string()));
+                k
+            }
             _ => usage_exit(&format!("{what} needs -k K (K >= 1)")),
         }
     }
@@ -921,8 +926,8 @@ fn run_history_cmd(mut args: Vec<String>) -> ! {
                     println!("{name}\t<unreadable>");
                     continue;
                 };
-                match manifest_line(name, &text, now_ms) {
-                    Ok(line) => println!("{line}"),
+                match wcs_runtime::history::RunManifest::parse(&text) {
+                    Ok(m) => println!("{}", manifest_line(name, &m, now_ms)),
                     Err(e) => println!("{name}\t<bad manifest: {e}>"),
                 }
             }
@@ -952,24 +957,19 @@ fn run_history_cmd(mut args: Vec<String>) -> ! {
     finish(0);
 }
 
-/// One `history ls` row from a manifest's JSON.
-fn manifest_line(blob_name: &str, text: &str, now_ms: u64) -> Result<String, String> {
-    use wcs_telemetry::json::{self, Json};
-    let m = json::parse(text)?;
-    let scenario = m.field("name", Json::as_str)?;
-    let kind = m.field("kind", Json::as_str)?;
-    let status = m.field("status", Json::as_str)?;
-    let tasks_run = m.field("tasks_run", Json::as_u64)?;
-    let task_count = m.field("task_count", Json::as_u64)?;
-    let cache_hit = m.get("cache_hit") == Some(&Json::Bool(true));
-    let wall_ns = m.field("wall_ns", Json::as_u64)?;
-    let created_ms = m.field("created_unix_ms", Json::as_u64)?;
-    let age = human_age(Some(now_ms.saturating_sub(created_ms) / 1000));
-    Ok(format!(
-        "{blob_name}\t{scenario}\t{kind}\ttasks {tasks_run}/{task_count}\tcache {}\t{status}\t{}\t{age} ago",
-        if cache_hit { "hit" } else { "miss" },
-        wcs_telemetry::summary::format_ns(wall_ns),
-    ))
+/// One `history ls` row.
+fn manifest_line(blob_name: &str, m: &wcs_runtime::history::RunManifest, now_ms: u64) -> String {
+    let age = human_age(Some(now_ms.saturating_sub(m.created_unix_ms) / 1000));
+    format!(
+        "{blob_name}\t{}\t{}\ttasks {}/{}\tcache {}\t{}\t{}\t{age} ago",
+        m.name,
+        m.kind,
+        m.tasks_run,
+        m.task_count,
+        if m.cache_hit { "hit" } else { "miss" },
+        m.status,
+        wcs_telemetry::summary::format_ns(m.wall_ns),
+    )
 }
 
 /// `repro serve`: run the sweep-as-a-service HTTP daemon over the
@@ -1114,7 +1114,10 @@ fn run_trace_cmd(mut args: Vec<String>) -> ! {
             };
             let lenient =
                 wcs_telemetry::jsonl::read_runlog_lenient(&path).unwrap_or_else(|e| fail(e));
-            print!("{}", runlog_to_prometheus(&lenient.log));
+            print!(
+                "{}",
+                wcs_telemetry::metrics::runlog_prometheus(&lenient.log)
+            );
         }
         "diff" => {
             let mut fail_pct: Option<f64> = None;
@@ -1154,107 +1157,16 @@ fn run_trace_cmd(mut args: Vec<String>) -> ! {
     finish(0);
 }
 
-/// Rebuild the metric surfaces a recorded run *would* have exposed live
-/// and render them in Prometheus text format: counters from `Counter`
-/// event deltas, histograms by replaying the `dur_ns` of the events that
-/// feed the live registry. (Cache-latency histograms have no runlog twin
-/// and render empty; gauges are point-in-time and render at zero.)
-fn runlog_to_prometheus(log: &wcs_telemetry::jsonl::RunLog) -> String {
-    use wcs_telemetry::metrics::{self, HistId, Histogram};
-    use wcs_telemetry::EventKind;
-    let mut counters: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let hists: Vec<(HistId, Histogram)> = HistId::ALL
-        .iter()
-        .map(|id| (*id, Histogram::new()))
-        .collect();
-    let dur = |ev: &wcs_telemetry::Event| {
-        ev.fields
-            .iter()
-            .find(|(k, _)| k == "dur_ns")
-            .and_then(|(_, v)| v.as_u64())
-    };
-    for ev in &log.events {
-        match ev.kind {
-            EventKind::Counter => {
-                let delta = ev
-                    .fields
-                    .iter()
-                    .find(|(k, _)| k == "delta")
-                    .and_then(|(_, v)| v.as_u64())
-                    .unwrap_or(0);
-                *counters.entry(ev.name.clone()).or_insert(0) += delta;
-            }
-            EventKind::Value | EventKind::SpanExit => {
-                // The runlog twin of each live histogram seam.
-                let id = match ev.name.as_str() {
-                    "engine.block" => Some(HistId::EngineBlock),
-                    "serve.job" => Some(HistId::ServeJob),
-                    "dispatch.shard" => Some(HistId::DispatchShard),
-                    _ => None,
-                };
-                if let (Some(id), Some(ns)) = (id, dur(ev)) {
-                    hists
-                        .iter()
-                        .find(|(h, _)| *h == id)
-                        .expect("HistId::ALL covers every id")
-                        .1
-                        .record(ns);
-                }
-            }
-            _ => {}
-        }
-    }
-    let counters: Vec<(String, u64)> = counters.into_iter().collect();
-    let gauges: Vec<(&str, i64)> = Vec::new();
-    let snaps: Vec<metrics::HistogramSnapshot> =
-        hists.iter().map(|(id, h)| h.snapshot(id.name())).collect();
-    metrics::render_prometheus(&counters, &gauges, &snaps)
-}
-
-/// Per-phase durations of one diffable input: a run manifest (`wall`
-/// plus per-histogram sums; one line as written, or re-indented) or a
-/// `wcs-runlog-v1` file (span-exit and timed-event totals by name).
+/// Per-phase durations of one diffable input: a run manifest, or else a
+/// `wcs-runlog-v1` file.
 fn load_phases(path: &Path) -> Vec<(String, u64)> {
-    use wcs_telemetry::json::{self, Json};
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(format!("reading {}: {e}", path.display())));
-    // A run log is one document per line, so only a manifest parses whole.
-    let manifest = json::parse(&text).ok().filter(|doc| {
-        doc.get("schema").and_then(Json::as_str) == Some(wcs_runtime::history::MANIFEST_SCHEMA)
-    });
-    if let Some(m) = manifest {
-        let mut phases = Vec::new();
-        if let Some(wall) = m.get("wall_ns").and_then(Json::as_u64) {
-            phases.push(("wall".to_string(), wall));
-        }
-        let hists = m.get("histograms").and_then(Json::as_object);
-        for (name, snap) in hists.unwrap_or_default() {
-            if let Some(sum) = snap.get("sum_ns").and_then(Json::as_u64) {
-                phases.push((name.clone(), sum));
-            }
-        }
-        return phases;
+    if let Ok(manifest) = wcs_runtime::history::RunManifest::parse(&text) {
+        return manifest.phases();
     }
     let lenient = wcs_telemetry::jsonl::read_runlog_lenient(path).unwrap_or_else(|e| fail(e));
-    let mut totals: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    for ev in &lenient.log.events {
-        let timed = matches!(
-            ev.kind,
-            wcs_telemetry::EventKind::SpanExit | wcs_telemetry::EventKind::Value
-        );
-        if !timed {
-            continue;
-        }
-        if let Some(ns) = ev
-            .fields
-            .iter()
-            .find(|(k, _)| k == "dur_ns")
-            .and_then(|(_, v)| v.as_u64())
-        {
-            *totals.entry(ev.name.clone()).or_insert(0) += ns;
-        }
-    }
-    totals.into_iter().collect()
+    wcs_telemetry::metrics::phase_totals(&lenient.log)
 }
 
 /// Compare two runs phase by phase. Prints the delta table; returns

@@ -4,7 +4,8 @@
 
 use crate::{render_series, Effort};
 use wcs_sim::experiment::{
-    exposed_vs_rate, plan_ensemble, run_planned, summarize, ExperimentConfig, ExperimentPoint,
+    exposed_vs_rate, plan_ensemble, run_pair_experiment_with, summarize, ExperimentConfig,
+    ExperimentPoint, RateStrategy,
 };
 use wcs_sim::pathology::{
     chain_collision_scenario, rate_anomaly_scenario, slot_collision_scenario,
@@ -55,8 +56,9 @@ pub fn testbed_report(category: TestbedCategory, effort: Effort) -> String {
     // per-task seeds come from the plan, so this matches the serial
     // `run_ensemble` point for point.
     let planned = plan_ensemble(&links, effort.ensemble_points(), &cfg);
-    let points: Vec<ExperimentPoint> =
-        crate::engine().map(&planned, |p| run_planned(&bed, p, &cfg));
+    let points: Vec<ExperimentPoint> = crate::engine().map(&planned, |p| {
+        run_pair_experiment_with(&bed, p.pairs, &cfg, p.seed, RateStrategy::BestFixed)
+    });
     let summary = summarize(&points);
     let rows: Vec<Vec<f64>> = points
         .iter()

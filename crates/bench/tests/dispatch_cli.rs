@@ -212,8 +212,13 @@ fn dispatch_usage_errors_exit_2() {
     let spec = write_tiny_spec(&dir);
     let bad_hosts = dir.join("bad-hosts.txt");
     std::fs::write(&bad_hosts, "local\nbogus host\n").unwrap();
+    // More slots than any plan has shards: refused, not reserved.
+    let huge_hosts = dir.join("huge-hosts.txt");
+    std::fs::write(&huge_hosts, "local slots=1000000000\n").unwrap();
     let spec_s = spec.display().to_string();
     let hosts_s = bad_hosts.display().to_string();
+    let huge_hosts_s = huge_hosts.display().to_string();
+    let plan_s = dir.join("plan").display().to_string();
     let cases: Vec<Vec<&str>> = vec![
         vec!["dispatch"],
         vec!["dispatch", "frobnicate"],
@@ -231,6 +236,33 @@ fn dispatch_usage_errors_exit_2() {
         ],
         vec![
             "dispatch", "run", "--spec", &spec_s, "-k", "2", "--hosts", &hosts_s,
+        ],
+        vec![
+            "dispatch",
+            "run",
+            "--spec",
+            &spec_s,
+            "-k",
+            "2",
+            "--hosts",
+            &huge_hosts_s,
+        ],
+        // A k no plan can have: refused before one manifest is written.
+        vec!["dispatch", "run", "--spec", &spec_s, "-k", "1000000000"],
+        // A spawn-fail count is one count, not one plan entry per
+        // attempt: shard 0 exhausts its retries (exit 2), no abort.
+        vec![
+            "dispatch",
+            "run",
+            "--spec",
+            &spec_s,
+            "-k",
+            "2",
+            "--no-cache",
+            "--dir",
+            &plan_s,
+            "--fault",
+            "spawn-fail:0x1000000000000000",
         ],
         // `shard worker` flags, and a period `shard worker` would read as
         // "default", are not `dispatch run` flags.

@@ -13,7 +13,7 @@
 use crate::heartbeat::read_beat;
 use crate::hosts::Host;
 use crate::transport::{SpawnRequest, Transport, WorkerHandle, WorkerStatus};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -28,8 +28,12 @@ pub enum Fault {
         /// Heartbeat sequence number that triggers the kill.
         beats: u64,
     },
-    /// Fail the spawn itself with an injected I/O error.
-    FailSpawn,
+    /// Fail the spawn itself with an injected I/O error, on this attempt
+    /// and the `times - 1` attempts after it.
+    FailSpawn {
+        /// How many consecutive attempts fail to spawn.
+        times: usize,
+    },
     /// Launch the worker with its heartbeat disabled, so the dispatcher
     /// sees eternal silence and declares it dead on the timeout.
     MuteHeartbeat,
@@ -39,7 +43,7 @@ pub enum Fault {
 /// fault plan and passes everything else through.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
-    plan: HashMap<(usize, usize), Fault>,
+    plan: BTreeMap<(usize, usize), Fault>,
 }
 
 impl FaultyTransport {
@@ -47,8 +51,20 @@ impl FaultyTransport {
     pub fn new(inner: Box<dyn Transport>) -> FaultyTransport {
         FaultyTransport {
             inner,
-            plan: HashMap::new(),
+            plan: BTreeMap::new(),
         }
+    }
+
+    /// The fault that fires on `shard`'s `attempt`: the latest one keyed
+    /// at or before it, if it still reaches that far (a spawn failure
+    /// spans `times` attempts, every other fault one).
+    fn fault(&self, shard: usize, attempt: usize) -> Option<&Fault> {
+        let (&(_, at), fault) = self.plan.range((shard, 0)..=(shard, attempt)).next_back()?;
+        let reach = match fault {
+            Fault::FailSpawn { times } => *times,
+            _ => 1,
+        };
+        (attempt - at < reach).then_some(fault)
     }
 
     /// Inject `fault` on `shard`'s `attempt` (1-based).
@@ -57,25 +73,21 @@ impl FaultyTransport {
         self
     }
 
-    /// Add every fault a `--fault` spec string describes.
+    /// Add the fault a `--fault` spec string describes.
     pub fn add_spec(&mut self, spec: &str) -> Result<(), String> {
-        for (key, fault) in parse_spec(spec)? {
-            self.plan.insert(key, fault);
-        }
+        let (key, fault) = parse_spec(spec)?;
+        self.plan.insert(key, fault);
         Ok(())
     }
 }
 
-/// A `(shard, attempt)` key paired with the fault injected there.
-pub type FaultEntry = ((usize, usize), Fault);
-
-/// Parse one CLI fault spec into `(shard, attempt) → fault` entries:
+/// Parse one CLI fault spec into its `(shard, attempt) → fault` entry:
 ///
 /// * `kill:SHARD@BEATS` — kill SHARD's first attempt at heartbeat BEATS
 /// * `spawn-fail:SHARD` — fail SHARD's first spawn
 ///   (`spawn-fail:SHARDxN` fails its first N spawn attempts)
 /// * `mute:SHARD` — mute SHARD's first attempt's heartbeat
-pub fn parse_spec(spec: &str) -> Result<Vec<FaultEntry>, String> {
+pub fn parse_spec(spec: &str) -> Result<((usize, usize), Fault), String> {
     let bad = || {
         format!("bad fault spec '{spec}' (kill:SHARD@BEATS | spawn-fail:SHARD[xN] | mute:SHARD)")
     };
@@ -85,7 +97,7 @@ pub fn parse_spec(spec: &str) -> Result<Vec<FaultEntry>, String> {
             let (shard, beats) = rest.split_once('@').ok_or_else(bad)?;
             let shard: usize = shard.parse().map_err(|_| bad())?;
             let beats: u64 = beats.parse().map_err(|_| bad())?;
-            Ok(vec![((shard, 1), Fault::KillAfterBeats { beats })])
+            Ok(((shard, 1), Fault::KillAfterBeats { beats }))
         }
         "spawn-fail" => {
             let (shard, times) = match rest.split_once('x') {
@@ -96,13 +108,11 @@ pub fn parse_spec(spec: &str) -> Result<Vec<FaultEntry>, String> {
             if times == 0 {
                 return Err(bad());
             }
-            Ok((1..=times)
-                .map(|attempt| ((shard, attempt), Fault::FailSpawn))
-                .collect())
+            Ok(((shard, 1), Fault::FailSpawn { times }))
         }
         "mute" => {
             let shard: usize = rest.parse().map_err(|_| bad())?;
-            Ok(vec![((shard, 1), Fault::MuteHeartbeat)])
+            Ok(((shard, 1), Fault::MuteHeartbeat))
         }
         _ => Err(bad()),
     }
@@ -114,9 +124,9 @@ impl Transport for FaultyTransport {
     }
 
     fn spawn(&self, host: &Host, req: &SpawnRequest) -> io::Result<Box<dyn WorkerHandle>> {
-        match self.plan.get(&(req.shard, req.attempt)) {
+        match self.fault(req.shard, req.attempt) {
             None => self.inner.spawn(host, req),
-            Some(Fault::FailSpawn) => Err(io::Error::other(format!(
+            Some(Fault::FailSpawn { .. }) => Err(io::Error::other(format!(
                 "injected spawn failure (shard {}, attempt {})",
                 req.shard, req.attempt
             ))),
@@ -201,24 +211,44 @@ mod tests {
     fn parses_the_documented_specs() {
         assert_eq!(
             parse_spec("kill:1@2").unwrap(),
-            vec![((1, 1), Fault::KillAfterBeats { beats: 2 })]
+            ((1, 1), Fault::KillAfterBeats { beats: 2 })
         );
         assert_eq!(
             parse_spec("spawn-fail:0").unwrap(),
-            vec![((0, 1), Fault::FailSpawn)]
+            ((0, 1), Fault::FailSpawn { times: 1 })
         );
         assert_eq!(
             parse_spec("spawn-fail:2x3").unwrap(),
-            vec![
-                ((2, 1), Fault::FailSpawn),
-                ((2, 2), Fault::FailSpawn),
-                ((2, 3), Fault::FailSpawn),
-            ]
+            ((2, 1), Fault::FailSpawn { times: 3 })
+        );
+        // A huge count is one entry, not one per attempt.
+        assert_eq!(
+            parse_spec("spawn-fail:0x1000000000000000").unwrap(),
+            (
+                (0, 1),
+                Fault::FailSpawn {
+                    times: 1_000_000_000_000_000
+                }
+            )
         );
         assert_eq!(
             parse_spec("mute:4").unwrap(),
-            vec![((4, 1), Fault::MuteHeartbeat)]
+            ((4, 1), Fault::MuteHeartbeat)
         );
+    }
+
+    #[test]
+    fn a_spawn_failure_spans_its_count_of_attempts() {
+        let mut t = FaultyTransport::new(Box::new(crate::LocalExec::new("/nonexistent")));
+        t.add_spec("spawn-fail:2x3").unwrap();
+        t.add_spec("kill:0@1").unwrap();
+        let fires = |shard, attempt| t.fault(shard, attempt).cloned();
+        assert_eq!(fires(2, 1), Some(Fault::FailSpawn { times: 3 }));
+        assert_eq!(fires(2, 3), Some(Fault::FailSpawn { times: 3 }));
+        assert_eq!(fires(2, 4), None);
+        assert_eq!(fires(1, 2), None);
+        assert_eq!(fires(0, 1), Some(Fault::KillAfterBeats { beats: 1 }));
+        assert_eq!(fires(0, 2), None, "other faults fire on one attempt");
     }
 
     #[test]

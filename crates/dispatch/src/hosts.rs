@@ -20,10 +20,12 @@
 //! the remote side), and `fetch="CMD"` (run after a worker exits to
 //! pull its artifacts back; every `{path}` token is substituted with
 //! the artifact path). With no `fetch`, the plan directory is assumed
-//! shared (NFS or local).
+//! shared (NFS or local). The pool has at most [`MAX_TASKS`] slots: a
+//! plan has no more shards than that, so more could never be filled.
 
 use crate::DispatchError;
 use std::path::{Path, PathBuf};
+use wcs_runtime::workload::MAX_TASKS;
 
 /// How workers are launched on one host.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +78,7 @@ impl HostPool {
     /// Parse the hosts-file format. Errors carry the 1-based line.
     pub fn parse(text: &str) -> Result<HostPool, DispatchError> {
         let mut hosts = Vec::new();
+        let mut total = 0usize;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let bad = |message: String| DispatchError::Hosts { line, message };
@@ -141,6 +144,10 @@ impl HostPool {
                         "unknown host kind '{other}' (expected local or exec)"
                     )));
                 }
+            }
+            total = total.saturating_add(slots);
+            if total as u64 > MAX_TASKS {
+                return Err(bad(format!("more than {MAX_TASKS} slots")));
             }
         }
         Ok(HostPool { hosts })
@@ -247,6 +254,9 @@ mod tests {
             ("local\nbogus host\n", 2),
             ("exec\n", 1),
             ("local slots=0\n", 1),
+            ("local slots=100001\n", 1),
+            ("local slots=1000000000000\n", 1),
+            ("local slots=60000\nexec slots=40001 ssh h\n", 2),
             ("local extra\n", 1),
             ("exec fetch=\"\" ssh h\n", 1),
             ("exec ssh \"h\n", 1),

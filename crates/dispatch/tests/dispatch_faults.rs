@@ -171,7 +171,8 @@ fn transient_spawn_failure_retries_with_backoff_and_still_matches() {
     let want = serial_csv();
     let dir = tmpdir("spawn-retry");
     // Shard 0's first spawn fails; its second succeeds.
-    let transport = FaultyTransport::new(Box::new(ThreadExec)).with_fault(0, 1, Fault::FailSpawn);
+    let transport =
+        FaultyTransport::new(Box::new(ThreadExec)).with_fault(0, 1, Fault::FailSpawn { times: 1 });
     let pool = HostPool::local(2);
     let dispatcher = Dispatcher::new(&transport, &pool, fast_options());
     let outcome = dispatcher

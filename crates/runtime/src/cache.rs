@@ -1,28 +1,35 @@
-//! On-disk result cache keyed by (scenario hash, seed).
+//! The on-disk result cache: the file backend of [`ResultIndex`], and
+//! the one writer and reader of its entry format.
 //!
-//! Each cached run is one CSV file whose header comments record the full
-//! canonical spec string; a lookup verifies the stored spec matches the
-//! requesting workload's canonical form exactly, so a 64-bit hash
-//! collision degrades to a miss rather than serving wrong numbers. Files
-//! are written via a temp-file rename so a crashed run never leaves a
-//! half-written entry behind.
+//! Each stored run is one CSV file, `{name}-{hash:016x}-{seed:016x}.csv`,
+//! whose header is `# wcs-runtime cache v1`, `# spec: <canonical
+//! string>` and `# seed: <root seed>`, then the column line and rows. A
+//! load verifies the stored spec matches the requesting workload's
+//! canonical form exactly, so a 64-bit hash collision degrades to a miss
+//! rather than serving wrong numbers. Files are written via a temp-file
+//! rename so a crashed run never leaves a half-written entry behind. One
+//! private reader (`read_head`) reads that header for a load, for the
+//! listing's kind and column count, and for a paged row read, which then
+//! streams the rows.
 //!
-//! Since the workload-API redesign the cache is workload-agnostic: any
-//! [`WorkloadSpec`] (model sweeps, sim sweeps, future workloads) keys
-//! entries the same way, and the entry's canonical-string prefix
-//! classifies its [`WorkloadKind`] — which is how entries written before
-//! the kind existed are still recognised as model entries, byte for
-//! byte. The cache also stores free-form named **blobs** (used by
-//! `wcs-shard` for per-shard partial reports), which are invisible to
-//! entry listings.
+//! Any [`WorkloadSpec`] keys entries the same way, and the entry's
+//! canonical-string prefix classifies its [`WorkloadKind`]. The cache
+//! also stores named **blobs** (`wcs-shard`'s partial reports, run
+//! manifests), which entry listings never show. Partial blobs open with
+//! the same kind of `#` header, so the same reader classifies their kind
+//! for a kind-filtered removal.
 
+use crate::index::{IndexQuery, ResultIndex, RowPage};
 use crate::report::RunReport;
 use crate::workload::{WorkloadKind, WorkloadSpec};
 use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
-/// A directory of cached sweep results.
+/// Magic first line of every entry.
+const ENTRY_MAGIC: &str = "# wcs-runtime cache v1";
+
+/// A directory of cached sweep results. Its API is [`ResultIndex`].
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -47,25 +54,37 @@ impl ResultCache {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
+}
 
-    fn entry_path<W: WorkloadSpec + ?Sized>(&self, w: &W) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{:016x}-{:016x}.csv",
-            sanitize_name(w.name()),
-            w.scenario_hash(),
-            w.seed()
-        ))
+impl ResultIndex for ResultCache {
+    fn describe(&self) -> String {
+        self.dir.display().to_string()
     }
 
-    /// Look up a stored report for this (workload, seed). Returns `None`
-    /// on absence, spec mismatch, or any parse failure. Every lookup
-    /// bumps the `cache.hit` (with entry bytes) or `cache.miss`
-    /// telemetry counter and feeds the `cache.load` latency histogram
-    /// (lookups happen once per workload, so the one clock pair here is
-    /// off the per-sample hot path).
-    pub fn load<W: WorkloadSpec + ?Sized>(&self, w: &W) -> Option<RunReport> {
+    fn query(&self, query: &IndexQuery) -> std::io::Result<Vec<CacheEntry>> {
+        // Listed in path order, which within one directory is cursor
+        // (file-name) order.
+        let mut entries = list_entries(&self.dir)?;
+        entries.retain(|e| {
+            query.matches(e)
+                && query
+                    .after
+                    .as_deref()
+                    .is_none_or(|after| e.cursor() > after)
+        });
+        if let Some(limit) = query.limit {
+            entries.truncate(limit);
+        }
+        Ok(entries)
+    }
+
+    /// Every lookup bumps the `cache.hit` (with entry bytes) or
+    /// `cache.miss` telemetry counter and feeds the `cache.load` latency
+    /// histogram (lookups happen once per workload, so the one clock
+    /// pair here is off the per-sample hot path).
+    fn load_report(&self, w: &dyn WorkloadSpec) -> Option<RunReport> {
         let t0 = std::time::Instant::now();
-        let loaded = self.load_uncounted(w);
+        let loaded = load_entry(&entry_path(&self.dir, w), w);
         wcs_telemetry::metrics::record_ns(
             wcs_telemetry::metrics::HistId::CacheLoad,
             t0.elapsed().as_nanos() as u64,
@@ -86,128 +105,18 @@ impl ResultCache {
         }
     }
 
-    fn load_uncounted<W: WorkloadSpec + ?Sized>(&self, w: &W) -> Option<(RunReport, u64)> {
-        let path = self.entry_path(w);
-        let text = fs::read_to_string(&path).ok()?;
-        let mut lines = text.lines();
-        let magic = lines.next()?;
-        if magic != "# wcs-runtime cache v1" {
-            return None;
-        }
-        let spec = lines.next()?.strip_prefix("# spec: ")?;
-        if spec != w.canonical() {
-            return None;
-        }
-        let seed_line = lines.next()?.strip_prefix("# seed: ")?;
-        if seed_line.parse::<u64>().ok()? != w.seed() {
-            return None;
-        }
-        let body: String = lines.collect::<Vec<_>>().join("\n");
-        let report = RunReport::from_csv(w.name(), &body).ok()?;
-        Some((report, text.len() as u64))
-    }
-
-    /// List the cache's entries (empty when the directory does not exist
-    /// yet), sorted by file name so output is stable. Shard partial
-    /// blobs (`*.partial.csv`) are not entries and are not listed.
-    pub fn entries(&self) -> std::io::Result<Vec<CacheEntry>> {
-        let read_dir = match fs::read_dir(&self.dir) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut entries = Vec::new();
-        for entry in read_dir {
-            let entry = entry?;
-            let file_name = entry.file_name().to_string_lossy().into_owned();
-            if file_name.ends_with(".partial.csv") {
-                continue; // shard partial blob, not a result entry
-            }
-            let Some(parsed) = parse_entry_name(&file_name) else {
-                continue; // foreign file (or a leftover .tmp); not ours to report
-            };
-            let meta = entry.metadata()?;
-            let age_secs = meta
-                .modified()
-                .ok()
-                .and_then(|m| m.elapsed().ok())
-                .map(|d| d.as_secs());
-            let (kind, columns) = peek_entry(&entry.path());
-            entries.push(CacheEntry {
-                scenario: parsed.0,
-                hash: parsed.1,
-                seed: parsed.2,
-                bytes: meta.len(),
-                age_secs,
-                kind,
-                columns,
-                path: entry.path(),
-            });
-        }
-        entries.sort_by(|a, b| a.path.cmp(&b.path));
-        Ok(entries)
-    }
-
-    /// Delete every cache entry and shard partial blob (plus any
-    /// stranded `.tmp` files). Returns the number of files removed.
-    /// Foreign files are left alone and the directory itself is kept.
-    pub fn clear(&self) -> std::io::Result<usize> {
-        self.clear_kind(None)
-    }
-
-    /// Like [`ResultCache::clear`], but when `kind` is `Some`, only
-    /// entries and partial blobs of that workload kind are removed
-    /// (files whose kind cannot be determined are left alone).
-    pub fn clear_kind(&self, kind: Option<WorkloadKind>) -> std::io::Result<usize> {
-        let mut removed = 0;
-        for entry in self.entries()? {
-            if let Some(filter) = kind {
-                if entry.kind != Some(filter) {
-                    continue;
-                }
-            }
-            fs::remove_file(&entry.path)?;
-            removed += 1;
-        }
-        if let Ok(read_dir) = fs::read_dir(&self.dir) {
-            for entry in read_dir.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.ends_with(".csv.tmp") && kind.is_none() {
-                    let _ = fs::remove_file(entry.path());
-                } else if name.ends_with(".manifest.json") && kind.is_none() {
-                    // Run-history manifests ride along with a full clear
-                    // (kind-filtered clears keep the history intact).
-                    if fs::remove_file(entry.path()).is_ok() {
-                        removed += 1;
-                    }
-                } else if name.ends_with(".partial.csv") {
-                    let (blob_kind, _) = peek_entry(&entry.path());
-                    if (kind.is_none() || blob_kind == kind)
-                        && fs::remove_file(entry.path()).is_ok()
-                    {
-                        removed += 1;
-                    }
-                }
-            }
-        }
-        Ok(removed)
-    }
-
-    /// Store a report under this (workload, seed). A successful write
-    /// bumps the `cache.store` telemetry counter with the entry bytes
-    /// (failures are counted as `cache.store_failed` by the callers,
-    /// which decide whether a degraded run is fatal).
-    pub fn store<W: WorkloadSpec + ?Sized>(
-        &self,
-        w: &W,
-        report: &RunReport,
-    ) -> std::io::Result<()> {
+    /// A successful write bumps the `cache.store` telemetry counter with
+    /// the entry bytes (failures are counted as `cache.store_failed` by
+    /// the callers, which decide whether a degraded run is fatal).
+    fn store_report(&self, w: &dyn WorkloadSpec, report: &RunReport) -> std::io::Result<()> {
         let t0 = std::time::Instant::now();
-        let mut text = String::from("# wcs-runtime cache v1\n");
-        text.push_str(&format!("# spec: {}\n", w.canonical()));
-        text.push_str(&format!("# seed: {}\n", w.seed()));
-        text.push_str(&report.to_csv());
-        self.write_file(&self.entry_path(w), &text)?;
+        let text = format!(
+            "{ENTRY_MAGIC}\n# spec: {}\n# seed: {}\n{}",
+            w.canonical(),
+            w.seed(),
+            report.to_csv()
+        );
+        write_file(&self.dir, &entry_path(&self.dir, w), &text)?;
         wcs_telemetry::metrics::record_ns(
             wcs_telemetry::metrics::HistId::CacheStore,
             t0.elapsed().as_nanos() as u64,
@@ -223,27 +132,132 @@ impl ResultCache {
         Ok(())
     }
 
-    /// Store a free-form named blob (e.g. a `wcs-shard` partial report)
-    /// next to the result entries, via the same temp-file rename.
-    /// `file_name` must be a bare file name, not a path.
-    pub fn store_blob(&self, file_name: &str, text: &str) -> std::io::Result<()> {
+    fn read_rows(
+        &self,
+        hash: u64,
+        seed: u64,
+        start: usize,
+        limit: usize,
+    ) -> std::io::Result<Option<RowPage>> {
+        let query = IndexQuery {
+            hash: Some(hash),
+            seed: Some(seed),
+            ..IndexQuery::default()
+        };
+        let Some(entry) = self.query(&query)?.into_iter().next() else {
+            return Ok(None);
+        };
+        let Ok(file) = fs::File::open(&entry.path) else {
+            return Ok(None); // raced with a clear; absent, not an error
+        };
+        let mut reader = BufReader::new(file);
+        let Some(columns) = read_head(&mut reader).columns else {
+            return Ok(None);
+        };
+        let mut rows = Vec::with_capacity(limit.min(1024));
+        let mut more = false;
+        let mut index = 0usize;
+        for line in reader.lines() {
+            let line = line?;
+            if line.is_empty() {
+                continue;
+            }
+            if index >= start {
+                if rows.len() == limit {
+                    more = true;
+                    break;
+                }
+                let row: Result<Vec<f64>, _> = line.split(',').map(str::parse::<f64>).collect();
+                match row {
+                    Ok(row) if row.len() == columns.len() => rows.push(row),
+                    _ => return Ok(None), // corrupt body degrades to a miss
+                }
+            }
+            index += 1;
+        }
+        Ok(Some(RowPage {
+            scenario: entry.scenario,
+            hash,
+            seed,
+            columns,
+            start,
+            rows,
+            more,
+        }))
+    }
+
+    fn remove(&self, query: &IndexQuery) -> std::io::Result<usize> {
+        let mut removed = 0;
+        for entry in list_entries(&self.dir)? {
+            if query.matches(&entry) {
+                fs::remove_file(&entry.path)?;
+                removed += 1;
+            }
+        }
+        let field_free = query.hash.is_none()
+            && query.seed.is_none()
+            && query.scenario.is_none()
+            && query.columns.is_none();
+        if !field_free {
+            return Ok(removed);
+        }
+        // The `repro cache clear [--kind]` shape also removes the
+        // matching shard partial blobs; an unfiltered one removes the
+        // run-history manifests and stranded temp files too.
+        let Ok(read_dir) = fs::read_dir(&self.dir) else {
+            return Ok(removed);
+        };
+        for entry in read_dir.flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let path = entry.path();
+            if name.ends_with(".partial.csv") {
+                let kind = read_head_at(&path)
+                    .spec
+                    .as_deref()
+                    .and_then(WorkloadKind::of_canonical);
+                if (query.kind.is_none() || kind == query.kind) && fs::remove_file(&path).is_ok() {
+                    removed += 1;
+                }
+            } else if query.kind.is_none() {
+                if name.ends_with(".manifest.json") {
+                    removed += usize::from(fs::remove_file(&path).is_ok());
+                } else if name.ends_with(".csv.tmp") {
+                    let _ = fs::remove_file(&path);
+                }
+            }
+        }
+        Ok(removed)
+    }
+
+    fn load_blob(&self, name: &str) -> Option<String> {
+        fs::read_to_string(self.dir.join(name)).ok()
+    }
+
+    /// `name` must be a bare file name, not a path.
+    fn store_blob(&self, name: &str, text: &str) -> std::io::Result<()> {
         assert!(
-            !file_name.contains('/') && !file_name.contains('\\'),
+            !name.contains('/') && !name.contains('\\'),
             "blob name must not contain path separators"
         );
-        self.write_file(&self.dir.join(file_name), text)
+        write_file(&self.dir, &self.dir.join(name), text)
     }
 
-    /// Load a named blob stored with [`ResultCache::store_blob`].
-    pub fn load_blob(&self, file_name: &str) -> Option<String> {
-        fs::read_to_string(self.dir.join(file_name)).ok()
-    }
-
-    fn write_file(&self, path: &Path, text: &str) -> std::io::Result<()> {
-        fs::create_dir_all(&self.dir)?;
-        let tmp = path.with_extension("csv.tmp");
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, path)
+    fn list_blobs(&self, suffix: &str) -> std::io::Result<Vec<String>> {
+        let read_dir = match fs::read_dir(&self.dir) {
+            Ok(rd) => rd,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e),
+        };
+        let mut names = Vec::new();
+        for entry in read_dir {
+            let entry = entry?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.ends_with(suffix) {
+                names.push(name);
+            }
+        }
+        names.sort();
+        Ok(names)
     }
 }
 
@@ -262,7 +276,7 @@ pub fn sanitize_name(name: &str) -> String {
         .collect()
 }
 
-/// Metadata of one on-disk cache entry (see [`ResultCache::entries`]).
+/// Metadata of one on-disk cache entry (see [`ResultIndex::query`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntry {
     /// Sanitized scenario name (the file-name prefix).
@@ -310,27 +324,133 @@ impl CacheEntry {
     }
 }
 
-/// Read just enough of a cache entry (or partial blob) to classify its
-/// workload kind and column count: scan the leading `#` comment lines
-/// for the `# spec: ` header, then count the CSV header's columns.
-fn peek_entry(path: &Path) -> (Option<WorkloadKind>, Option<usize>) {
-    let Ok(file) = fs::File::open(path) else {
-        return (None, None);
-    };
-    let mut kind = None;
-    let mut columns = None;
-    for line in BufReader::new(file).lines().take(8) {
-        let Ok(line) = line else { break };
-        if let Some(spec) = line.strip_prefix("# spec: ") {
-            kind = WorkloadKind::of_canonical(spec);
-        } else if !line.starts_with('#') {
+fn entry_path(dir: &Path, w: &dyn WorkloadSpec) -> PathBuf {
+    dir.join(format!(
+        "{}-{:016x}-{:016x}.csv",
+        sanitize_name(w.name()),
+        w.scenario_hash(),
+        w.seed()
+    ))
+}
+
+fn write_file(dir: &Path, path: &Path, text: &str) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let tmp = path.with_extension("csv.tmp");
+    fs::write(&tmp, text)?;
+    fs::rename(&tmp, path)
+}
+
+/// What the `#` header of a stored document says, and its column line.
+/// A damaged document may lack any part.
+#[derive(Default)]
+struct Head {
+    /// The first line, when it is a `#` line.
+    magic: Option<String>,
+    /// The `# spec: ` line's canonical string.
+    spec: Option<String>,
+    /// The `# seed: ` line's seed.
+    seed: Option<u64>,
+    /// The column names of the first line after the `#` lines, unless
+    /// that line is empty or missing.
+    columns: Option<Vec<String>>,
+    /// Bytes of the `#` lines.
+    len: usize,
+}
+
+/// Read the leading `#` lines and the column line off `r`, leaving `r`
+/// at the first row. A failed read ends the header where it stopped.
+fn read_head(r: &mut impl BufRead) -> Head {
+    let mut head = Head::default();
+    let mut buf = String::new();
+    loop {
+        buf.clear();
+        let n = match r.read_line(&mut buf) {
+            Ok(0) | Err(_) => return head,
+            Ok(n) => n,
+        };
+        let line = buf.strip_suffix('\n').unwrap_or(&buf);
+        let line = line.strip_suffix('\r').unwrap_or(line);
+        if !line.starts_with('#') {
             if !line.is_empty() {
-                columns = Some(line.split(',').count());
+                head.columns = Some(line.split(',').map(str::to_string).collect());
             }
-            break;
+            return head;
         }
+        if head.len == 0 {
+            head.magic = Some(line.to_string());
+        }
+        if let Some(spec) = line.strip_prefix("# spec: ") {
+            head.spec = Some(spec.to_string());
+        } else if let Some(seed) = line.strip_prefix("# seed: ") {
+            head.seed = seed.parse().ok();
+        }
+        head.len += n;
     }
-    (kind, columns)
+}
+
+/// [`read_head`] of the file at `path` (an empty head when it cannot be
+/// opened).
+fn read_head_at(path: &Path) -> Head {
+    fs::File::open(path)
+        .map(|f| read_head(&mut BufReader::new(f)))
+        .unwrap_or_default()
+}
+
+/// The entry at `path`, if it stores `w`'s exact spec and seed, with its
+/// size in bytes. The file is read once.
+fn load_entry(path: &Path, w: &dyn WorkloadSpec) -> Option<(RunReport, u64)> {
+    let text = fs::read_to_string(path).ok()?;
+    let head = read_head(&mut text.as_bytes());
+    let stored = head.magic.as_deref() == Some(ENTRY_MAGIC)
+        && head.spec == Some(w.canonical())
+        && head.seed == Some(w.seed());
+    if !stored {
+        return None;
+    }
+    let report = RunReport::from_csv(w.name(), &text[head.len..]).ok()?;
+    Some((report, text.len() as u64))
+}
+
+/// Every entry in `dir` (none when the directory does not exist yet),
+/// sorted by path. Blobs, leftover temp files and foreign files are not
+/// entries.
+fn list_entries(dir: &Path) -> std::io::Result<Vec<CacheEntry>> {
+    let read_dir = match fs::read_dir(dir) {
+        Ok(rd) => rd,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut entries = Vec::new();
+    for entry in read_dir {
+        let entry = entry?;
+        let file_name = entry.file_name().to_string_lossy().into_owned();
+        if file_name.ends_with(".partial.csv") {
+            continue; // shard partial blob, not a result entry
+        }
+        let Some((scenario, hash, seed)) = parse_entry_name(&file_name) else {
+            continue; // foreign file (or a leftover .tmp); not ours to report
+        };
+        let meta = entry.metadata()?;
+        let age_secs = meta
+            .modified()
+            .ok()
+            .and_then(|m| m.elapsed().ok())
+            .map(|d| d.as_secs());
+        let path = entry.path();
+        let head = read_head_at(&path);
+        entries.push(CacheEntry {
+            scenario,
+            hash,
+            seed,
+            bytes: meta.len(),
+            age_secs,
+            kind: head.spec.as_deref().and_then(WorkloadKind::of_canonical),
+            columns: head.columns.map(|c| c.len()),
+            path,
+        });
+    }
+    entries.sort_by(|a, b| a.path.cmp(&b.path));
+    Ok(entries)
 }
 
 /// Parse `{name}-{hash:016x}-{seed:016x}.csv` (name may itself contain
@@ -365,13 +485,17 @@ mod tests {
         r
     }
 
+    fn all(cache: &ResultCache) -> Vec<CacheEntry> {
+        cache.query(&IndexQuery::default()).unwrap()
+    }
+
     #[test]
     fn store_then_load_roundtrips() {
         let cache = ResultCache::new(tmpdir("roundtrip"));
         let sweep = Sweep::new("s").ds(&[10.0]).seed(3);
-        assert!(cache.load(&sweep).is_none());
-        cache.store(&sweep, &report()).unwrap();
-        let loaded = cache.load(&sweep).expect("hit");
+        assert!(cache.load_report(&sweep).is_none());
+        cache.store_report(&sweep, &report()).unwrap();
+        let loaded = cache.load_report(&sweep).expect("hit");
         assert_eq!(loaded.columns, report().columns);
         assert_eq!(loaded.rows[0][1].to_bits(), (1.0f64 / 7.0).to_bits());
         let _ = fs::remove_dir_all(cache.dir());
@@ -381,44 +505,45 @@ mod tests {
     fn changed_params_miss() {
         let cache = ResultCache::new(tmpdir("miss"));
         let sweep = Sweep::new("s").ds(&[10.0]).seed(3);
-        cache.store(&sweep, &report()).unwrap();
+        cache.store_report(&sweep, &report()).unwrap();
         assert!(
-            cache.load(&sweep.clone().ds(&[11.0])).is_none(),
+            cache.load_report(&sweep.clone().ds(&[11.0])).is_none(),
             "changed axis must miss"
         );
         assert!(
-            cache.load(&sweep.clone().seed(4)).is_none(),
+            cache.load_report(&sweep.clone().seed(4)).is_none(),
             "changed seed must miss"
         );
         assert!(
-            cache.load(&sweep.clone().samples(1)).is_none(),
+            cache.load_report(&sweep.clone().samples(1)).is_none(),
             "changed samples must miss"
         );
-        assert!(cache.load(&sweep).is_some(), "original still hits");
+        assert!(cache.load_report(&sweep).is_some(), "original still hits");
         let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn entries_lists_and_clear_removes() {
         let cache = ResultCache::new(tmpdir("ls"));
-        assert!(cache.entries().unwrap().is_empty(), "missing dir is empty");
+        assert!(all(&cache).is_empty(), "missing dir is empty");
         let a = Sweep::new("grid-a").ds(&[10.0]).seed(1);
         let b = Sweep::new("grid-b").ds(&[20.0]).seed(2);
-        cache.store(&a, &report()).unwrap();
-        cache.store(&b, &report()).unwrap();
+        cache.store_report(&a, &report()).unwrap();
+        cache.store_report(&b, &report()).unwrap();
         // A foreign file must be ignored by ls and survive clear.
         fs::write(cache.dir().join("README.txt"), "not a cache entry").unwrap();
-        let entries = cache.entries().unwrap();
+        let entries = all(&cache);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].scenario, "grid-a");
         assert_eq!(entries[0].hash, a.scenario_hash());
         assert_eq!(entries[0].seed, 1);
         assert!(entries[0].bytes > 0);
         assert_eq!(entries[0].kind, Some(WorkloadKind::Model));
-        assert_eq!(cache.clear().unwrap(), 2);
-        assert!(cache.entries().unwrap().is_empty());
+        assert_eq!(entries[0].columns, Some(2));
+        assert_eq!(cache.remove(&IndexQuery::default()).unwrap(), 2);
+        assert!(all(&cache).is_empty());
         assert!(cache.dir().join("README.txt").exists());
-        assert!(cache.load(&a).is_none());
+        assert!(cache.load_report(&a).is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -431,9 +556,9 @@ mod tests {
         model_report.push_row(vec![0.0; 11]);
         let mut sim_report = RunReport::new("s-grid", &crate::simsweep::SIM_SWEEP_COLUMNS);
         sim_report.push_row(vec![0.0; 9]);
-        cache.store(&model, &model_report).unwrap();
-        cache.store(&sim, &sim_report).unwrap();
-        let entries = cache.entries().unwrap();
+        cache.store_report(&model, &model_report).unwrap();
+        cache.store_report(&sim, &sim_report).unwrap();
+        let entries = all(&cache);
         assert_eq!(entries.len(), 2);
         let by_name = |n: &str| entries.iter().find(|e| e.scenario == n).unwrap();
         let m = by_name("m-grid");
@@ -443,8 +568,9 @@ mod tests {
         assert_eq!(s.kind, Some(WorkloadKind::Sim));
         assert_eq!(s.layout(), "v1");
         // Kind-filtered clear removes only that kind.
-        assert_eq!(cache.clear_kind(Some(WorkloadKind::Sim)).unwrap(), 1);
-        let left = cache.entries().unwrap();
+        let sim_only = IndexQuery::by_kind(Some(WorkloadKind::Sim));
+        assert_eq!(cache.remove(&sim_only).unwrap(), 1);
+        let left = all(&cache);
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].scenario, "m-grid");
         let _ = fs::remove_dir_all(cache.dir());
@@ -453,25 +579,22 @@ mod tests {
     #[test]
     fn blobs_roundtrip_and_stay_out_of_entries() {
         let cache = ResultCache::new(tmpdir("blob"));
-        assert!(cache
-            .load_blob("x-0000-k2-contiguous-0001.partial.csv")
-            .is_none());
+        let name = "x-0000-k2-contiguous-0001.partial.csv";
+        assert!(cache.load_blob(name).is_none());
         cache
             .store_blob(
-                "x-0000-k2-contiguous-0001.partial.csv",
+                name,
                 "# wcs-shard partial v1\n# spec: wcs-sweep-v1;name=x\nbody\n",
             )
             .unwrap();
-        assert!(cache
-            .load_blob("x-0000-k2-contiguous-0001.partial.csv")
-            .unwrap()
-            .contains("body"));
-        assert!(cache.entries().unwrap().is_empty(), "blobs are not entries");
-        // clear removes blobs too (counted).
-        assert_eq!(cache.clear().unwrap(), 1);
-        assert!(cache
-            .load_blob("x-0000-k2-contiguous-0001.partial.csv")
-            .is_none());
+        assert!(cache.load_blob(name).unwrap().contains("body"));
+        assert!(all(&cache).is_empty(), "blobs are not entries");
+        // A clear of the other kind keeps the model blob; a full clear
+        // removes it (counted).
+        let sim_only = IndexQuery::by_kind(Some(WorkloadKind::Sim));
+        assert_eq!(cache.remove(&sim_only).unwrap(), 0);
+        assert_eq!(cache.remove(&IndexQuery::default()).unwrap(), 1);
+        assert!(cache.load_blob(name).is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -491,11 +614,11 @@ mod tests {
     fn corrupt_entry_is_a_miss() {
         let cache = ResultCache::new(tmpdir("corrupt"));
         let sweep = Sweep::new("s").ds(&[10.0]);
-        cache.store(&sweep, &report()).unwrap();
+        cache.store_report(&sweep, &report()).unwrap();
         // Overwrite with garbage: load must degrade to a miss.
-        let path = cache.entry_path(&sweep);
+        let path = entry_path(cache.dir(), &sweep);
         fs::write(&path, "not a cache file").unwrap();
-        assert!(cache.load(&sweep).is_none());
+        assert!(cache.load_report(&sweep).is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 }

@@ -65,44 +65,37 @@ impl Engine {
         self.threads
     }
 
-    /// Execute `kernel(0..n)` and return the results in index order.
-    ///
-    /// The kernel must be a pure function of its index (all randomness
-    /// derived from per-index seeds); under that contract the result is
-    /// identical for every thread count.
-    pub fn run_indexed<T, K>(&self, n: usize, kernel: K) -> Vec<T>
-    where
-        T: Send,
-        K: Fn(usize) -> T + Sync,
-    {
-        // Index-at-a-time scheduling is exactly block scheduling with
-        // block = 1; one implementation carries both.
-        self.run_blocked(n, 1, |range| range.map(&kernel).collect())
-    }
-
     /// Execute `kernel` over a slice of task descriptions, preserving
     /// order.
+    ///
+    /// The kernel must be a pure function of its item (all randomness
+    /// derived from per-item seeds); under that contract the result is
+    /// identical for every thread count.
     pub fn map<I, T, K>(&self, items: &[I], kernel: K) -> Vec<T>
     where
         I: Sync,
         T: Send,
         K: Fn(&I) -> T + Sync,
     {
-        self.run_indexed(items.len(), |i| kernel(&items[i]))
+        // Item-at-a-time scheduling is exactly block scheduling with
+        // block = 1; one implementation carries both.
+        self.run_blocked(items.len(), 1, |range| {
+            items[range].iter().map(&kernel).collect()
+        })
     }
 
     /// Execute `kernel` over **contiguous index blocks** and return the
-    /// per-index results in index order — the block-dispatch form of
-    /// [`Engine::run_indexed`].
+    /// per-index results in index order — what [`Engine::map`] and
+    /// [`Engine::map_blocks`] dispatch through.
     ///
     /// Workers claim `block` indices per atomic bump and send one
     /// message per block instead of one per index, so a grid of many
     /// small tasks pays scheduling overhead once per block. The kernel
     /// receives the claimed index range and must return exactly one
     /// result per index, in range order. Results are committed into
-    /// their index slots, so the output — like `run_indexed`'s — is
-    /// identical for any thread count *and any block size*.
-    pub fn run_blocked<T, K>(&self, n: usize, block: usize, kernel: K) -> Vec<T>
+    /// their index slots, so the output is identical for any thread
+    /// count *and any block size*.
+    fn run_blocked<T, K>(&self, n: usize, block: usize, kernel: K) -> Vec<T>
     where
         T: Send,
         K: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
@@ -271,10 +264,14 @@ impl Engine {
 mod tests {
     use super::*;
 
+    fn indices(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
     #[test]
     fn results_in_task_order() {
         let e = Engine::new(8);
-        let out = e.run_indexed(100, |i| i * i);
+        let out = e.map(&indices(100), |&i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -290,8 +287,8 @@ mod tests {
             }
             x
         };
-        let serial = Engine::serial().run_indexed(64, work);
-        let parallel = Engine::new(4).run_indexed(64, work);
+        let serial = Engine::serial().map(&indices(64), |&i| work(i));
+        let parallel = Engine::new(4).map(&indices(64), |&i| work(i));
         assert_eq!(serial, parallel);
     }
 
@@ -305,7 +302,7 @@ mod tests {
     #[test]
     fn blocked_matches_indexed_for_any_block_and_thread_count() {
         let work = |i: usize| (i * 31 + 7) as u64;
-        let expected = Engine::serial().run_indexed(97, work);
+        let expected = Engine::serial().map(&indices(97), |&i| work(i));
         for threads in [1, 3, 8] {
             for block in [1, 2, 5, 16, 97, 200] {
                 let out = Engine::new(threads)
@@ -346,7 +343,7 @@ mod tests {
 
     #[test]
     fn empty_task_list() {
-        let out: Vec<u32> = Engine::new(4).run_indexed(0, |_| unreachable!());
+        let out: Vec<u32> = Engine::new(4).map(&indices(0), |_| unreachable!());
         assert!(out.is_empty());
     }
 }

@@ -11,10 +11,14 @@
 //! creation time in fixed-width milliseconds, so plain name order *is*
 //! chronological order, which is what `repro history ls` and
 //! `GET /v1/history` page by.
+//!
+//! This module is the format's one writer ([`manifest_json`]) and one
+//! reader ([`RunManifest::parse`]); `repro history ls` and `repro trace
+//! diff` read manifests through it.
 
 use crate::index::ResultIndex;
 use crate::workload::{WorkloadOutcome, WorkloadSpec};
-use wcs_telemetry::json::json_string;
+use wcs_telemetry::json::{self, json_string, Json};
 
 /// Manifest schema identifier, bumped on any breaking change.
 pub const MANIFEST_SCHEMA: &str = "wcs-run-manifest-v1";
@@ -119,6 +123,68 @@ pub fn append_counted_manifest(
     }
 }
 
+/// A run manifest as read back: what `repro history ls` lists and
+/// `repro trace diff` compares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunManifest {
+    /// The workload's name.
+    pub name: String,
+    /// The workload kind's label.
+    pub kind: String,
+    /// `ok` or `store_failed`.
+    pub status: String,
+    /// Tasks the run computed (0 on a cache hit).
+    pub tasks_run: u64,
+    /// The workload's task count.
+    pub task_count: u64,
+    /// Whether the run was answered from the cache.
+    pub cache_hit: bool,
+    /// Wall time of the run.
+    pub wall_ns: u64,
+    /// When the manifest was written (Unix milliseconds).
+    pub created_unix_ms: u64,
+    /// Each embedded histogram's name and `sum_ns`, in file order.
+    pub histogram_sums: Vec<(String, u64)>,
+}
+
+impl RunManifest {
+    /// Parse a manifest's JSON (one line as written, or re-indented).
+    /// Errors name the schema or the first missing or mistyped key.
+    pub fn parse(text: &str) -> Result<RunManifest, String> {
+        let m = json::parse(text)?;
+        let schema = m.field("schema", Json::as_str)?;
+        if schema != MANIFEST_SCHEMA {
+            return Err(format!(
+                "unsupported manifest schema '{schema}' (this build reads '{MANIFEST_SCHEMA}')"
+            ));
+        }
+        let histograms = m.get("histograms").and_then(Json::as_object);
+        Ok(RunManifest {
+            name: m.field("name", Json::as_str)?.to_string(),
+            kind: m.field("kind", Json::as_str)?.to_string(),
+            status: m.field("status", Json::as_str)?.to_string(),
+            tasks_run: m.field("tasks_run", Json::as_u64)?,
+            task_count: m.field("task_count", Json::as_u64)?,
+            cache_hit: m.get("cache_hit") == Some(&Json::Bool(true)),
+            wall_ns: m.field("wall_ns", Json::as_u64)?,
+            created_unix_ms: m.field("created_unix_ms", Json::as_u64)?,
+            histogram_sums: histograms
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|(name, snap)| Some((name.clone(), snap.get("sum_ns")?.as_u64()?)))
+                .collect(),
+        })
+    }
+
+    /// The run's phase durations: `wall`, then each histogram's sum.
+    pub fn phases(&self) -> Vec<(String, u64)> {
+        let wall = ("wall".to_string(), self.wall_ns);
+        std::iter::once(wall)
+            .chain(self.histogram_sums.iter().cloned())
+            .collect()
+    }
+}
+
 /// Manifest blob names known to `index`, newest first.
 pub fn list_manifests(index: &dyn ResultIndex) -> std::io::Result<Vec<String>> {
     let mut names = index.list_blobs(MANIFEST_SUFFIX)?;
@@ -173,6 +239,46 @@ mod tests {
     }
 
     #[test]
+    fn the_reader_reads_what_the_writer_writes() {
+        let sweep = Sweep::new("read back").ds(&[10.0]).seed(7);
+        let outcome = WorkloadOutcome {
+            report: RunReport::new("read back", &["a"]),
+            cache_hit: true,
+            tasks_run: 0,
+            store_failed: true,
+        };
+        let json = manifest_json(&sweep, &outcome, 3, 123_456, 1_700_000_000_000);
+        let m = RunManifest::parse(&json).unwrap();
+        assert_eq!(m.name, "read back");
+        assert_eq!(m.kind, "model");
+        assert_eq!(m.status, "store_failed");
+        assert_eq!((m.tasks_run, m.task_count), (0, 3));
+        assert!(m.cache_hit);
+        assert_eq!(m.wall_ns, 123_456);
+        assert_eq!(m.created_unix_ms, 1_700_000_000_000);
+        let phases = m.phases();
+        assert_eq!(phases[0], ("wall".to_string(), 123_456));
+        assert_eq!(phases.len(), 1 + wcs_telemetry::metrics::HistId::ALL.len());
+        // Re-indented (as `jq .` prints it) reads the same.
+        let indented = json.replace(",\"", ",\n  \"");
+        assert_ne!(indented, json);
+        assert_eq!(RunManifest::parse(&indented).unwrap(), m);
+        // A foreign schema, a missing key and a mistyped key are errors
+        // that say which.
+        let foreign = json.replace(MANIFEST_SCHEMA, "wcs-run-manifest-v0");
+        assert!(RunManifest::parse(&foreign).unwrap_err().contains("schema"));
+        let missing = json.replace("\"wall_ns\"", "\"wall\"");
+        assert!(RunManifest::parse(&missing)
+            .unwrap_err()
+            .contains("wall_ns"));
+        let mistyped = json.replace("\"tasks_run\":0", "\"tasks_run\":\"0\"");
+        assert!(RunManifest::parse(&mistyped)
+            .unwrap_err()
+            .contains("tasks_run"));
+        assert!(RunManifest::parse("not json").is_err());
+    }
+
+    #[test]
     fn append_and_list_roundtrip() {
         let dir = std::env::temp_dir().join(format!("wcs-history-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -191,7 +297,10 @@ mod tests {
         let text = index.load_blob(&name).unwrap();
         assert!(text.contains("\"tasks_run\":4"));
         // Manifests never pollute entry listings.
-        assert!(cache.entries().unwrap().is_empty());
+        assert!(index
+            .query(&crate::index::IndexQuery::default())
+            .unwrap()
+            .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

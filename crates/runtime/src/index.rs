@@ -1,11 +1,11 @@
 //! The queryable results index — the one cache-access surface.
 //!
-//! [`ResultCache`] began life as a private directory the runner happened
-//! to key files into; everything that wanted to *look at* what had been
-//! computed (the `repro cache` subcommands, the shard partial lookup,
-//! and now the `wcs-serve` HTTP daemon) grew its own ad-hoc path into
-//! that directory. [`ResultIndex`] promotes the cache to a first-class
-//! API: a typed query surface over everything ever computed —
+//! [`ResultIndex`] is a typed query surface over everything ever
+//! computed, and the only API of the on-disk
+//! [`ResultCache`](crate::cache::ResultCache). Everything that looks at
+//! what has been computed goes through it: the runner, the `repro cache`
+//! subcommands, the shard partial lookup and the `wcs-serve` HTTP
+//! daemon. It offers
 //!
 //! * **list/filter** entries by workload kind, scenario hash, seed,
 //!   scenario name or row-layout (column count), with stable
@@ -15,14 +15,17 @@
 //!   [`RowPage`]),
 //! * the **report load/store** pair the engine consults
 //!   ([`ResultIndex::load_report`] / [`ResultIndex::store_report`]),
-//! * the **named-blob** surface `wcs-shard` keeps per-shard partials in
-//!   ([`ResultIndex::load_blob`] / [`ResultIndex::store_blob`]), and
+//! * the **named-blob** surface `wcs-shard` keeps per-shard partials and
+//!   `crate::history` keeps run manifests in
+//!   ([`ResultIndex::load_blob`] / [`ResultIndex::store_blob`] /
+//!   [`ResultIndex::list_blobs`]), and
 //! * **filtered removal** ([`ResultIndex::remove`]), which is what
 //!   `repro cache clear [--kind …]` is a thin client of.
 //!
-//! The on-disk [`ResultCache`] is the first backend; the trait is
-//! object-safe (`&dyn ResultIndex`) so the engine, the shard merge and
-//! the serve daemon do not care where results actually live.
+//! The trait is object-safe (`&dyn ResultIndex`) so the engine, the
+//! shard merge and the serve daemon do not care where results actually
+//! live; the file format and its one reader live with the backend, in
+//! [`crate::cache`].
 //!
 //! ## Pagination contract
 //!
@@ -36,11 +39,9 @@
 //! simply not part of this traversal) — never duplicated, never able to
 //! shift other entries between pages.
 
-use crate::cache::{CacheEntry, ResultCache};
+use crate::cache::CacheEntry;
 use crate::report::RunReport;
 use crate::workload::{WorkloadKind, WorkloadSpec};
-use std::fs;
-use std::io::{BufRead, BufReader};
 
 /// A filter over the index's entries. `Default` matches everything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -105,7 +106,8 @@ pub struct RowPage {
 }
 
 /// The queryable results index: one typed surface over everything ever
-/// computed. Object-safe; [`ResultCache`] is the on-disk backend.
+/// computed. Object-safe; [`ResultCache`](crate::cache::ResultCache) is
+/// the on-disk backend.
 pub trait ResultIndex: Send + Sync {
     /// Human-readable location of the backing store (used in warnings
     /// and status lines; the on-disk backend returns its directory).
@@ -147,158 +149,16 @@ pub trait ResultIndex: Send + Sync {
 
     /// Names of stored blobs ending with `suffix`, sorted ascending —
     /// how run-history manifests (whose names embed their creation time,
-    /// so name order is chronological order) are enumerated. Backends
-    /// without blob listing may keep the default empty answer.
-    fn list_blobs(&self, suffix: &str) -> std::io::Result<Vec<String>> {
-        let _ = suffix;
-        Ok(Vec::new())
-    }
-}
-
-impl ResultIndex for ResultCache {
-    fn describe(&self) -> String {
-        self.dir().display().to_string()
-    }
-
-    fn query(&self, query: &IndexQuery) -> std::io::Result<Vec<CacheEntry>> {
-        // entries() already sorts by path; within one directory that is
-        // cursor (file-name) order.
-        let mut entries = self.entries()?;
-        entries.retain(|e| query.matches(e));
-        if let Some(after) = &query.after {
-            entries.retain(|e| e.cursor() > after.as_str());
-        }
-        if let Some(limit) = query.limit {
-            entries.truncate(limit);
-        }
-        Ok(entries)
-    }
-
-    fn load_report(&self, w: &dyn WorkloadSpec) -> Option<RunReport> {
-        self.load(w)
-    }
-
-    fn store_report(&self, w: &dyn WorkloadSpec, report: &RunReport) -> std::io::Result<()> {
-        self.store(w, report)
-    }
-
-    fn read_rows(
-        &self,
-        hash: u64,
-        seed: u64,
-        start: usize,
-        limit: usize,
-    ) -> std::io::Result<Option<RowPage>> {
-        let query = IndexQuery {
-            hash: Some(hash),
-            seed: Some(seed),
-            ..IndexQuery::default()
-        };
-        let Some(entry) = self.query(&query)?.into_iter().next() else {
-            return Ok(None);
-        };
-        let Ok(file) = fs::File::open(&entry.path) else {
-            return Ok(None); // raced with a clear; absent, not an error
-        };
-        let mut lines = BufReader::new(file).lines();
-        // Header comments, then the CSV column line.
-        let mut columns: Option<Vec<String>> = None;
-        for line in lines.by_ref() {
-            let line = line?;
-            if line.starts_with('#') {
-                continue;
-            }
-            if !line.is_empty() {
-                columns = Some(line.split(',').map(str::to_string).collect());
-            }
-            break;
-        }
-        let Some(columns) = columns else {
-            return Ok(None);
-        };
-        let mut rows = Vec::with_capacity(limit.min(1024));
-        let mut more = false;
-        let mut index = 0usize;
-        for line in lines {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            if index >= start {
-                if rows.len() == limit {
-                    more = true;
-                    break;
-                }
-                let row: Result<Vec<f64>, _> = line.split(',').map(str::parse::<f64>).collect();
-                match row {
-                    Ok(row) if row.len() == columns.len() => rows.push(row),
-                    _ => return Ok(None), // corrupt body degrades to a miss
-                }
-            }
-            index += 1;
-        }
-        Ok(Some(RowPage {
-            scenario: entry.scenario,
-            hash,
-            seed,
-            columns,
-            start,
-            rows,
-            more,
-        }))
-    }
-
-    fn remove(&self, query: &IndexQuery) -> std::io::Result<usize> {
-        let field_free = query.hash.is_none()
-            && query.seed.is_none()
-            && query.scenario.is_none()
-            && query.columns.is_none();
-        if field_free {
-            // The `repro cache clear [--kind]` shape: entries plus the
-            // matching shard partial blobs (and stranded temp files).
-            return self.clear_kind(query.kind);
-        }
-        let mut removed = 0;
-        for entry in self.entries()? {
-            if query.matches(&entry) {
-                fs::remove_file(&entry.path)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
-    }
-
-    fn load_blob(&self, name: &str) -> Option<String> {
-        ResultCache::load_blob(self, name)
-    }
-
-    fn store_blob(&self, name: &str, text: &str) -> std::io::Result<()> {
-        ResultCache::store_blob(self, name, text)
-    }
-
-    fn list_blobs(&self, suffix: &str) -> std::io::Result<Vec<String>> {
-        let read_dir = match fs::read_dir(self.dir()) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut names = Vec::new();
-        for entry in read_dir {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(suffix) {
-                names.push(name);
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
+    /// so name order is chronological order) are enumerated.
+    fn list_blobs(&self, suffix: &str) -> std::io::Result<Vec<String>>;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResultCache;
     use crate::scenario::Sweep;
+    use std::fs;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -317,7 +177,7 @@ mod tests {
 
     fn stored(cache: &ResultCache, name: &str, seed: u64, rows: usize) -> Sweep {
         let sweep = Sweep::new(name).ds(&[10.0]).seed(seed);
-        cache.store(&sweep, &report(rows)).unwrap();
+        cache.store_report(&sweep, &report(rows)).unwrap();
         sweep
     }
 
@@ -418,7 +278,7 @@ mod tests {
         let cache = ResultCache::new(tmpdir("rows"));
         let sweep = stored(&cache, "paged", 9, 5);
         let index: &dyn ResultIndex = &cache;
-        let full = cache.load(&sweep).unwrap();
+        let full = cache.load_report(&sweep).unwrap();
         let page = index
             .read_rows(sweep.scenario_hash(), 9, 1, 2)
             .unwrap()

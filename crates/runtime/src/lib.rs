@@ -39,7 +39,7 @@
 //! subcommand is driven entirely by [`Sweep`] specs.
 //!
 //! ```
-//! use wcs_runtime::{Engine, EffortProfile, run_sweep, Sweep, PolicyAxis};
+//! use wcs_runtime::{run_workload, Engine, PolicyAxis, Sweep};
 //!
 //! let sweep = Sweep::new("doc-example")
 //!     .rmaxes(&[20.0, 55.0])
@@ -48,8 +48,8 @@
 //!     .policies(&[PolicyAxis::CarrierSense, PolicyAxis::Optimal])
 //!     .samples(2_000)
 //!     .seed(7);
-//! let serial = run_sweep(&sweep, &Engine::serial(), None).report;
-//! let parallel = run_sweep(&sweep, &Engine::new(4), None).report;
+//! let serial = run_workload(&sweep, &Engine::serial(), None).report;
+//! let parallel = run_workload(&sweep, &Engine::new(4), None).report;
 //! assert_eq!(serial.to_csv(), parallel.to_csv()); // bitwise identical
 //! ```
 
@@ -73,7 +73,7 @@ pub use cache::{sanitize_name, CacheEntry, ResultCache};
 pub use config::EffortProfile;
 pub use engine::Engine;
 pub use index::{IndexQuery, ResultIndex, RowPage};
-pub use model::{finalize_report, run_sweep, sweep_columns, SweepOutcome};
+pub use model::{finalize_report, sweep_columns};
 pub use report::RunReport;
 pub use scenario::{PolicyAxis, Sweep, Task, Topology};
 pub use simsweep::{RateAxis, SimSweep, SimTask};

@@ -7,9 +7,10 @@
 //! identical), and N-pair tasks run `wcs_core::npair::mc_averages_npair`,
 //! which additionally tracks per-configuration Jain fairness and
 //! worst-pair throughput. Either way the sweep's policy axis expands into
-//! report rows, not extra compute. Tasks run on the [`Engine`]; rows are
-//! emitted in (task, policy) order, which together with per-task seeds
-//! makes the emitted CSV bitwise identical for any thread count.
+//! report rows, not extra compute. Tasks run on the
+//! [`Engine`](crate::Engine); rows are emitted in (task, policy) order,
+//! which together with per-task seeds makes the emitted CSV bitwise
+//! identical for any thread count.
 //!
 //! Since the workload-API redesign, the engine scheduling, cache
 //! consultation and report assembly all live in the generic
@@ -18,11 +19,9 @@
 //! canonical strings and cache keys bit-for-bit identical to the
 //! pre-trait code (pinned by `tests/determinism.rs`).
 
-use crate::engine::Engine;
-use crate::index::ResultIndex;
 use crate::report::RunReport;
 use crate::scenario::{PolicyAxis, Sweep, Task, Topology};
-use crate::workload::{run_workload, Workload, WorkloadKind, WorkloadSpec};
+use crate::workload::{Workload, WorkloadKind, WorkloadSpec};
 use wcs_core::average::{mc_averages, mc_averages_v2, PolicyAverages};
 use wcs_core::npair::{mc_averages_npair, mc_averages_npair_v2, NPairAverages, NPairPolicyStats};
 use wcs_core::params::StreamLayout;
@@ -76,10 +75,6 @@ pub fn sweep_columns(sweep: &Sweep) -> Vec<&'static str> {
         SWEEP_COLUMNS.to_vec()
     }
 }
-
-/// What `run_sweep` produced and how (the generic workload outcome,
-/// under its historical model-sweep name).
-pub type SweepOutcome = crate::workload::WorkloadOutcome;
 
 /// One task's kernel output: whichever evaluation path its topology
 /// selected. The N-pair payload is boxed — it carries three estimates
@@ -268,8 +263,14 @@ impl Workload for Sweep {
 
 /// Finish an **all-policy** report for presentation: project it onto the
 /// sweep's requested policy list and attach the scenario metadata. This
-/// is the exact post-processing `run_sweep` applies, exposed so a
-/// `wcs-shard` merge of partial reports emits byte-identical output.
+/// is the exact post-processing [`run_workload`](crate::run_workload)
+/// applies to a sweep, exposed so a `wcs-shard` merge of partial reports
+/// emits byte-identical output.
+///
+/// The index stores the **all-policy** rows under a key that ignores the
+/// sweep's policy selection (every policy is scored on the same samples
+/// anyway), so re-running a grid with a different reported-policy subset
+/// is a cache hit, not a recompute.
 pub fn finalize_report(sweep: &Sweep, full: &RunReport) -> RunReport {
     let mut report = select_policies(full, sweep);
     attach_meta(&mut report, sweep);
@@ -293,24 +294,13 @@ fn select_policies(full: &RunReport, sweep: &Sweep) -> RunReport {
     report
 }
 
-/// Execute `sweep` on `engine`, consulting (and filling) the results
-/// `index` if one is given. Thin wrapper over the generic
-/// [`run_workload`].
-///
-/// The index stores the **all-policy** rows under a key that ignores the
-/// sweep's policy selection (every policy is scored on the same samples
-/// anyway), so re-running a grid with a different reported-policy subset
-/// is a cache hit, not a recompute. A stored entry whose column layout
-/// does not match the sweep's expected layout (e.g. written by an older
-/// binary) degrades to a miss and recomputes.
-pub fn run_sweep(sweep: &Sweep, engine: &Engine, index: Option<&dyn ResultIndex>) -> SweepOutcome {
-    run_workload(sweep, engine, index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
+    use crate::engine::Engine;
+    use crate::index::ResultIndex;
+    use crate::workload::run_workload;
     use wcs_capacity::npair::Placement;
 
     fn tiny_sweep() -> Sweep {
@@ -338,8 +328,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bitwise() {
         let sweep = tiny_sweep();
-        let serial = run_sweep(&sweep, &Engine::serial(), None);
-        let parallel = run_sweep(&sweep, &Engine::new(4), None);
+        let serial = run_workload(&sweep, &Engine::serial(), None);
+        let parallel = run_workload(&sweep, &Engine::new(4), None);
         assert!(!serial.cache_hit && !parallel.cache_hit);
         assert_eq!(serial.report.to_csv(), parallel.report.to_csv());
         assert_eq!(serial.report, parallel.report);
@@ -348,21 +338,21 @@ mod tests {
     #[test]
     fn npair_parallel_matches_serial_bitwise() {
         let sweep = tiny_npair_sweep();
-        let serial = run_sweep(&sweep, &Engine::serial(), None);
-        let parallel = run_sweep(&sweep, &Engine::new(4), None);
+        let serial = run_workload(&sweep, &Engine::serial(), None);
+        let parallel = run_workload(&sweep, &Engine::new(4), None);
         assert_eq!(serial.report.to_csv(), parallel.report.to_csv());
     }
 
     #[test]
     fn v2_layout_is_thread_invariant_and_a_distinct_identity() {
         let v2_sweep = tiny_sweep().stream_layout(StreamLayout::V2);
-        let serial = run_sweep(&v2_sweep, &Engine::serial(), None);
-        let parallel = run_sweep(&v2_sweep, &Engine::new(4), None);
+        let serial = run_workload(&v2_sweep, &Engine::serial(), None);
+        let parallel = run_workload(&v2_sweep, &Engine::new(4), None);
         assert_eq!(serial.report.to_csv(), parallel.report.to_csv());
         assert_eq!(serial.report, parallel.report);
         // v2 is its own identity: different canonical prefix, different
         // numbers (a different draw path), same shape.
-        let v1 = run_sweep(&tiny_sweep(), &Engine::serial(), None);
+        let v1 = run_workload(&tiny_sweep(), &Engine::serial(), None);
         assert_ne!(v1.report.to_csv(), serial.report.to_csv());
         assert_eq!(v1.report.rows.len(), serial.report.rows.len());
         // σ = 0 tasks are deterministic quadrature-free MC on both
@@ -377,8 +367,8 @@ mod tests {
     #[test]
     fn v2_npair_layout_is_thread_invariant() {
         let sweep = tiny_npair_sweep().stream_layout(StreamLayout::V2);
-        let serial = run_sweep(&sweep, &Engine::serial(), None);
-        let parallel = run_sweep(&sweep, &Engine::new(4), None);
+        let serial = run_workload(&sweep, &Engine::serial(), None);
+        let parallel = run_workload(&sweep, &Engine::new(4), None);
         assert_eq!(serial.report.to_csv(), parallel.report.to_csv());
         assert_eq!(serial.report.columns, NPAIR_SWEEP_COLUMNS.to_vec());
     }
@@ -390,22 +380,22 @@ mod tests {
         let cache = ResultCache::new(&dir);
         let v1 = tiny_sweep().ds(&[20.0]).sigmas(&[8.0]).samples(500);
         let v2 = v1.clone().stream_layout(StreamLayout::V2);
-        let first_v1 = run_sweep(&v1, &Engine::serial(), Some(&cache));
+        let first_v1 = run_workload(&v1, &Engine::serial(), Some(&cache));
         assert!(!first_v1.cache_hit);
         // The v2 run must miss (disjoint key), not serve v1 rows.
-        let first_v2 = run_sweep(&v2, &Engine::serial(), Some(&cache));
+        let first_v2 = run_workload(&v2, &Engine::serial(), Some(&cache));
         assert!(!first_v2.cache_hit, "v2 must not hit the v1 cache entry");
         assert_ne!(first_v1.report.to_csv(), first_v2.report.to_csv());
         // And each layout hits its own entry on re-run.
-        assert!(run_sweep(&v1, &Engine::serial(), Some(&cache)).cache_hit);
-        assert!(run_sweep(&v2, &Engine::serial(), Some(&cache)).cache_hit);
+        assert!(run_workload(&v1, &Engine::serial(), Some(&cache)).cache_hit);
+        assert!(run_workload(&v2, &Engine::serial(), Some(&cache)).cache_hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rows_cover_grid_times_policies() {
         let sweep = tiny_sweep();
-        let out = run_sweep(&sweep, &Engine::serial(), None);
+        let out = run_workload(&sweep, &Engine::serial(), None);
         assert_eq!(out.tasks_run, sweep.task_count());
         assert_eq!(
             out.report.rows.len(),
@@ -424,7 +414,7 @@ mod tests {
     #[test]
     fn npair_rows_carry_topology_and_fairness() {
         let sweep = tiny_npair_sweep();
-        let out = run_sweep(&sweep, &Engine::serial(), None);
+        let out = run_workload(&sweep, &Engine::serial(), None);
         assert_eq!(out.report.columns, NPAIR_SWEEP_COLUMNS.to_vec());
         assert_eq!(
             out.report.rows.len(),
@@ -454,15 +444,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let sweep = tiny_sweep();
-        let first = run_sweep(&sweep, &Engine::new(2), Some(&cache));
+        let first = run_workload(&sweep, &Engine::new(2), Some(&cache));
         assert!(!first.cache_hit);
-        let second = run_sweep(&sweep, &Engine::new(2), Some(&cache));
+        let second = run_workload(&sweep, &Engine::new(2), Some(&cache));
         assert!(second.cache_hit);
         assert_eq!(second.tasks_run, 0);
         assert_eq!(first.report.to_csv(), second.report.to_csv());
         // A changed parameter misses and recomputes.
         let changed = sweep.clone().samples(1_000);
-        let third = run_sweep(&changed, &Engine::new(2), Some(&cache));
+        let third = run_workload(&changed, &Engine::new(2), Some(&cache));
         assert!(!third.cache_hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -473,14 +463,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let sweep = tiny_npair_sweep();
-        let first = run_sweep(&sweep, &Engine::new(2), Some(&cache));
+        let first = run_workload(&sweep, &Engine::new(2), Some(&cache));
         assert!(!first.cache_hit);
-        let second = run_sweep(&sweep, &Engine::new(2), Some(&cache));
+        let second = run_workload(&sweep, &Engine::new(2), Some(&cache));
         assert!(second.cache_hit);
         assert_eq!(first.report.to_csv(), second.report.to_csv());
         // A different topology axis is a different scenario.
         let changed = sweep.clone().topologies(&[Topology::npair_line(8)]);
-        let third = run_sweep(&changed, &Engine::new(2), Some(&cache));
+        let third = run_workload(&changed, &Engine::new(2), Some(&cache));
         assert!(!third.cache_hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -488,7 +478,7 @@ mod tests {
     #[test]
     fn policies_subset_selects_columns() {
         let sweep = tiny_sweep().policies(&[PolicyAxis::CarrierSense]);
-        let out = run_sweep(&sweep, &Engine::serial(), None);
+        let out = run_workload(&sweep, &Engine::serial(), None);
         assert_eq!(out.report.rows.len(), sweep.task_count());
         assert_eq!(out.report.meta_value("policy:0"), Some("carrier-sense"));
     }
@@ -499,13 +489,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let all = tiny_sweep();
-        let first = run_sweep(&all, &Engine::serial(), Some(&cache));
+        let first = run_workload(&all, &Engine::serial(), Some(&cache));
         assert!(!first.cache_hit);
         // Same grid, different reported-policy subset: must be a cache
         // hit (no recompute) and the rows must be the matching slice of
         // the all-policy run.
         let subset = all.clone().policies(&[PolicyAxis::Optimal]);
-        let second = run_sweep(&subset, &Engine::serial(), Some(&cache));
+        let second = run_workload(&subset, &Engine::serial(), Some(&cache));
         assert!(second.cache_hit, "policy subset must not recompute");
         assert_eq!(second.tasks_run, 0);
         let opt_index = PolicyAxis::ALL
@@ -535,8 +525,8 @@ mod tests {
         for _ in 0..sweep.task_count() * PolicyAxis::ALL.len() {
             stale.push_row(vec![1.0, 2.0]);
         }
-        cache.store(&sweep, &stale).unwrap();
-        let out = run_sweep(&sweep, &Engine::serial(), Some(&cache));
+        cache.store_report(&sweep, &stale).unwrap();
+        let out = run_workload(&sweep, &Engine::serial(), Some(&cache));
         assert!(!out.cache_hit, "stale layout must recompute");
         assert_eq!(out.report.columns.len(), SWEEP_COLUMNS.len());
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,7 +10,7 @@
 //! both cheaper and statistically tighter).
 //!
 //! Every component that affects the computed numbers is folded into a
-//! canonical string ([`Sweep::canonical`]) whose FNV-1a hash keys the
+//! canonical string ([`Sweep::canonical`]) whose [`fnv1a64`] hash keys the
 //! on-disk result cache; the root seed is kept out of the hash so
 //! (hash, seed) pairs form the cache key, and the policy *selection* is
 //! kept out too because cached entries always carry all-policy rows.
@@ -366,7 +366,7 @@ impl Sweep {
         out
     }
 
-    /// FNV-1a hash of [`Sweep::canonical`] — the scenario half of the
+    /// [`fnv1a64`] hash of [`Sweep::canonical`] — the scenario half of the
     /// (scenario hash, seed) cache key.
     pub fn scenario_hash(&self) -> u64 {
         fnv1a64(self.canonical().as_bytes())
@@ -430,7 +430,13 @@ pub fn task_seed(root: u64, index: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// FNV-1a 64-bit hash.
+/// The workspace's 64-bit hash of a byte string. It runs FNV-1a's loop
+/// (start from the offset basis `0xcbf2_9ce4_8422_2325`; for each byte,
+/// XOR it in, then multiply) but multiplies by `0x1000_0000_01b3`
+/// (2^44 + 0x1b3), not the FNV 64-bit prime `0x100_0000_01b3`
+/// (2^40 + 0x1b3). So it is not FNV-1a, and a standard FNV-1a tool does
+/// not reproduce its values. The constant is frozen: every cache key
+/// (the scenario hash) and every pinned report hash depends on it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -443,6 +449,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_is_pinned_and_is_not_standard_fnv1a() {
+        fn standard_fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            })
+        }
+        // The published FNV-1a 64 test vectors.
+        assert_eq!(standard_fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(standard_fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // What this workspace's hash gives instead, pinned.
+        assert_eq!(fnv1a64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0xf8ac_2471_f739_67e8);
+    }
 
     #[test]
     fn lowering_is_cartesian_and_indexed() {

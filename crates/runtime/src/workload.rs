@@ -15,7 +15,8 @@
 //!   what makes slicing the task list slice the report (the property
 //!   `wcs-shard` is built on), and
 //! * it **contributes a canonical string** ([`WorkloadSpec::canonical`])
-//!   whose FNV-1a hash keys the shared result cache.
+//!   whose [`fnv1a64`] hash keys the shared result cache (FNV-1a's
+//!   loop with a non-standard multiplier; see its docs).
 //!
 //! [`Sweep`] (model sweeps) is the first implementor —
 //! rebased onto this trait with bitwise-identical reports, canonical
@@ -157,7 +158,7 @@ pub trait WorkloadSpec {
     /// function of (self, full) so shard merges emit byte-identical
     /// output.
     fn finalize(&self, full: &RunReport) -> RunReport;
-    /// FNV-1a hash of [`WorkloadSpec::canonical`] — the scenario half of
+    /// [`fnv1a64`] hash of [`WorkloadSpec::canonical`] — the scenario half of
     /// the (scenario hash, seed) cache key.
     fn scenario_hash(&self) -> u64 {
         fnv1a64(self.canonical().as_bytes())

@@ -7,7 +7,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wcs_runtime::{run_workload, AnyWorkload, Engine, ResultCache, ResultIndex, RunReport, Sweep};
+use wcs_runtime::{
+    run_workload, AnyWorkload, Engine, IndexQuery, ResultCache, ResultIndex, RunReport, Sweep,
+};
 use wcs_serve::{ServeConfig, Server};
 use wcs_telemetry::json::{self, Json};
 
@@ -193,7 +195,7 @@ fn concurrent_posts_share_one_job_one_cache_entry_and_identical_streams() {
 
     // One computation → one cache entry.
     let cache = ResultCache::new(dir.clone());
-    assert_eq!(cache.entries().unwrap().len(), 1);
+    assert_eq!(cache.query(&IndexQuery::default()).unwrap().len(), 1);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -364,7 +366,7 @@ fn results_endpoint_paginates_the_index() {
     let mut hashes = Vec::new();
     for (name, seed) in [("grid-a", 1u64), ("grid-b", 2), ("grid-c", 3)] {
         let sweep = Sweep::new(name).ds(&[10.0]).seed(seed);
-        cache.store(&sweep, &report).unwrap();
+        cache.store_report(&sweep, &report).unwrap();
         hashes.push((sweep.scenario_hash(), seed));
     }
     let server = server_over(&dir, test_cfg());

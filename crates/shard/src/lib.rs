@@ -26,7 +26,7 @@
 //!   them sight unseen,
 //! * the **merge** ([`merge`]): index-order reassembly that refuses
 //!   mismatched spec hashes, overlapping slices and gapped slices, then
-//!   finalizes through the exact `run_sweep` post-processing path and
+//!   finalizes through the exact `run_workload` post-processing path and
 //!   stores the reassembled full report in the shared
 //!   [`ResultCache`](wcs_runtime::ResultCache) under the same key a
 //!   single-process run would use, and

@@ -227,7 +227,8 @@ impl ShardManifest {
                 workload.task_count()
             )));
         }
-        if k == 0 || shard >= k {
+        ShardPlan::new(task_count, k, strategy).map_err(|e| parse_err(e.to_string()))?;
+        if shard >= k {
             return Err(parse_err(format!(
                 "shard index {shard} out of range for k = {k}"
             )));

@@ -1,15 +1,20 @@
 //! Deterministic index-order merge of shard partials.
 //!
-//! The merge trusts nothing: every partial must carry the **same**
-//! workload kind (model and sim shards are never mixed), canonical spec
-//! string (full string, not just the hash), seed, shard count, strategy,
-//! task count and column layout; the shard indices must tile `0..k` with
-//! no duplicates (overlap) and no holes (gap); and every partial's row
-//! count must equal its slice length × the workload's per-task row block
-//! size. Only then are the row blocks dealt back into task-index order —
-//! reconstructing the exact full report a single-process run produces,
-//! which then goes through the same workload finalization (and
-//! optionally into the shared results index under the same key).
+//! The merge trusts nothing. [`merge_dir`] loads each manifest of a plan
+//! directory once and passes each shard's partial through the one gate
+//! in [`crate::partial`], which checks it against that manifest. Then
+//! [`merge_partials`] checks the set: every partial must carry the
+//! **same** workload kind (model and sim shards are never mixed),
+//! canonical spec string (full string, not just the hash), seed, shard
+//! count, strategy, task count and column layout; the shard indices must
+//! tile `0..k` with no duplicates (overlap) and no holes (gap); and every
+//! partial's row count must equal its slice length × the workload's
+//! per-task row block size. Nothing is allocated in proportion to a
+//! count a partial claims until its rows back that count. Only then are
+//! the row blocks dealt back into task-index order — reconstructing the
+//! exact full report a single-process run produces, which then goes
+//! through the same workload finalization (and optionally into the
+//! shared results index under the same key).
 //!
 //! When the shared index is available, a shard whose partial file is
 //! missing from the plan directory (lost worker, lost disk) is served
@@ -65,6 +70,8 @@ pub fn merge_partials(parts: &[PartialReport]) -> Result<RunReport, ShardError> 
             )));
         }
     }
+    // The plan refuses an impossible k before it sizes anything.
+    let plan = crate::plan::ShardPlan::new(first.task_count, k, first.strategy)?;
     // Exactly one partial per shard index: duplicates are overlapping
     // slices, absences are gaps. (Parsing rejects shard >= k, but a
     // programmatically built PartialReport can still carry one.)
@@ -82,12 +89,20 @@ pub fn merge_partials(parts: &[PartialReport]) -> Result<RunReport, ShardError> 
         }
         *slot = Some(p);
     }
-    let plan = crate::plan::ShardPlan::new(first.task_count, k, first.strategy)
-        .expect("k >= 1 was checked at parse");
+    if let Some(shard) = by_shard.iter().position(Option::is_none) {
+        return Err(ShardError::Gap { shard, k });
+    }
+    // Rows must back the task count before it sizes the reassembly.
     let rows_per_task = first.kind.rows_per_task();
-    let mut slots: Vec<Option<&Vec<f64>>> = vec![None; first.task_count * rows_per_task];
-    for (shard, slot) in by_shard.iter().enumerate() {
-        let p = slot.ok_or(ShardError::Gap { shard, k })?;
+    let rows: usize = parts.iter().map(|p| p.report.rows.len()).sum();
+    if first.task_count.checked_mul(rows_per_task) != Some(rows) {
+        return Err(ShardError::BadShape(format!(
+            "the shards carry {rows} rows, {} tasks need {rows_per_task} each",
+            first.task_count
+        )));
+    }
+    let mut slots: Vec<Option<&Vec<f64>>> = vec![None; rows];
+    for (shard, p) in by_shard.into_iter().flatten().enumerate() {
         let indices = plan.indices(shard);
         if p.report.rows.len() != indices.len() * rows_per_task {
             return Err(ShardError::BadShape(format!(
@@ -137,43 +152,31 @@ pub struct MergeOutcome {
 /// *next* `repro sweep` of this spec is a cache hit.
 pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOutcome, ShardError> {
     let mut span = wcs_telemetry::span("shard.merge").start();
-    let manifest_paths = driver::find_manifests(dir)?;
-    let first_manifest = match manifest_paths.first() {
-        Some(p) => ShardManifest::load(p)?,
-        None => {
-            return Err(ShardError::SpecMismatch(format!(
-                "no shard manifests in {}",
-                dir.display()
-            )))
-        }
-    };
-    let mut parts = Vec::with_capacity(manifest_paths.len());
+    let mut manifests = Vec::new();
+    for path in driver::find_manifests(dir)? {
+        manifests.push(ShardManifest::load(&path)?);
+    }
+    if manifests.is_empty() {
+        return Err(ShardError::SpecMismatch(format!(
+            "no shard manifests in {}",
+            dir.display()
+        )));
+    }
+    // Each partial is checked against its own manifest here, and the set
+    // against itself by merge_partials, so manifests that disagree with
+    // each other are refused there.
+    let mut parts = Vec::with_capacity(manifests.len());
     let mut shards_from_cache = 0;
-    for mpath in &manifest_paths {
-        let manifest = ShardManifest::load(mpath)?;
-        if manifest.kind() != first_manifest.kind() {
-            return Err(ShardError::WorkloadMismatch {
-                expected: first_manifest.kind(),
-                found: manifest.kind(),
-            });
-        }
-        if manifest.workload.canonical() != first_manifest.workload.canonical() {
-            return Err(ShardError::SpecMismatch(format!(
-                "{} plans a different sweep than {}",
-                mpath.display(),
-                manifest_paths[0].display()
-            )));
-        }
+    for manifest in &manifests {
         let ppath = driver::partial_path(dir, manifest.shard);
         let source = if ppath.exists() {
-            parts.push(PartialReport::load(&ppath)?);
+            parts.push(PartialReport::load(&ppath)?.gate(manifest)?);
             "file"
         } else {
             // Lost worker / lost file: serve the cached partial blob if
-            // this exact plan's shard was ever computed before —
-            // through the same validation gate the worker uses (kind,
-            // spec, seed, coordinates, column layout, row count).
-            match index.and_then(|ix| crate::partial::load_cached_partial(ix, &manifest)) {
+            // this exact plan's shard was ever computed before, through
+            // the same gate.
+            match index.and_then(|ix| crate::partial::load_cached_partial(ix, manifest)) {
                 Some(p) => {
                     shards_from_cache += 1;
                     parts.push(p);
@@ -198,18 +201,10 @@ pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOut
             ],
         );
     }
-    let workload = first_manifest.workload;
-    for p in &parts {
-        if p.spec != workload.canonical() || p.seed != workload.seed() {
-            return Err(ShardError::SpecMismatch(format!(
-                "partial for shard {} does not match the plan's sweep",
-                p.shard
-            )));
-        }
-    }
+    let workload = manifests.swap_remove(0).workload;
     let full = merge_partials(&parts)?;
     if let Some(index) = index {
-        // Same tolerance as run_sweep: a failed store warns (mirrored to
+        // Same tolerance as run_workload: a failed store warns (mirrored to
         // stderr, counted for --strict-cache), never fails.
         if let Err(e) = index.store_report(&workload, &full) {
             wcs_telemetry::warn_with(
@@ -242,7 +237,7 @@ mod tests {
     use super::*;
     use crate::partial::run_worker;
     use crate::plan::{ShardPlan, ShardStrategy};
-    use wcs_runtime::{run_sweep, Engine, Sweep, Topology};
+    use wcs_runtime::{run_workload, Engine, Sweep, Topology};
 
     fn sweep() -> Sweep {
         Sweep::new("merge-test")
@@ -263,7 +258,7 @@ mod tests {
     #[test]
     fn merge_reconstructs_single_process_rows_in_any_arrival_order() {
         let s = sweep();
-        let single = run_sweep(&s, &Engine::serial(), None).report;
+        let single = run_workload(&s, &Engine::serial(), None).report;
         for strategy in [ShardStrategy::Contiguous, ShardStrategy::Strided] {
             let mut parts = partials(&s, 3, strategy);
             parts.rotate_left(2); // arrival order must not matter
@@ -358,6 +353,52 @@ mod tests {
             merge_partials(&parts),
             Err(ShardError::SpecMismatch(_))
         ));
+    }
+
+    #[test]
+    fn a_partial_claiming_a_huge_task_count_or_k_is_an_error() {
+        // A plan directory whose partial header claims 10^15 tasks (or
+        // shards) must fail the gate, not size an allocation by it.
+        let dir = std::env::temp_dir().join(format!("wcs-merge-huge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // One shard, so no second partial disagrees with the claim.
+        let s = sweep();
+        crate::write_plan(&dir, &s, 1, ShardStrategy::Contiguous).unwrap();
+        let part = &partials(&s, 1, ShardStrategy::Contiguous)[0];
+        part.save(&driver::partial_path(&dir, 0)).unwrap();
+        assert!(merge_dir(&dir, None).is_ok(), "the untouched plan merges");
+        let text = part.to_text();
+        let task_count = format!("# task_count: {}\n", s.task_count());
+        for (from, to) in [
+            (task_count.as_str(), "# task_count: 1000000000000000\n"),
+            ("# shard: 0/1\n", "# shard: 0/1000000000000000\n"),
+        ] {
+            assert!(text.contains(from), "{from}");
+            std::fs::write(driver::partial_path(&dir, 0), text.replace(from, to)).unwrap();
+            assert!(matches!(
+                merge_dir(&dir, None),
+                Err(ShardError::SpecMismatch(_))
+            ));
+        }
+        // A programmatic set that agrees on the huge count is refused by
+        // merge_partials itself, before it allocates.
+        let mut huge = partials(&s, 2, ShardStrategy::Contiguous);
+        for p in &mut huge {
+            p.task_count = 1_000_000_000_000_000;
+        }
+        assert!(matches!(
+            merge_partials(&huge),
+            Err(ShardError::BadShape(_))
+        ));
+        // So is a set that agrees on a k no plan can have.
+        for p in &mut huge {
+            p.k = 1_000_000_000_000_000;
+        }
+        assert!(matches!(
+            merge_partials(&huge),
+            Err(ShardError::SpecMismatch(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Per-shard partial reports.
+//! Per-shard partial reports: their one writer
+//! ([`PartialReport::to_text`]), their one reader
+//! ([`PartialReport::parse`]) and the one gate every partial passes.
 //!
 //! A worker writes one partial file: a `#`-comment header carrying the
 //! workload kind, the canonical spec string, seed, shard coordinates and
 //! strategy, then the shard's full row blocks (the cache's row form, not
 //! the finalized presentation form). The header lets the merge validate
-//! a directory of partials sight unseen — same kind, same spec, same
-//! seed, same plan, no overlaps, no gaps — before it trusts a single
-//! row.
+//! a directory of partials sight unseen before it trusts a single row:
+//! each partial must match the manifest of the shard it claims to be
+//! (`PartialReport::gate`), whether it was read from a plan directory or
+//! from the index, and then the set must tile the plan ([`crate::merge`]).
 //!
 //! Workers also **cache their partials** in the shared results index
 //! (as named blobs keyed by (scenario, hash, seed, plan, shard)): if a
@@ -64,30 +67,18 @@ pub fn partial_cache_name(manifest: &ShardManifest) -> String {
     )
 }
 
-/// A cached partial blob matching this manifest exactly — kind, spec,
-/// seed, plan coordinates, column layout and row count — if one exists.
-/// The single validation gate for cached partials, shared by
-/// [`run_worker`] and the merge's lost-file fallback.
+/// The cached partial blob of this manifest's shard, if one exists and
+/// passes the gate. Shared by [`run_worker`] and the merge's lost-file
+/// fallback.
 pub(crate) fn load_cached_partial(
     index: &dyn ResultIndex,
     manifest: &ShardManifest,
 ) -> Option<PartialReport> {
     let name = partial_cache_name(manifest);
     let text = index.load_blob(&name)?;
-    let partial = PartialReport::parse(&text, Path::new(&name)).ok()?;
-    let w = &manifest.workload;
-    let expected_rows = manifest.indices().len() * w.kind().rows_per_task();
-    let columns = w.columns();
-    (partial.kind == w.kind()
-        && partial.spec == w.canonical()
-        && partial.seed == w.seed()
-        && partial.shard == manifest.shard
-        && partial.k == manifest.k
-        && partial.strategy == manifest.strategy
-        && partial.task_count == manifest.task_count
-        && partial.report.columns == columns
-        && partial.report.rows.len() == expected_rows)
-        .then_some(partial)
+    PartialReport::parse(&text, Path::new(&name))
+        .and_then(|partial| partial.gate(manifest))
+        .ok()
 }
 
 /// Execute a manifest's slice and package the result. When the results
@@ -170,6 +161,35 @@ pub fn run_worker(
 }
 
 impl PartialReport {
+    /// The gate every partial passes before a worker or a merge trusts
+    /// it: the partial must match `manifest`, the shard it claims to be,
+    /// on kind, spec, seed, shard, k, strategy, task count, column layout
+    /// and row count. The error names the first field that differs.
+    pub(crate) fn gate(self, manifest: &ShardManifest) -> Result<Self, ShardError> {
+        let w = &manifest.workload;
+        let rows = manifest.indices().len() * w.kind().rows_per_task();
+        let differs = [
+            ("kind", self.kind != w.kind()),
+            ("spec", self.spec != w.canonical()),
+            ("seed", self.seed != w.seed()),
+            ("shard", self.shard != manifest.shard),
+            ("k", self.k != manifest.k),
+            ("strategy", self.strategy != manifest.strategy),
+            ("task_count", self.task_count != manifest.task_count),
+            ("columns", self.report.columns != w.columns()),
+            ("row count", self.report.rows.len() != rows),
+        ]
+        .into_iter()
+        .find_map(|(field, differs)| differs.then_some(field));
+        match differs {
+            None => Ok(self),
+            Some(field) => Err(ShardError::SpecMismatch(format!(
+                "the partial for shard {} differs from its manifest in {field}",
+                manifest.shard
+            ))),
+        }
+    }
+
     /// Serialize to the partial file format.
     pub fn to_text(&self) -> String {
         format!(
@@ -356,7 +376,10 @@ mod tests {
         let strided = run_worker(&other, &Engine::serial(), Some(&cache));
         assert_eq!(strided.strategy, ShardStrategy::Strided);
         // Blobs never show up as cache entries.
-        assert!(cache.entries().unwrap().is_empty());
+        assert!(cache
+            .query(&wcs_runtime::IndexQuery::default())
+            .unwrap()
+            .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,7 @@
 //!   this on the `npair-scaling` cost profile.
 
 use crate::ShardError;
+use wcs_runtime::workload::MAX_TASKS;
 
 /// How a plan deals task indices to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,13 +58,15 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// A plan splitting `task_count` tasks into `k` shards. `k` must be
-    /// at least 1; shards beyond the task count come out empty (legal —
-    /// their partial reports merge as zero rows).
+    /// at least 1 and at most [`MAX_TASKS`]; shards beyond the task count
+    /// come out empty (legal — their partial reports merge as zero
+    /// rows), and no spec lowers to more than `MAX_TASKS` tasks, so a
+    /// larger `k` would only add empty shards, one manifest file each.
     pub fn new(task_count: usize, k: usize, strategy: ShardStrategy) -> Result<Self, ShardError> {
-        if k == 0 {
-            return Err(ShardError::SpecMismatch(
-                "shard count k must be at least 1".into(),
-            ));
+        if k == 0 || k as u64 > MAX_TASKS {
+            return Err(ShardError::SpecMismatch(format!(
+                "shard count k must be between 1 and {MAX_TASKS}, got {k}"
+            )));
         }
         Ok(ShardPlan {
             task_count,
@@ -90,11 +93,6 @@ impl ShardPlan {
             }
             ShardStrategy::Strided => (shard..self.task_count).step_by(self.k).collect(),
         }
-    }
-
-    /// Number of tasks in shard `shard`.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.indices(shard).len()
     }
 }
 
@@ -131,7 +129,7 @@ mod tests {
         assert_eq!(plan.indices(1), vec![4, 5, 6]);
         assert_eq!(plan.indices(2), vec![7, 8, 9]);
         // Lengths differ by at most one.
-        let lens: Vec<usize> = (0..3).map(|s| plan.shard_len(s)).collect();
+        let lens: Vec<usize> = (0..3).map(|s| plan.indices(s).len()).collect();
         assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
     }
 
@@ -146,15 +144,20 @@ mod tests {
     #[test]
     fn zero_shards_is_an_error() {
         assert!(ShardPlan::new(4, 0, ShardStrategy::Contiguous).is_err());
+        // So is a k no spec's task count can fill.
+        let most = MAX_TASKS as usize;
+        assert!(ShardPlan::new(4, most, ShardStrategy::Contiguous).is_ok());
+        assert!(ShardPlan::new(4, most + 1, ShardStrategy::Contiguous).is_err());
+        assert!(ShardPlan::new(4, 1_000_000_000, ShardStrategy::Strided).is_err());
     }
 
     #[test]
     fn more_shards_than_tasks_leaves_empty_tails() {
         let plan = ShardPlan::new(2, 5, ShardStrategy::Contiguous).unwrap();
-        assert_eq!(plan.shard_len(0), 1);
-        assert_eq!(plan.shard_len(1), 1);
+        assert_eq!(plan.indices(0).len(), 1);
+        assert_eq!(plan.indices(1).len(), 1);
         for s in 2..5 {
-            assert_eq!(plan.shard_len(s), 0);
+            assert_eq!(plan.indices(s).len(), 0);
         }
         assert_partition(&plan);
     }

@@ -214,22 +214,9 @@ impl RateStrategy {
     }
 }
 
-/// Run the full protocol for one pair of links (the paper's best-fixed
-/// rate selection).
-pub fn run_pair_experiment(
-    testbed: &Testbed,
-    pairs: PairExperiment,
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> ExperimentPoint {
-    run_pair_experiment_with(testbed, pairs, cfg, seed, RateStrategy::BestFixed)
-}
-
 /// Run the full protocol for one pair of links under an explicit
 /// [`RateStrategy`]: [`run_protocol`] over a fresh [`ProtocolSlot`].
-/// `RateStrategy::BestFixed` is bit-for-bit the classic
-/// [`run_pair_experiment`] path (same per-run seed derivation, same
-/// fixed-rate policies).
+/// `RateStrategy::BestFixed` is the paper's best-fixed rate selection.
 pub fn run_pair_experiment_with(
     testbed: &Testbed,
     pairs: PairExperiment,
@@ -482,41 +469,21 @@ pub fn plan_ensemble(
     planned
 }
 
-/// Execute one planned task (the engine kernel for testbed ensembles).
-pub fn run_planned(
-    testbed: &Testbed,
-    planned: &PlannedPair,
-    cfg: &ExperimentConfig,
-) -> ExperimentPoint {
-    run_pair_experiment(testbed, planned.pairs, cfg, planned.seed)
-}
-
-/// Execute a set of planned tasks serially, in order. This is the one
-/// running code path behind both [`run_ensemble`] and (task by task, on
-/// the engine) the `wcs-runtime` sim workload.
-pub fn run_planned_set(
-    testbed: &Testbed,
-    planned: &[PlannedPair],
-    cfg: &ExperimentConfig,
-) -> Vec<ExperimentPoint> {
-    planned
-        .iter()
-        .map(|p| run_planned(testbed, p, cfg))
-        .collect()
-}
-
 /// Sample `n_points` node-disjoint link pairs from `links` and run the
-/// protocol on each, serially: a thin wrapper composing [`plan_ensemble`]
-/// with [`run_planned_set`]. The parallel harnesses (`wcs-bench`, the
-/// `wcs-runtime` sim workload) fan the same planned tasks out on the
-/// engine and produce identical points.
+/// best-fixed protocol on each, serially: [`plan_ensemble`], then
+/// [`run_pair_experiment_with`] per planned pair. The parallel harnesses
+/// (`wcs-bench`, the `wcs-runtime` sim workload) fan the same planned
+/// pairs out on the engine and produce identical points.
 pub fn run_ensemble(
     testbed: &Testbed,
     links: &[CandidateLink],
     n_points: usize,
     cfg: &ExperimentConfig,
 ) -> Vec<ExperimentPoint> {
-    run_planned_set(testbed, &plan_ensemble(links, n_points, cfg), cfg)
+    plan_ensemble(links, n_points, cfg)
+        .iter()
+        .map(|p| run_pair_experiment_with(testbed, p.pairs, cfg, p.seed, RateStrategy::BestFixed))
+        .collect()
 }
 
 /// Aggregate an ensemble into the paper's summary-table numbers.
@@ -624,7 +591,7 @@ mod tests {
         }
         let (pairs, rssi) = best.expect("no disjoint pair");
         assert!(rssi > 20.0, "closest sender pair only {rssi} dB");
-        let p = run_pair_experiment(&t, pairs, &quick_cfg(), 1);
+        let p = run_pair_experiment_with(&t, pairs, &quick_cfg(), 1, RateStrategy::BestFixed);
         // Close senders: CS must do about as well as the better static
         // strategy. (Whether that is multiplexing or — when both
         // receivers happen to sit snug against their senders and decode
@@ -677,7 +644,7 @@ mod tests {
         }
         let (pairs, rssi) = best.expect("no disjoint pair");
         assert!(rssi < 13.0, "most-separated senders still sense: {rssi} dB");
-        let p = run_pair_experiment(&t, pairs, &quick_cfg(), 2);
+        let p = run_pair_experiment_with(&t, pairs, &quick_cfg(), 2, RateStrategy::BestFixed);
         // Distant senders: concurrency ≈ CS, both beat multiplexing.
         assert!(
             p.concurrency_pps > 1.3 * p.multiplexing_pps,
@@ -735,12 +702,11 @@ mod tests {
             let fixed = run(RateStrategy::BestFixed);
             assert!(a.optimal_pps() > 0.25 * fixed.optimal_pps());
         }
-        // BestFixed through the _with seam is the classic path, bitwise.
+        // BestFixed through the _with seam is the ensemble's path, bitwise.
         let p = &planned[0];
-        let classic = run_planned(&t, p, &cfg);
         let through_seam =
             run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, RateStrategy::BestFixed);
-        assert_eq!(classic, through_seam);
+        assert_eq!(run_ensemble(&t, &links, 2, &cfg)[0], through_seam);
     }
 
     #[test]
@@ -841,7 +807,7 @@ mod tests {
         let mut reversed: Vec<ExperimentPoint> = planned
             .iter()
             .rev()
-            .map(|p| run_planned(&t, p, &cfg))
+            .map(|p| run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, RateStrategy::BestFixed))
             .collect();
         reversed.reverse();
         assert_eq!(serial, reversed);

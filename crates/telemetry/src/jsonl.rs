@@ -2,10 +2,14 @@
 //!
 //! A run log is a plain-text file, one JSON object per line. The first
 //! line is always a `runlog.start` meta event carrying the schema
-//! version ([`SCHEMA`]) — readers refuse anything else, so a schema bump
-//! can never be mistaken for data. Lines are written through an
+//! version ([`SCHEMA`]) — the reader refuses anything else, so a schema
+//! bump can never be mistaken for data. Lines are written through an
 //! unbuffered `Mutex<File>` (one `write_all` per event), so the log is
 //! complete even when the CLI leaves via `process::exit`.
+//!
+//! [`parse_runlog_lenient`] is the one parser: it validates the header
+//! and tallies damaged lines. [`parse_runlog`] is the same parser with
+//! the first damaged line made an error.
 
 use std::fs::File;
 use std::io::Write;
@@ -104,39 +108,14 @@ pub fn read_runlog(path: &Path) -> Result<RunLog, String> {
     parse_runlog(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Parse run-log text (see [`read_runlog`]).
+/// Parse run-log text (see [`read_runlog`]): [`parse_runlog_lenient`],
+/// with the first unparseable line an error.
 pub fn parse_runlog(text: &str) -> Result<RunLog, String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((_, first)) = lines.next() else {
-        return Err("empty run log".to_string());
-    };
-    let header = event_from_json(first).map_err(|e| format!("line 1: {e}"))?;
-    if header.kind != EventKind::Meta || header.name != "runlog.start" {
-        return Err(format!(
-            "line 1: expected a runlog.start header, found {} '{}'",
-            header.kind.label(),
-            header.name
-        ));
+    let lenient = parse_runlog_lenient(text)?;
+    match lenient.corrupt.first() {
+        Some((line, e)) => Err(format!("line {line}: {e}")),
+        None => Ok(lenient.log),
     }
-    let schema = header
-        .str_field("schema")
-        .ok_or("line 1: runlog.start has no schema field")?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unsupported run-log schema '{schema}' (this build reads '{SCHEMA}')"
-        ));
-    }
-    let mut events = Vec::new();
-    for (i, line) in lines {
-        events.push(event_from_json(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(RunLog {
-        schema: schema.to_string(),
-        events,
-    })
 }
 
 /// A run log read leniently: whatever parsed, plus an honest account of
@@ -170,7 +149,7 @@ pub fn read_runlog_lenient(path: &Path) -> Result<LenientRunLog, String> {
     parse_runlog_lenient(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Lenient form of [`parse_runlog`]; see [`read_runlog_lenient`].
+/// Parse run-log text leniently; see [`read_runlog_lenient`].
 pub fn parse_runlog_lenient(text: &str) -> Result<LenientRunLog, String> {
     let mut lines = text
         .lines()

@@ -20,11 +20,20 @@
 //!   cache entry; the existing byte-identity invariant tests extend over
 //!   these instruments.
 //!
+//! The same registry can be rebuilt offline from a recorded run log:
+//! [`runlog_prometheus`] replays a log's counters and timed events into
+//! throwaway instruments (what `repro trace export --prom` prints), and
+//! [`phase_totals`] sums its timed events per name (what `repro trace
+//! diff` compares).
+//!
 //! Buckets are log-scale in nanoseconds: bucket `i` holds samples in
 //! `[2^i, 2^(i+1) - 1]` (bucket 0 holds 0 and 1 ns). Forty buckets span
 //! 1 ns to ~18 minutes; anything beyond lands in the top bucket and is
 //! reported through `max` exactly.
 
+use crate::jsonl::RunLog;
+use crate::{Event, EventKind};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Schema identifier stamped into the `/v1/metrics` JSON body and the
@@ -155,8 +164,8 @@ pub fn bucket_le(i: usize) -> u64 {
     }
 }
 
-/// A fixed-bucket log-scale histogram. Instantiable (the runlog
-/// replayer in `repro trace export` builds throwaway ones) but normally
+/// A fixed-bucket log-scale histogram. Instantiable (the run-log
+/// replay, [`runlog_prometheus`], builds throwaway ones) but normally
 /// used through the process-global registry via [`record_ns`].
 #[derive(Debug)]
 pub struct Histogram {
@@ -403,6 +412,53 @@ pub fn prometheus_page() -> String {
     render_prometheus(&crate::counter_totals(), &gauges(), &snapshot_all())
 }
 
+/// The `dur_ns` of a timed run-log event: a span exit or a value event
+/// that carries one. (Counters are not timed: the counter `cache.store`
+/// shares its name with a histogram.)
+fn timed_ns(ev: &Event) -> Option<u64> {
+    matches!(ev.kind, EventKind::SpanExit | EventKind::Value)
+        .then(|| ev.u64_field("dur_ns"))
+        .flatten()
+}
+
+/// Rebuild the metric surfaces a recorded run *would* have exposed live
+/// and render them in Prometheus text format: counters from `Counter`
+/// event deltas, and each histogram from the timed events of the same
+/// name (the runlog twin of its live seam). Cache-latency histograms
+/// have no runlog twin and render empty; gauges are point-in-time and
+/// are not rendered.
+pub fn runlog_prometheus(log: &RunLog) -> String {
+    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let hists: [Histogram; HistId::ALL.len()] = [const { Histogram::new() }; HistId::ALL.len()];
+    for ev in &log.events {
+        if ev.kind == EventKind::Counter {
+            let total = counters.entry(ev.name.clone()).or_insert(0);
+            *total = total.saturating_add(ev.u64_field("delta").unwrap_or(0));
+        } else if let (Some(id), Some(ns)) = (HistId::by_name(&ev.name), timed_ns(ev)) {
+            hists[id as usize].record(ns);
+        }
+    }
+    let counters: Vec<(String, u64)> = counters.into_iter().collect();
+    let snaps: Vec<HistogramSnapshot> = HistId::ALL
+        .iter()
+        .map(|id| hists[*id as usize].snapshot(id.name()))
+        .collect();
+    render_prometheus(&counters, &[], &snaps)
+}
+
+/// Total `dur_ns` per event name over a run log's timed events, sorted
+/// by name. Sums saturate: a damaged log cannot overflow them.
+pub fn phase_totals(log: &RunLog) -> Vec<(String, u64)> {
+    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+    for ev in &log.events {
+        if let Some(ns) = timed_ns(ev) {
+            let total = totals.entry(ev.name.clone()).or_insert(0);
+            *total = total.saturating_add(ns);
+        }
+    }
+    totals.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,6 +617,50 @@ mod tests {
             last = v;
         }
         assert_eq!(last, 3);
+    }
+
+    #[test]
+    fn runlog_replay_fills_histograms_from_timed_events_only() {
+        let ev = |kind, name: &str, fields: Vec<(&str, u64)>| Event {
+            t_ns: 0,
+            kind,
+            name: name.to_string(),
+            fields: fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), crate::Value::U64(v)))
+                .collect(),
+        };
+        let log = RunLog {
+            schema: crate::jsonl::SCHEMA.to_string(),
+            events: vec![
+                ev(EventKind::SpanExit, "engine.block", vec![("dur_ns", 700)]),
+                ev(EventKind::SpanExit, "engine.block", vec![("dur_ns", 300)]),
+                ev(EventKind::Value, "dispatch.shard", vec![("dur_ns", 5)]),
+                ev(EventKind::SpanEnter, "serve.job", vec![("dur_ns", 9)]),
+                // The counter `cache.store` shares its name with a
+                // histogram; it counts, it does not time.
+                ev(
+                    EventKind::Counter,
+                    "cache.store",
+                    vec![("delta", 2), ("dur_ns", 11)],
+                ),
+                ev(EventKind::Counter, "cache.store", vec![("delta", 1)]),
+            ],
+        };
+        let text = runlog_prometheus(&log);
+        assert!(text.contains("wcs_cache_store_total 3\n"), "{text}");
+        assert!(text.contains("wcs_engine_block_duration_ns_count 2\n"));
+        assert!(text.contains("wcs_engine_block_duration_ns_sum 1000\n"));
+        assert!(text.contains("wcs_dispatch_shard_duration_ns_count 1\n"));
+        assert!(text.contains("wcs_serve_job_duration_ns_count 0\n"));
+        assert!(text.contains("wcs_cache_store_duration_ns_count 0\n"));
+        assert_eq!(
+            phase_totals(&log),
+            vec![
+                ("dispatch.shard".to_string(), 5),
+                ("engine.block".to_string(), 1000)
+            ]
+        );
     }
 
     #[test]

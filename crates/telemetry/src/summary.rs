@@ -96,14 +96,14 @@ pub fn summarize(log: &RunLog) -> String {
                 if let Some(d) = e.u64_field("dur_ns") {
                     let s = spans.entry(e.name.as_str()).or_default();
                     s.count += 1;
-                    s.total_ns += d;
+                    s.total_ns = s.total_ns.saturating_add(d);
                     s.max_ns = s.max_ns.max(d);
                 }
             }
             EventKind::Counter => {
                 let c = counters.entry(e.name.as_str()).or_default();
-                c.total += e.u64_field("delta").unwrap_or(1);
-                c.bytes += e.u64_field("bytes").unwrap_or(0);
+                c.total = c.total.saturating_add(e.u64_field("delta").unwrap_or(1));
+                c.bytes = c.bytes.saturating_add(e.u64_field("bytes").unwrap_or(0));
             }
             EventKind::Warn => warns.push(e),
             _ => {}
@@ -113,18 +113,18 @@ pub fn summarize(log: &RunLog) -> String {
                 let sh = shard_of(e);
                 let agg = engine_blocks.entry(sh).or_default();
                 agg.0 += 1;
-                agg.1 += e.u64_field("len").unwrap_or(0);
-                agg.2 += e.u64_field("dur_ns").unwrap_or(0);
+                agg.1 = agg.1.saturating_add(e.u64_field("len").unwrap_or(0));
+                agg.2 = agg.2.saturating_add(e.u64_field("dur_ns").unwrap_or(0));
                 if let Some(row) = shards.get_mut(&sh) {
                     row.blocks += 1;
-                    row.tasks += e.u64_field("len").unwrap_or(0);
+                    row.tasks = row.tasks.saturating_add(e.u64_field("len").unwrap_or(0));
                 }
             }
             "engine.worker" => {
                 let key = (shard_of(e), e.u64_field("worker").unwrap_or(0));
                 let agg = engine_workers.entry(key).or_default();
-                agg.0 += e.u64_field("busy_ns").unwrap_or(0);
-                agg.1 += e.u64_field("blocks").unwrap_or(0);
+                agg.0 = agg.0.saturating_add(e.u64_field("busy_ns").unwrap_or(0));
+                agg.1 = agg.1.saturating_add(e.u64_field("blocks").unwrap_or(0));
             }
             "shard.planned" => {
                 if let Some(sh) = e.u64_field("shard") {

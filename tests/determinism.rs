@@ -47,9 +47,10 @@ fn harness_text_is_stable() {
 fn model_paper_outputs_reproduce_their_pinned_bytes() {
     // The 15 model-side outputs of `repro <name>` at quick effort, as
     // printed: a banner line, the report, a blank line. Hashed with the
-    // cache-key hash `fnv1a64`; their sha256 prefixes are listed in
-    // ROADMAP item 1. The §4 simulator reports are pinned by sha256 in
-    // CI.
+    // cache-key hash `fnv1a64` (FNV-1a's loop with a non-standard
+    // multiplier, so a standard FNV-1a tool gives other values); their
+    // sha256 prefixes are listed in ROADMAP item 1. The §4 simulator
+    // reports are pinned by sha256 in CI.
     use in_defense_of_carrier_sense::runtime::scenario::fnv1a64;
     let pinned: [(&str, u64); 15] = [
         ("table1", 0xfb479f1447ab44b1),
@@ -92,7 +93,7 @@ fn testbed_experiment_is_stable() {
 // The wcs-runtime engine must be invisible in the numbers: any thread
 // count, any scheduling interleaving, same bits.
 
-use in_defense_of_carrier_sense::runtime::{run_sweep, scenarios, EffortProfile, Engine};
+use in_defense_of_carrier_sense::runtime::{run_workload, scenarios, EffortProfile, Engine};
 
 /// A miniature Figure-4-family grid: the full declarative spec shape
 /// (3 Rmax × 3 σ × all policies) at test-sized sample counts.
@@ -106,9 +107,9 @@ fn tiny_fig4_family() -> in_defense_of_carrier_sense::runtime::Sweep {
 #[test]
 fn engine_sweep_is_bitwise_identical_across_thread_counts() {
     let sweep = tiny_fig4_family();
-    let serial = run_sweep(&sweep, &Engine::new(1), None);
-    let four = run_sweep(&sweep, &Engine::new(4), None);
-    let many = run_sweep(&sweep, &Engine::new(13), None);
+    let serial = run_workload(&sweep, &Engine::new(1), None);
+    let four = run_workload(&sweep, &Engine::new(4), None);
+    let many = run_workload(&sweep, &Engine::new(13), None);
     assert_eq!(serial.report.to_csv(), four.report.to_csv());
     assert_eq!(serial.report.to_csv(), many.report.to_csv());
     assert_eq!(serial.report.to_json(), four.report.to_json());
@@ -122,9 +123,9 @@ fn npair_scaling_sweep_is_bitwise_identical_across_thread_counts() {
     // in miniature.
     let profile = EffortProfile::quick().with_mc_samples(10_000);
     let sweep = scenarios::npair_scaling(&profile);
-    let serial = run_sweep(&sweep, &Engine::new(1), None);
-    let four = run_sweep(&sweep, &Engine::new(4), None);
-    let many = run_sweep(&sweep, &Engine::new(11), None);
+    let serial = run_workload(&sweep, &Engine::new(1), None);
+    let four = run_workload(&sweep, &Engine::new(4), None);
+    let many = run_workload(&sweep, &Engine::new(11), None);
     assert_eq!(serial.report.to_csv(), four.report.to_csv());
     assert_eq!(serial.report.to_csv(), many.report.to_csv());
     assert_eq!(serial.report.to_json(), four.report.to_json());
@@ -138,13 +139,13 @@ fn stream_layout_v2_is_bitwise_identical_across_thread_counts() {
     use in_defense_of_carrier_sense::runtime::StreamLayout;
     let v1 = tiny_fig4_family();
     let v2 = tiny_fig4_family().stream_layout(StreamLayout::V2);
-    let serial = run_sweep(&v2, &Engine::new(1), None);
-    let four = run_sweep(&v2, &Engine::new(4), None);
-    let many = run_sweep(&v2, &Engine::new(13), None);
+    let serial = run_workload(&v2, &Engine::new(1), None);
+    let four = run_workload(&v2, &Engine::new(4), None);
+    let many = run_workload(&v2, &Engine::new(13), None);
     assert_eq!(serial.report.to_csv(), four.report.to_csv());
     assert_eq!(serial.report.to_csv(), many.report.to_csv());
     assert_eq!(serial.report.to_json(), four.report.to_json());
-    let v1_out = run_sweep(&v1, &Engine::new(4), None);
+    let v1_out = run_workload(&v1, &Engine::new(4), None);
     assert_ne!(
         v1_out.report.to_csv(),
         serial.report.to_csv(),
@@ -164,8 +165,8 @@ fn stream_layout_v2_npair_sweep_is_thread_count_invariant() {
     use in_defense_of_carrier_sense::runtime::StreamLayout;
     let profile = EffortProfile::quick().with_mc_samples(10_000);
     let sweep = scenarios::npair_scaling(&profile).stream_layout(StreamLayout::V2);
-    let serial = run_sweep(&sweep, &Engine::new(1), None);
-    let many = run_sweep(&sweep, &Engine::new(11), None);
+    let serial = run_workload(&sweep, &Engine::new(1), None);
+    let many = run_workload(&sweep, &Engine::new(11), None);
     assert_eq!(serial.report.to_csv(), many.report.to_csv());
     assert_eq!(serial.report.to_json(), many.report.to_json());
 }
@@ -173,7 +174,8 @@ fn stream_layout_v2_npair_sweep_is_thread_count_invariant() {
 #[test]
 fn stream_layout_v2_reproduces_its_pinned_report_bytes() {
     // Thread and shard parity cannot catch a change that moves v2 bytes
-    // the same way on every path, so the v2 reports are pinned too.
+    // the same way on every path, so the v2 reports are pinned too, by
+    // `fnv1a64` of the CSV (not standard FNV-1a; see its docs).
     // Any rewrite of the v2 kernels or samplers must keep these hashes.
     use in_defense_of_carrier_sense::runtime::scenario::fnv1a64;
     use in_defense_of_carrier_sense::runtime::StreamLayout;
@@ -191,7 +193,7 @@ fn stream_layout_v2_reproduces_its_pinned_report_bytes() {
             let sweep = scenarios::by_name(name, &tiny)
                 .unwrap()
                 .stream_layout(StreamLayout::V2);
-            let out = run_sweep(&sweep, &Engine::new(4), None);
+            let out = run_workload(&sweep, &Engine::new(4), None);
             let hash = fnv1a64(out.report.to_csv().as_bytes());
             (name, hash, out.report.rows.len())
         })
@@ -208,7 +210,7 @@ fn adding_the_topology_axis_changed_no_classic_sweep() {
     let sweep = tiny_fig4_family();
     let spelled = sweep.clone().topologies(&[Topology::TwoPair]);
     assert_eq!(sweep.scenario_hash(), spelled.scenario_hash());
-    let out = run_sweep(&sweep, &Engine::new(2), None);
+    let out = run_workload(&sweep, &Engine::new(2), None);
     assert_eq!(out.report.columns.len(), 11);
 }
 
@@ -281,7 +283,7 @@ fn workload_redesign_preserves_builtin_scenario_identities() {
     for (name, spec_hash, csv_hash, rows) in tiny_reports {
         let sweep = scenarios::by_name(name, &tiny).unwrap();
         assert_eq!(sweep.scenario_hash(), spec_hash, "{name}: tiny spec hash");
-        let out = run_sweep(&sweep, &Engine::new(4), None);
+        let out = run_workload(&sweep, &Engine::new(4), None);
         assert_eq!(out.report.rows.len(), rows, "{name}: row count");
         assert_eq!(
             fnv1a64(out.report.to_csv().as_bytes()),

@@ -5,9 +5,9 @@
 //! set that is inconsistent (overlaps, gaps, edited specs).
 
 use in_defense_of_carrier_sense::runtime::{
-    parse_any_spec_toml, parse_spec_toml, run_sweep, run_workload, scenarios, to_spec_toml,
-    AnyWorkload, EffortProfile, Engine, PolicyAxis, RateAxis, ResultCache, SimSweep, Sweep,
-    Topology, WorkloadSpec,
+    parse_any_spec_toml, parse_spec_toml, run_workload, scenarios, to_spec_toml, AnyWorkload,
+    EffortProfile, Engine, PolicyAxis, RateAxis, ResultCache, SimSweep, Sweep, Topology,
+    WorkloadSpec,
 };
 use in_defense_of_carrier_sense::shard::{
     manifest::ShardManifest,
@@ -59,7 +59,7 @@ fn every_builtin_scenario_merges_bitwise_at_multiple_shard_counts() {
     // every built-in scenario and at least two shard counts K > 1, the
     // sharded pipeline's CSV equals the single-process CSV byte for byte.
     for sweep in tiny_scenarios() {
-        let single = run_sweep(&sweep, &Engine::new(2), None).report.to_csv();
+        let single = run_workload(&sweep, &Engine::new(2), None).report.to_csv();
         let workload = AnyWorkload::from(&sweep);
         for k in [2, 3] {
             for strategy in [ShardStrategy::Contiguous, ShardStrategy::Strided] {
@@ -117,7 +117,9 @@ fn extreme_shard_counts_also_merge_bitwise() {
     // shards are ragged) on the heterogeneous N-pair grid.
     let profile = EffortProfile::quick().with_mc_samples(1_000);
     let sweep = scenarios::npair_scaling(&profile);
-    let single = run_sweep(&sweep, &Engine::serial(), None).report.to_csv();
+    let single = run_workload(&sweep, &Engine::serial(), None)
+        .report
+        .to_csv();
     let workload = AnyWorkload::from(&sweep);
     for k in [1, 7] {
         for strategy in [ShardStrategy::Contiguous, ShardStrategy::Strided] {
@@ -168,12 +170,12 @@ fn on_disk_merge_matches_and_stores_under_the_single_process_cache_key() {
     run_workers_into(&dir, &sweep, 3);
     let cache = ResultCache::new(&cache_dir);
     let outcome = merge_dir(&dir, Some(&cache)).expect("merge");
-    let single = run_sweep(&sweep, &Engine::new(4), None);
+    let single = run_workload(&sweep, &Engine::new(4), None);
     assert_eq!(outcome.report.to_csv(), single.report.to_csv());
     assert_eq!(outcome.shards, 3);
     // The merge stored the full all-policy report under the exact key a
-    // single-process run uses: a fresh run_sweep must hit, not compute.
-    let served = run_sweep(&sweep, &Engine::serial(), Some(&cache));
+    // single-process run uses: a fresh run_workload must hit, not compute.
+    let served = run_workload(&sweep, &Engine::serial(), Some(&cache));
     assert!(served.cache_hit, "merged store must serve later sweeps");
     assert_eq!(served.report.to_csv(), single.report.to_csv());
     let _ = std::fs::remove_dir_all(&dir);
@@ -188,7 +190,7 @@ fn workers_slice_from_a_shared_cache_bitwise() {
     let cache_dir = tmpdir("worker-cache");
     let cache = ResultCache::new(&cache_dir);
     let sweep = tiny_sweep();
-    let _ = run_sweep(&sweep, &Engine::new(2), Some(&cache)); // fill
+    let _ = run_workload(&sweep, &Engine::new(2), Some(&cache)); // fill
     let plan = ShardPlan::new(sweep.task_count(), 2, ShardStrategy::Strided).unwrap();
     for shard in 0..2 {
         let manifest = ShardManifest::new(&sweep, &plan, shard);
@@ -264,7 +266,7 @@ fn lost_worker_remerge_serves_cached_partials_and_only_reruns_the_gap() {
     let cache_dir = tmpdir("partial-cache-cache");
     let cache = ResultCache::new(&cache_dir);
     let sweep = tiny_sweep();
-    let single = run_sweep(&sweep, &Engine::new(2), None).report.to_csv();
+    let single = run_workload(&sweep, &Engine::new(2), None).report.to_csv();
 
     let paths = write_plan(&dir, &sweep, 3, ShardStrategy::Contiguous).unwrap();
     for p in &paths {

@@ -14,7 +14,8 @@
 //! process.
 
 use in_defense_of_carrier_sense::runtime::{
-    scenarios, AnyWorkload, EffortProfile, Engine, ResultCache, WorkloadSpec,
+    scenarios, AnyWorkload, EffortProfile, Engine, IndexQuery, ResultCache, ResultIndex,
+    WorkloadSpec,
 };
 use in_defense_of_carrier_sense::shard::{
     merge_partials, partial::run_worker, write_plan, ShardManifest, ShardStrategy,
@@ -47,7 +48,7 @@ fn run_with_cache(
     let cache = ResultCache::new(cache_dir);
     let outcome = workload.run(&Engine::new(threads), Some(&cache));
     let entry = cache
-        .entries()
+        .query(&IndexQuery::default())
         .unwrap()
         .into_iter()
         .next()
