@@ -73,7 +73,8 @@
 //! `dispatch run` (also spelled `shard run`: one command, two names)
 //! drives the whole plan → worker → merge pipeline. A `wcs-dispatch`
 //! state machine deals the shards to a pool of host slots
-//! (`--hosts FILE`, or K local subprocess slots by default),
+//! (`--hosts FILE`, or by default one local subprocess slot per
+//! non-empty shard, at most one per core; empty shards need no worker),
 //! watches per-worker heartbeat files, requeues shards whose workers
 //! die or go silent, and retries transient spawn failures with capped
 //! exponential backoff. The merged report is still bitwise identical to
@@ -680,7 +681,8 @@ const DISPATCH_USAGE: &str = "usage: repro dispatch run <scenario|--spec FILE> -
        (repro shard run takes the same arguments)";
 
 /// `repro dispatch run` (and `repro shard run`): the dispatcher over a
-/// shard plan, on K local slots unless `--hosts` names a pool.
+/// shard plan, on local slots (one per non-empty shard, at most one per
+/// core) unless `--hosts` names a pool.
 fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     if args.is_empty() {
         usage_exit(DISPATCH_USAGE);
@@ -707,8 +709,13 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         Some(path) => {
             wcs_dispatch::HostPool::load(path).unwrap_or_else(|e| usage_exit(&e.to_string()))
         }
-        // No hosts file: K local subprocess slots, the zero-infra default.
-        None => wcs_dispatch::HostPool::local(k),
+        // No hosts file: one local subprocess slot per shard that has
+        // tasks (the dispatcher writes empty shards itself), at most one
+        // per core.
+        None => {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            wcs_dispatch::HostPool::local(k.min(workload.task_count()).min(cores))
+        }
     };
     if pool.total_slots() == 0 {
         usage_exit("hosts file contributes no worker slots");

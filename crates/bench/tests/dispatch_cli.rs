@@ -207,6 +207,51 @@ fn hosts_file_local_slots_drive_the_pool() {
 }
 
 #[test]
+fn empty_shards_start_no_worker() {
+    let dir = tmpdir("empty");
+    let spec = dir.join("one-task.toml");
+    std::fs::write(
+        &spec,
+        "name = \"dispatch-cli-one\"\nrmaxes = [40.0]\nds = [25.0]\nsigmas = [0.0]\n\
+         topologies = [\"two-pair\"]\nsamples = 400\nseed = 7172\n",
+    )
+    .unwrap();
+    let single = run_ok(
+        repro()
+            .args(["sweep", "--spec"])
+            .arg(&spec)
+            .args(["--no-cache", "--csv"]),
+    );
+    let runlog = dir.join("runlog.jsonl");
+    let dispatched = run_ok(
+        repro()
+            .args(["dispatch", "run", "--spec"])
+            .arg(&spec)
+            .args(["-k", "6", "--csv", "--no-cache"])
+            .arg(format!("--telemetry={}", runlog.display())),
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&single.stdout),
+        String::from_utf8_lossy(&dispatched.stdout),
+        "a 1-task spec at k = 6 diverged from the single-process run"
+    );
+    // Five of the six shards hold no task: they get no worker and no
+    // slot.
+    let log = std::fs::read_to_string(&runlog).unwrap();
+    assert_eq!(
+        log.matches("\"name\":\"dispatch.assign\"").count(),
+        1,
+        "{log}"
+    );
+    let stderr = String::from_utf8_lossy(&dispatched.stderr);
+    assert!(
+        stderr.contains("6 shards over 1 slots, 1 assigns"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn dispatch_usage_errors_exit_2() {
     let dir = tmpdir("usage");
     let spec = write_tiny_spec(&dir);

@@ -27,10 +27,11 @@ use crate::DispatchError;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use wcs_runtime::AnyWorkload;
+use wcs_runtime::{AnyWorkload, Engine, WorkloadSpec};
+use wcs_shard::partial::run_worker;
 use wcs_shard::{
     fold_worker_runlog, heartbeat_path, manifest_path, merge_dir, partial_path, worker_runlog_path,
-    MergeOutcome, ShardStrategy, WorkerInvocation,
+    MergeOutcome, ShardError, ShardManifest, ShardPlan, ShardStrategy, WorkerInvocation,
 };
 use wcs_telemetry::metrics::{gauge_add, record_ns, GaugeId, HistId};
 use wcs_telemetry::Value;
@@ -157,12 +158,32 @@ impl<'a> Dispatcher<'a> {
         }
         let workload: AnyWorkload = workload.into();
         let _span = wcs_telemetry::span("dispatch.run")
-            .with("name", wcs_runtime::WorkloadSpec::name(&workload))
+            .with("name", workload.name())
             .with("k", k)
             .with("slots", total_slots)
             .with("transport", self.transport.label())
             .start();
-        wcs_shard::write_plan(dir, workload, k, strategy)?;
+        let plan = ShardPlan::new(workload.task_count(), k, strategy)?;
+        wcs_shard::write_plan(dir, workload.clone(), k, strategy)?;
+        // A shard dealt no tasks gets no worker: its zero-row partial is
+        // written here, through the path a worker takes.
+        let mut pending = VecDeque::new();
+        for shard in 0..k {
+            if plan.indices(shard).is_empty() {
+                let manifest = ShardManifest::new(workload.clone(), &plan, shard);
+                let partial = run_worker(&manifest, &Engine::serial(), None);
+                partial
+                    .save(&partial_path(dir, shard))
+                    .map_err(ShardError::from)?;
+            } else {
+                pending.push_back(Pending {
+                    shard,
+                    attempt: 1,
+                    eligible: Instant::now(),
+                });
+            }
+        }
+        let shards = pending.len();
 
         // Flatten the pool into slots; slot i belongs to host slot_host[i].
         let mut slot_host = Vec::with_capacity(total_slots);
@@ -182,18 +203,11 @@ impl<'a> Dispatcher<'a> {
         let max_attempts = self.options.max_retries + 1;
 
         let mut free: VecDeque<usize> = (0..slot_host.len()).collect();
-        let mut pending: VecDeque<Pending> = (0..k)
-            .map(|shard| Pending {
-                shard,
-                attempt: 1,
-                eligible: Instant::now(),
-            })
-            .collect();
         let mut running: Vec<Running> = Vec::new();
         let mut stats = DispatchStats::default();
         let mut delivered = 0usize;
 
-        while delivered < k {
+        while delivered < shards {
             let now = Instant::now();
 
             // Assign eligible pending shards to free slots. Not-yet-
@@ -403,7 +417,7 @@ impl<'a> Dispatcher<'a> {
                 });
             }
 
-            if delivered < k {
+            if delivered < shards {
                 std::thread::sleep(self.options.poll_interval);
             }
         }

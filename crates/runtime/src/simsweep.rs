@@ -545,8 +545,9 @@ mod tests {
         // The quick built-in grid: 3 points × 3 thresholds, best-fixed
         // over 5 rates. Without sharing that is 3 × 3 × 20 = 180 runs;
         // sharing each point's 15 CCA-independent runs makes it 90, and
-        // reusing certified carrier-sense runs leaves 65: all 45 shared
-        // runs and 20 of the 45 carrier-sense runs.
+        // reusing certified carrier-sense runs makes it 65. Skipping the
+        // runs whose airtime bound cannot raise a sender's best leaves
+        // 27: 17 of the 45 shared runs and 10 carrier-sense runs.
         let s = crate::scenarios::sim_threshold_grid(&crate::EffortProfile::quick());
         let tasks = s.lower();
         assert_eq!(tasks.len(), 9);
@@ -555,7 +556,7 @@ mod tests {
         }
         let slots: Vec<&SimTask> = tasks.iter().filter(|t| t.cca_db == 7.0).collect();
         let simulated: usize = slots.iter().map(|t| t.runs.runs_simulated()).sum();
-        assert_eq!(simulated, 65);
+        assert_eq!(simulated, 27);
     }
 
     #[test]

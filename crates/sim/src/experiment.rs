@@ -24,15 +24,32 @@
 //! first, and a carrier-sense run is reused at every other threshold its
 //! certificate accepts. A reused run is the same run with the same seed,
 //! so every protocol's point is the one it would measure alone.
+//!
+//! The best-fixed search also skips the runs that cannot win. A sender
+//! starts each data frame at least DIFS after its own last transmission
+//! ended (its first at least DIFS after time 0), and a frame counts only
+//! if it ends within the run, so one sender delivers at most
+//! ⌊T / (DIFS + airtime)⌋ frames in a run of length T at one rate;
+//! [`pps_bound`] allows one more and divides by T. Runs are made highest
+//! bound first, and a run whose bound is at or below the best already
+//! found for every sender it could improve is not simulated: its
+//! throughput could not exceed that best, and a sender's best is a
+//! maximum, which does not depend on the order of its terms. So the
+//! points are the ones every rate's run would give, bit for bit. Which
+//! runs are skipped can depend on thread timing — a protocol may claim a
+//! run before a sibling's higher-rate result lands — but what the runs
+//! return cannot.
 
 use crate::mac::{CcaMode, MacConfig};
 use crate::rate::RatePolicy;
 use crate::sim::{CcaCertificate, SimConfig, Simulator};
 use crate::testbed::{testbed_phy, CandidateLink, Testbed};
 use crate::time::Duration;
+use crate::timing::{data_frame_airtime, DIFS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
+use wcs_capacity::rates::rate_11a;
 use wcs_stats::rng::split_rng;
 
 use rand::seq::SliceRandom;
@@ -157,8 +174,20 @@ enum Strategy {
 }
 
 impl Strategy {
-    /// The CCA-independent strategies, in the order a slot indexes them.
+    /// The CCA-independent strategies, in the order a slot interleaves
+    /// them at each rate.
     const BASELINE: [Strategy; 3] = [Strategy::Lone1, Strategy::Lone2, Strategy::Concurrency];
+
+    /// The best so far that a run of this strategy must beat to change
+    /// the point: that of the one sender a lone run measures, or the
+    /// lower of the two when both send.
+    fn to_beat(self, (b1, b2): (f64, f64)) -> f64 {
+        match self {
+            Strategy::Lone1 => b1,
+            Strategy::Lone2 => b2,
+            Strategy::Concurrency | Strategy::CarrierSense => b1.min(b2),
+        }
+    }
 
     /// Offset of this strategy's run seeds from the pair's seed.
     fn seed_offset(self) -> u64 {
@@ -202,16 +231,46 @@ impl RateStrategy {
         }
     }
 
-    /// One strategy's throughput per sender from its runs in rate
-    /// order: each sender's best over the rates, or the adaptive run.
-    fn best(self, runs: &[(f64, f64)]) -> (f64, f64) {
+    /// The most pkt/s one sender can deliver in run `ri` of a strategy:
+    /// [`pps_bound`] at its rate, or +∞ for the adaptive run, which is
+    /// never skipped.
+    fn bound(self, cfg: &ExperimentConfig, ri: usize) -> f64 {
         match self {
-            RateStrategy::BestFixed => runs
-                .iter()
-                .fold((0.0f64, 0.0f64), |(b1, b2), &(a, b)| (b1.max(a), b2.max(b))),
-            RateStrategy::Adaptive => runs[0],
+            RateStrategy::BestFixed => pps_bound(cfg, cfg.rates_mbps[ri]),
+            RateStrategy::Adaptive => f64::INFINITY,
         }
     }
+}
+
+/// The most packets per second one saturated sender can deliver in a
+/// run of `cfg.run_duration` at a fixed `mbps`, in the units of
+/// [`FlowStats::throughput_pps`](crate::sim::FlowStats::throughput_pps).
+///
+/// A sender starts each data frame at least DIFS after its own last
+/// transmission ended, and its first at least DIFS after time 0, since
+/// a countdown fires at `idle_start + DIFS + backoff·SLOT` and a
+/// transmitting node does not contend. A frame is delivered only if it
+/// ends by T, so at most ⌊T / (DIFS + airtime)⌋ frames are; the bound
+/// allows one more, so it does not lean on the first frame's DIFS. A
+/// rate that is not an 802.11a rate gets +∞.
+pub fn pps_bound(cfg: &ExperimentConfig, mbps: f64) -> f64 {
+    let Some(rate) = rate_11a(mbps) else {
+        return f64::INFINITY;
+    };
+    let cycle = DIFS + data_frame_airtime(cfg.payload_bytes, rate);
+    let frames = cfg.run_duration.as_micros() / cycle.as_micros() + 1;
+    frames as f64 / cfg.run_duration.as_secs_f64()
+}
+
+/// Each sender's larger throughput of two runs.
+fn max_each((a1, a2): (f64, f64), (b1, b2): (f64, f64)) -> (f64, f64) {
+    (a1.max(b1), a2.max(b2))
+}
+
+/// Each sender's best throughput over a strategy's runs, leaving out
+/// the skipped ones (`None`).
+fn best_of(runs: impl IntoIterator<Item = Option<(f64, f64)>>) -> (f64, f64) {
+    runs.into_iter().flatten().fold((0.0, 0.0), max_each)
 }
 
 /// Run the full protocol for one pair of links under an explicit
@@ -236,24 +295,35 @@ type CertifiedRun = (CcaCertificate, (f64, f64));
 /// only in `cfg.cca_threshold_db` (same testbed, pair, seed, rates and
 /// [`RateStrategy`]).
 ///
+/// Every run is made in one order: highest [`pps_bound`] first, ties
+/// by rate index, so an unsorted or duplicated `rates_mbps` works. A run
+/// whose bound is at or below the best already found for every sender
+/// it could improve is skipped; it could not raise a maximum, so every
+/// point stays the one all the runs would give (see the module docs).
+///
 /// The CCA-independent runs — lone 1, lone 2 and concurrency, each at
-/// every rate — are claimed one at a time from a cursor, so a protocol
-/// that arrives while some are in flight runs the unclaimed ones instead
-/// of waiting. Completed carrier-sense runs are kept with their
-/// [`CcaCertificate`]s, and a protocol at another threshold reuses any
-/// run at the same rate whose certificate accepts its threshold. Which
-/// protocol makes a run never changes the run, so every protocol's point
-/// is the one it would measure alone.
+/// every rate, interleaved per rate — are claimed one at a time from a
+/// cursor, so a protocol that arrives while some are in flight runs the
+/// unclaimed ones instead of waiting. A claimed run is skipped against
+/// the runs of its strategy already completed, so which runs are made
+/// can depend on thread timing; what they return cannot. Completed
+/// carrier-sense runs are kept with their [`CcaCertificate`]s, and a
+/// protocol at another threshold reuses any run at the same rate whose
+/// certificate accepts its threshold. Which protocol makes a run never
+/// changes the run, so every protocol's point is the one it would
+/// measure alone.
 #[derive(Debug)]
 pub struct ProtocolSlot {
-    /// Runs per strategy ([`RateStrategy::runs`]).
-    rates: usize,
-    /// The CCA-independent runs, strategy-major in
-    /// [`Strategy::BASELINE`] order, rate-minor.
-    baseline: Vec<OnceLock<(f64, f64)>>,
+    /// Each run's bound ([`RateStrategy::bound`]), by rate index.
+    bounds: Vec<f64>,
+    /// Rate indices in the order runs are made: highest bound first.
+    order: Vec<usize>,
+    /// The CCA-independent runs, rate-major in `order`, strategy-minor
+    /// in [`Strategy::BASELINE`] order; `None` is a skipped run.
+    baseline: Vec<OnceLock<Option<(f64, f64)>>>,
     /// The next baseline run no protocol has claimed.
     next_baseline: AtomicUsize,
-    /// Completed carrier-sense runs, per rate.
+    /// Completed carrier-sense runs, per rate index.
     carrier_sense: Vec<Mutex<Vec<CertifiedRun>>>,
 }
 
@@ -262,8 +332,13 @@ impl ProtocolSlot {
     /// `rate_strategy`.
     pub fn new(cfg: &ExperimentConfig, rate_strategy: RateStrategy) -> Self {
         let rates = rate_strategy.runs(cfg);
+        let bounds: Vec<f64> = (0..rates).map(|ri| rate_strategy.bound(cfg, ri)).collect();
+        let mut order: Vec<usize> = (0..rates).collect();
+        // Stable, so equal bounds keep rate-index order.
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
         ProtocolSlot {
-            rates,
+            bounds,
+            order,
             baseline: (0..Strategy::BASELINE.len() * rates)
                 .map(|_| OnceLock::new())
                 .collect(),
@@ -273,12 +348,20 @@ impl ProtocolSlot {
     }
 
     /// How many runs the protocols sharing this slot have simulated so
-    /// far.
+    /// far (skipped runs not counted).
     pub fn runs_simulated(&self) -> usize {
-        let baseline = self.baseline.iter().filter(|c| c.get().is_some()).count();
+        let baseline = (self.baseline.iter())
+            .filter(|c| matches!(c.get(), Some(Some(_))))
+            .count();
         let carrier_sense: usize = self.carrier_sense.iter().map(|m| lock(m).len()).sum();
         baseline + carrier_sense
     }
+}
+
+/// The entries of baseline strategy `Strategy::BASELINE[s]` in a list
+/// laid out like [`ProtocolSlot`]'s baseline runs.
+fn of_strategy<T>(runs: &[T], s: usize) -> impl Iterator<Item = &T> {
+    runs.iter().skip(s).step_by(Strategy::BASELINE.len())
 }
 
 /// A slot's run lists stay whole across a panicking run (no run holds
@@ -291,10 +374,12 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// must have been made for the same configuration but for the CCA
 /// threshold (see [`ProtocolSlot`]).
 ///
-/// The carrier-sense runs go first, reusing any certified run, so their
-/// certificates are published early. Then the protocol helps with
-/// unclaimed CCA-independent runs and waits for the rest. The result
-/// equals the protocol run alone, bit for bit.
+/// The carrier-sense runs go first, highest bound first, reusing any
+/// certified run, so their certificates are published early. Then the
+/// protocol helps with unclaimed CCA-independent runs and waits for the
+/// rest. Runs that cannot raise a sender's best are skipped (see
+/// [`ProtocolSlot`]). The result equals the protocol run alone, bit for
+/// bit.
 pub fn run_protocol(
     testbed: &Testbed,
     pairs: PairExperiment,
@@ -310,30 +395,35 @@ pub fn run_protocol(
         let policy = rate_strategy.policy(cfg, ri);
         run_once(testbed, pairs, cfg, strategy, &policy, run_seed)
     };
-    let carrier_sense: Vec<(f64, f64)> = (0..slot.rates)
-        .map(|ri| {
-            let runs = &slot.carrier_sense[ri];
-            let known = lock(runs)
-                .iter()
-                .find(|(cert, _)| cert.certifies(cfg.cca_threshold_db))
-                .map(|&(_, pps)| pps);
-            known.unwrap_or_else(|| {
-                let (pps, cert) = run(Strategy::CarrierSense, ri);
-                lock(runs).push((cert, pps));
-                pps
-            })
-        })
-        .collect();
+    let mut carrier_sense = (0.0, 0.0);
+    for &ri in &slot.order {
+        if slot.bounds[ri] <= Strategy::CarrierSense.to_beat(carrier_sense) {
+            continue;
+        }
+        let runs = &slot.carrier_sense[ri];
+        let known = lock(runs)
+            .iter()
+            .find(|(cert, _)| cert.certifies(cfg.cca_threshold_db))
+            .map(|&(_, pps)| pps);
+        let pps = known.unwrap_or_else(|| {
+            let (pps, cert) = run(Strategy::CarrierSense, ri);
+            lock(runs).push((cert, pps));
+            pps
+        });
+        carrier_sense = max_each(carrier_sense, pps);
+    }
+    let strategies = Strategy::BASELINE.len();
     let baseline = claim_runs(&slot.baseline, &slot.next_baseline, |k| {
-        run(Strategy::BASELINE[k / slot.rates], k % slot.rates).0
+        let (ri, s) = (slot.order[k / strategies], k % strategies);
+        let strategy = Strategy::BASELINE[s];
+        let done = best_of(of_strategy(&slot.baseline, s).map(|c| c.get().copied().flatten()));
+        (slot.bounds[ri] > strategy.to_beat(done)).then(|| run(strategy, ri).0)
     });
-    let best = |strategy: usize| {
-        rate_strategy.best(&baseline[strategy * slot.rates..(strategy + 1) * slot.rates])
-    };
+    let best = |s: usize| best_of(of_strategy(&baseline, s).copied());
     let (lone1, _) = best(0);
     let (_, lone2) = best(1);
     let (c1, c2) = best(2);
-    let (s1, s2) = rate_strategy.best(&carrier_sense);
+    let (s1, s2) = carrier_sense;
     ExperimentPoint {
         pairs,
         sender_rssi_db: testbed.world().rssi_db(pairs.link1.src, pairs.link2.src),
@@ -407,7 +497,16 @@ fn run_once(
     sim.run_for(cfg.run_duration);
     let pps =
         |f: Option<usize>| f.map_or(0.0, |i| sim.flow_stats(i).throughput_pps(cfg.run_duration));
-    ((pps(f1), pps(f2)), sim.cca_certificate())
+    let pps = (pps(f1), pps(f2));
+    if let RatePolicy::Fixed(rate) = policy {
+        let bound = pps_bound(cfg, rate.mbps);
+        debug_assert!(
+            pps.0 <= bound && pps.1 <= bound,
+            "{strategy:?} at {} Mbps delivered {pps:?} pkt/s, over its bound {bound}",
+            rate.mbps
+        );
+    }
+    (pps, sim.cca_certificate())
 }
 
 /// One planned-but-not-yet-run protocol task: the link pair to measure
@@ -760,6 +859,188 @@ mod tests {
         }
         assert!(simulated < unshared / 2, "{simulated} of {unshared} runs");
         assert!(refused > 0);
+    }
+
+    #[test]
+    fn pps_bound_counts_whole_cycles_plus_one() {
+        let cfg = ExperimentConfig {
+            run_duration: Duration::from_secs(3),
+            ..Default::default()
+        };
+        // 1400 B at 6 Mbps is 1936 µs of airtime: ⌊3 s / 1970 µs⌋ + 1
+        // frames in 3 s.
+        assert_eq!(pps_bound(&cfg, 6.0), (1522 + 1) as f64 / 3.0);
+        // At 24 Mbps (500 µs): ⌊3 s / 534 µs⌋ + 1.
+        assert_eq!(pps_bound(&cfg, 24.0), (5617 + 1) as f64 / 3.0);
+        assert_eq!(pps_bound(&cfg, 13.5), f64::INFINITY);
+        // Only the adaptive strategy's run is never skipped.
+        assert_eq!(RateStrategy::Adaptive.bound(&cfg, 0), f64::INFINITY);
+        assert_eq!(
+            RateStrategy::BestFixed.bound(&cfg, 4),
+            pps_bound(&cfg, 24.0)
+        );
+    }
+
+    #[test]
+    fn fixed_rate_flows_stay_within_their_pps_bound() {
+        use crate::mac::{AckPolicy, RtsCtsPolicy};
+        use crate::timing::MAX_PAYLOAD_BYTES;
+        use crate::world::NodeId;
+        use rand::Rng;
+        use wcs_capacity::rates::RATES_11A;
+        let mut rng = split_rng(0xB0D, 0);
+        let mut closest = 0.0f64;
+        for case in 0..12 {
+            let t = Testbed::generate(TestbedConfig {
+                seed: rng.gen_range(0..u64::MAX),
+                ..TestbedConfig::default()
+            });
+            let node = |rng: &mut rand::rngs::StdRng| NodeId(rng.gen_range(0..t.len() as u32));
+            // One of the ten strongest links, which carry even 54 Mbps,
+            // and a second link anywhere.
+            let mut links = t.candidate_links(0.0, 1.0);
+            links.sort_by(|a, b| b.rssi_db.total_cmp(&a.rssi_db));
+            let link1 = links[rng.gen_range(0..10usize)];
+            let (src2, dst2) = (node(&mut rng), node(&mut rng));
+            // A lone sender with short frames comes closest to the bound,
+            // since backoff is then most of its cycle.
+            let two = case % 2 == 1 && src2 != dst2 && src2 != link1.src;
+            let cfg = ExperimentConfig {
+                run_duration: Duration::from_millis(rng.gen_range(1000..=5000)),
+                payload_bytes: match case % 4 {
+                    0 | 1 => rng.gen_range(0..=200),
+                    _ => rng.gen_range(0..=MAX_PAYLOAD_BYTES),
+                },
+                ..Default::default()
+            };
+            let mac = MacConfig {
+                cca_mode: [CcaMode::Disabled, CcaMode::EnergyDetect][rng.gen_range(0..2usize)],
+                cca_threshold_db: rng.gen_range(0.0..30.0),
+                ack: match rng.gen_range(0..3) {
+                    0 => AckPolicy::Broadcast,
+                    _ => AckPolicy::Unicast {
+                        retry_limit: rng.gen_range(0..8),
+                    },
+                },
+                rts_cts: [RtsCtsPolicy::Off, RtsCtsPolicy::Always][rng.gen_range(0..2usize)],
+                ..MacConfig::default()
+            };
+            for rate in RATES_11A {
+                let mut sim = Simulator::new(
+                    t.world(),
+                    SimConfig {
+                        phy: testbed_phy(),
+                        mac,
+                        payload_bytes: cfg.payload_bytes,
+                        seed: rng.gen_range(0..u64::MAX),
+                    },
+                );
+                let policy = RatePolicy::fixed(rate.mbps);
+                let mut flows = vec![sim.add_flow(link1.src, link1.dst, policy.clone())];
+                if two {
+                    flows.push(sim.add_flow(src2, dst2, policy));
+                }
+                sim.run_for(cfg.run_duration);
+                let bound = pps_bound(&cfg, rate.mbps);
+                for f in flows {
+                    let pps = sim.flow_stats(f).throughput_pps(cfg.run_duration);
+                    assert!(
+                        pps <= bound,
+                        "case {case} at {} Mbps: {pps} pkt/s over {bound} ({cfg:?}, {mac:?})",
+                        rate.mbps
+                    );
+                    closest = closest.max(pps / bound);
+                }
+            }
+        }
+        // The bound is tight enough to skip runs with: some run came
+        // close to it.
+        assert!(closest > 0.9, "closest run reached {closest} of its bound");
+    }
+
+    /// The protocol without skipping: every run at every rate, each
+    /// sender's best folded over them.
+    fn every_rate_point(
+        t: &Testbed,
+        pairs: PairExperiment,
+        cfg: &ExperimentConfig,
+        seed: u64,
+        rate_strategy: RateStrategy,
+    ) -> ExperimentPoint {
+        let best = |strategy: Strategy| {
+            best_of((0..rate_strategy.runs(cfg)).map(|ri| {
+                let run_seed = seed
+                    .wrapping_add(strategy.seed_offset())
+                    .wrapping_add(ri as u64);
+                let policy = rate_strategy.policy(cfg, ri);
+                Some(run_once(t, pairs, cfg, strategy, &policy, run_seed).0)
+            }))
+        };
+        let (lone1, _) = best(Strategy::Lone1);
+        let (_, lone2) = best(Strategy::Lone2);
+        let (c1, c2) = best(Strategy::Concurrency);
+        let (s1, s2) = best(Strategy::CarrierSense);
+        ExperimentPoint {
+            pairs,
+            sender_rssi_db: t.world().rssi_db(pairs.link1.src, pairs.link2.src),
+            multiplexing_pps: (lone1 + lone2) / 2.0,
+            concurrency_pps: c1 + c2,
+            carrier_sense_pps: s1 + s2,
+        }
+    }
+
+    #[test]
+    fn skipping_runs_equals_every_rate_fold_bitwise() {
+        let t = Testbed::generate(TestbedConfig::default());
+        let links = t.candidate_links(0.94, 1.0);
+        let sorted = vec![6.0, 9.0, 12.0, 18.0, 24.0];
+        let reversed: Vec<f64> = sorted.iter().rev().copied().collect();
+        let mut shuffled = sorted.clone();
+        shuffled.shuffle(&mut split_rng(9, 0));
+        let rate_lists = [
+            sorted,
+            reversed,
+            shuffled,
+            vec![12.0, 24.0, 6.0, 24.0, 12.0],
+            vec![18.0],
+        ];
+        let base = ExperimentConfig {
+            run_duration: Duration::from_secs(1),
+            ..Default::default()
+        };
+        let (mut simulated, mut every) = (0, 0);
+        for p in plan_ensemble(&links, 3, &base) {
+            for strategy in [RateStrategy::BestFixed, RateStrategy::Adaptive] {
+                // The adaptive strategy reads no rate list.
+                let lists = match strategy {
+                    RateStrategy::BestFixed => &rate_lists[..],
+                    RateStrategy::Adaptive => &rate_lists[..1],
+                };
+                for rates in lists {
+                    let cfg = ExperimentConfig {
+                        rates_mbps: rates.clone(),
+                        ..base.clone()
+                    };
+                    let slot = ProtocolSlot::new(&cfg, strategy);
+                    let thresholds = [0.0, 10.0, 20.0, 30.0];
+                    for db in thresholds {
+                        let at = ExperimentConfig {
+                            cca_threshold_db: db,
+                            ..cfg.clone()
+                        };
+                        let oracle = every_rate_point(&t, p.pairs, &at, p.seed, strategy);
+                        let what = format!("{strategy:?} {rates:?} at {db} dB");
+                        let alone = run_pair_experiment_with(&t, p.pairs, &at, p.seed, strategy);
+                        assert_eq!(alone, oracle, "{what}");
+                        let shared = run_protocol(&t, p.pairs, &at, p.seed, strategy, &slot);
+                        assert_eq!(shared, oracle, "{what}, shared slot");
+                    }
+                    simulated += slot.runs_simulated();
+                    every += (3 + thresholds.len()) * strategy.runs(&cfg);
+                }
+            }
+        }
+        assert!(simulated < every, "{simulated} of {every} runs");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Mutation fuzzing of every reader of the reproduction's files and of
 //! the dispatcher's command-line input: result-store entries, shard
 //! partials (as plan-directory files and as index blobs), shard
-//! manifests, run logs, run manifests, hosts files and fault specs.
+//! manifests, run logs, run manifests, hosts files, fault specs and spec
+//! files.
 //!
 //! Each property takes a valid document, applies one to three seeded
 //! edits (truncation, a deleted or doubled line, a number swapped for a
@@ -9,14 +10,17 @@
 //! the result to the reader. No input may panic or abort: each one is
 //! read, or gives a structured error, or is a cache miss. Documents the
 //! writers emit must read back to what was written (parse∘emit is the
-//! identity) for partials, shard manifests and run-log events. The case
-//! streams are fixed by the proptest shim, so a failure reproduces.
+//! identity) for partials, shard manifests and run-log events, and a
+//! spec file that parses must be within its work budget and re-emit to
+//! a spec that parses to the same canonical string. The case streams are
+//! fixed by the proptest shim, so a failure reproduces.
 
 use in_defense_of_carrier_sense::runtime::history::{manifest_json, RunManifest};
 use in_defense_of_carrier_sense::runtime::workload::MAX_TASKS;
 use in_defense_of_carrier_sense::runtime::{
-    scenarios, AnyWorkload, EffortProfile, Engine, IndexQuery, ResultCache, ResultIndex, RunReport,
-    SimSweep, Sweep, Topology, WorkloadKind, WorkloadOutcome, WorkloadSpec,
+    parse_any_spec_toml, scenarios, to_sim_spec_toml, to_spec_toml, AnyWorkload, EffortProfile,
+    Engine, IndexQuery, ResultCache, ResultIndex, RunReport, SimSweep, Sweep, Topology,
+    WorkloadKind, WorkloadOutcome, WorkloadSpec,
 };
 use in_defense_of_carrier_sense::shard::{
     merge_dir, partial::run_worker, partial_cache_name, partial_path, write_plan, PartialReport,
@@ -532,5 +536,82 @@ proptest! {
         let back = ShardManifest::parse(&text, Path::new("x")).unwrap();
         prop_assert_eq!(&back, &m);
         prop_assert_eq!(back.to_toml(), text);
+    }
+}
+
+/// The spec files CI writes (`sim-sweep-smoke`'s two and
+/// `telemetry-smoke`'s), as fuzz seeds beside the built-ins.
+const CI_SPECS: [&str; 3] = [
+    "workload = \"sim\"\nname = \"ci-sim-smoke\"\nccas = [7.0, 13.0, 19.0]\n\
+     rates = [\"best-fixed\"]\npoints = 2\nrun_secs = 1\nsweep_rates = [6.0, 24.0]\nseed = 2009\n",
+    "workload = \"sim\"\nname = \"ci-sim-fine\"\n\
+     ccas = [1.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 21.0, 23.0, 25.0, 27.0, 29.0]\n\
+     rates = [\"best-fixed\", \"samplerate\", \"fixed(12.0)\"]\npoints = 3\nrun_secs = 2\nseed = 77\n",
+    "name = \"ci-telemetry-smoke\"\nrmaxes = [40.0]\nds = [25.0, 80.0]\nsigmas = [0.0, 8.0]\n\
+     topologies = [\"two-pair\", \"npair(n=3,placement=line)\"]\nsamples = 800\nseed = 9090\n",
+];
+
+/// Every built-in scenario as its spec file, then CI's spec files.
+fn spec_documents() -> Vec<String> {
+    let quick = EffortProfile::quick();
+    let model = scenarios::NAMES.map(|n| to_spec_toml(&scenarios::by_name(n, &quick).unwrap()));
+    let sim = [
+        to_sim_spec_toml(&scenarios::sim_threshold_grid(&quick)),
+        to_sim_spec_toml(&scenarios::sim_rate_policies(&quick)),
+    ];
+    (model.into_iter().chain(sim))
+        .chain(CI_SPECS.map(String::from))
+        .collect()
+}
+
+/// A spec document read by [`parse_any_spec_toml`] is either refused
+/// with a coded error, or is within its work budget and re-emits to a
+/// spec that parses back to the same canonical string.
+fn check_spec_document(text: &str) -> Result<(), String> {
+    match parse_any_spec_toml(text) {
+        Err(e) if !e.code().is_empty() && !e.message().is_empty() => Ok(()),
+        Err(e) => Err(format!("uncoded error {e:?}")),
+        Ok(w) => {
+            // No spec that parses makes a job allocate or run without
+            // bound.
+            if w.cost() > w.kind().budget() || w.task_count() as u64 > MAX_TASKS {
+                return Err(format!("{} parsed over its budget", w.canonical()));
+            }
+            let emitted = w.to_spec_toml();
+            match parse_any_spec_toml(&emitted) {
+                Ok(again)
+                    if again.canonical() == w.canonical() && again.to_spec_toml() == emitted =>
+                {
+                    Ok(())
+                }
+                again => Err(format!("{emitted:?} re-parsed to {again:?}")),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn spec_files_parse_bounded_and_round_trip_or_fail_cleanly(seed in 0u64..u64::MAX) {
+        let docs = spec_documents();
+        let mut rng = TestRng::new(seed);
+        let doc = &docs[(rng.next_u64() % docs.len() as u64) as usize];
+        let mutated = mutate(doc, &mut rng);
+        let checked = check_spec_document(&mutated);
+        prop_assert!(checked.is_ok(), "{mutated:?}: {checked:?}");
+    }
+}
+
+#[test]
+fn every_number_a_spec_file_holds_is_checked() {
+    for doc in spec_documents() {
+        assert_eq!(check_spec_document(&doc), Ok(()));
+        for variant in number_swaps(&doc, usize::MAX) {
+            if let Err(e) = check_spec_document(&variant) {
+                panic!("{variant:?}: {e}");
+            }
+        }
     }
 }
