@@ -588,8 +588,10 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 .dir
                 .clone()
                 .unwrap_or_else(|| default_plan_dir(&workload, k, parsed.strategy));
-            let paths = wcs_shard::write_plan(&dir, workload.clone(), k, parsed.strategy)
+            let plan = wcs_shard::ShardPlan::new(workload.task_count(), k, parsed.strategy)
                 .unwrap_or_else(|e| fail(e));
+            let paths =
+                wcs_shard::write_manifests(&dir, &workload, &plan).unwrap_or_else(|e| fail(e));
             for p in &paths {
                 println!("{}", p.display());
             }
@@ -597,7 +599,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 "[shard plan {} ({}): {} tasks over {k} {} shards in {}]",
                 workload.name(),
                 workload.kind(),
-                workload.task_count(),
+                plan.task_count,
                 parsed.strategy.label(),
                 dir.display()
             );
@@ -663,7 +665,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 outcome.workload.kind(),
                 outcome.shards,
                 outcome.shards_from_cache,
-                outcome.workload.task_count(),
+                outcome.task_count,
                 if parsed.use_cache { ", cached" } else { "" }
             );
         }
@@ -705,6 +707,9 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
         ..parsed.dispatch
     };
+    // The one task count of this dispatch: it sizes the local pool, the
+    // plan and the run-history entry, and the merge checks against it.
+    let tasks = workload.task_count();
     let pool = match &parsed.hosts {
         Some(path) => {
             wcs_dispatch::HostPool::load(path).unwrap_or_else(|e| usage_exit(&e.to_string()))
@@ -714,12 +719,13 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         // per core.
         None => {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            wcs_dispatch::HostPool::local(k.min(workload.task_count()).min(cores))
+            wcs_dispatch::HostPool::local(k.min(tasks).min(cores))
         }
     };
     if pool.total_slots() == 0 {
         usage_exit("hosts file contributes no worker slots");
     }
+    let plan = wcs_shard::ShardPlan::new(tasks, k, parsed.strategy).unwrap_or_else(|e| fail(e));
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
     let base: Box<dyn wcs_dispatch::Transport> = Box::new(wcs_dispatch::SshExec::new(exe));
     let transport: Box<dyn wcs_dispatch::Transport> = if parsed.faults.is_empty() {
@@ -745,7 +751,7 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     let cache = parsed.cache();
     let t0 = std::time::Instant::now();
     let dispatcher = wcs_dispatch::Dispatcher::new(transport.as_ref(), &pool, options);
-    match dispatcher.run(&dir, workload.clone(), k, parsed.strategy, cache.as_ref()) {
+    match dispatcher.run_plan(&dir, &workload, &plan, cache.as_ref()) {
         Ok(outcome) => {
             print_report(&outcome.merge.report, &parsed.format);
             // Dispatch runs land in the run history like sweeps do; the
@@ -756,7 +762,7 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 let run_outcome = wcs_runtime::workload::WorkloadOutcome {
                     report: outcome.merge.report.clone(),
                     cache_hit: false,
-                    tasks_run: workload.task_count(),
+                    tasks_run: tasks,
                     store_failed: false,
                 };
                 wcs_runtime::history::append_run_manifest(

@@ -346,3 +346,93 @@ fn dispatch_usage_errors_exit_2() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `sim.plan` spans this process has emitted so far (one per testbed
+/// planning).
+fn sim_plans(log: &wcs_telemetry::jsonl::MemoryCollector) -> usize {
+    log.snapshot()
+        .iter()
+        .filter(|e| e.name == "sim.plan" && e.kind == wcs_telemetry::EventKind::SpanExit)
+        .count()
+}
+
+#[test]
+fn shard_plan_merge_and_dispatch_plan_a_sim_spec_once_at_any_k() {
+    use wcs_runtime::{AnyWorkload, Engine, SimSweep};
+    use wcs_shard::{partial::run_worker, ShardManifest, ShardPlan, ShardStrategy};
+    // A sim workload's task count plans every testbed. Only this
+    // process is traced: the dispatched workers are `repro` subprocesses.
+    let spec = SimSweep::new("dispatch-cli-plan-once")
+        .testbed_seeds(&[0xBED, 7])
+        .cca_thresholds_db(&[7.0, 13.0])
+        .points(2)
+        .run_secs(1)
+        .sweep_rates_mbps(&[6.0])
+        .seed(5);
+    let workload = AnyWorkload::from(&spec);
+    let testbeds = spec.testbed_seeds.len();
+    let reference = workload.run(&Engine::serial(), None).report.to_csv();
+    let tasks = wcs_runtime::WorkloadSpec::task_count(&workload);
+    let k = 50;
+    assert!(tasks > 1 && tasks < k, "{tasks} tasks");
+    let log = std::sync::Arc::new(wcs_telemetry::jsonl::MemoryCollector::default());
+    wcs_telemetry::install(log.clone());
+
+    let dir = tmpdir("plan-once");
+    let plan_dir = dir.join("plan");
+    let paths = wcs_shard::write_plan(&plan_dir, &spec, k, ShardStrategy::Strided).unwrap();
+    assert_eq!(
+        sim_plans(&log),
+        testbeds,
+        "write_plan plans each testbed once"
+    );
+    let plan = ShardPlan::new(tasks, k, ShardStrategy::Strided).unwrap();
+    for (shard, path) in paths.iter().enumerate() {
+        let manifest = ShardManifest::load(path).unwrap();
+        let before = sim_plans(&log);
+        let partial = run_worker(&manifest, &Engine::serial(), None);
+        let lowered = if plan.indices(shard).is_empty() {
+            0
+        } else {
+            testbeds
+        };
+        assert_eq!(sim_plans(&log) - before, lowered, "shard {shard}'s worker");
+        partial
+            .save(&wcs_shard::partial_path(&plan_dir, shard))
+            .unwrap();
+    }
+    let before = sim_plans(&log);
+    let merged = wcs_shard::merge_dir(&plan_dir, None).unwrap();
+    assert_eq!(
+        sim_plans(&log) - before,
+        testbeds,
+        "merge_dir plans each testbed once"
+    );
+    assert_eq!(merged.task_count, tasks);
+    assert_eq!(merged.report.to_csv(), reference);
+
+    let transport = wcs_dispatch::LocalExec::new(env!("CARGO_BIN_EXE_repro"));
+    let pool = wcs_dispatch::HostPool::local(2);
+    let options = wcs_dispatch::DispatchOptions {
+        threads_per_worker: 1,
+        ..wcs_dispatch::DispatchOptions::default()
+    };
+    let before = sim_plans(&log);
+    let dispatched = wcs_dispatch::Dispatcher::new(&transport, &pool, options)
+        .run(
+            &dir.join("dispatch"),
+            &spec,
+            k,
+            ShardStrategy::Contiguous,
+            None,
+        )
+        .unwrap();
+    assert_eq!(
+        sim_plans(&log) - before,
+        testbeds,
+        "a dispatch plans each testbed once"
+    );
+    assert_eq!(dispatched.merge.report.to_csv(), reference);
+    wcs_telemetry::uninstall();
+    let _ = std::fs::remove_dir_all(&dir);
+}

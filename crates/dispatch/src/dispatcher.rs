@@ -30,8 +30,9 @@ use std::time::{Duration, Instant};
 use wcs_runtime::{AnyWorkload, Engine, WorkloadSpec};
 use wcs_shard::partial::run_worker;
 use wcs_shard::{
-    fold_worker_runlog, heartbeat_path, manifest_path, merge_dir, partial_path, worker_runlog_path,
-    MergeOutcome, ShardError, ShardManifest, ShardPlan, ShardStrategy, WorkerInvocation,
+    fold_worker_runlog, heartbeat_path, manifest_path, merge_dir_counted, partial_path,
+    worker_runlog_path, MergeOutcome, ShardError, ShardManifest, ShardPlan, ShardStrategy,
+    TaskCounts, WorkerInvocation,
 };
 use wcs_telemetry::metrics::{gauge_add, record_ns, GaugeId, HistId};
 use wcs_telemetry::Value;
@@ -152,25 +153,39 @@ impl<'a> Dispatcher<'a> {
         strategy: ShardStrategy,
         cache: Option<&wcs_runtime::ResultCache>,
     ) -> Result<DispatchOutcome, DispatchError> {
+        let workload: AnyWorkload = workload.into();
+        let plan = ShardPlan::new(workload.task_count(), k, strategy)?;
+        self.run_plan(dir, &workload, &plan, cache)
+    }
+
+    /// [`Dispatcher::run`] for a `plan` the caller built from
+    /// `workload`'s task count. That count is the only one a dispatch
+    /// takes: the merge checks every manifest against it.
+    pub fn run_plan(
+        &self,
+        dir: &Path,
+        workload: &AnyWorkload,
+        plan: &ShardPlan,
+        cache: Option<&wcs_runtime::ResultCache>,
+    ) -> Result<DispatchOutcome, DispatchError> {
         let total_slots = self.pool.total_slots();
         if total_slots == 0 {
             return Err(DispatchError::NoHosts);
         }
-        let workload: AnyWorkload = workload.into();
+        let k = plan.k;
         let _span = wcs_telemetry::span("dispatch.run")
             .with("name", workload.name())
             .with("k", k)
             .with("slots", total_slots)
             .with("transport", self.transport.label())
             .start();
-        let plan = ShardPlan::new(workload.task_count(), k, strategy)?;
-        wcs_shard::write_plan(dir, workload.clone(), k, strategy)?;
+        wcs_shard::write_manifests(dir, workload, plan)?;
         // A shard dealt no tasks gets no worker: its zero-row partial is
         // written here, through the path a worker takes.
         let mut pending = VecDeque::new();
         for shard in 0..k {
             if plan.indices(shard).is_empty() {
-                let manifest = ShardManifest::new(workload.clone(), &plan, shard);
+                let manifest = ShardManifest::new(workload.clone(), plan, shard);
                 let partial = run_worker(&manifest, &Engine::serial(), None);
                 partial
                     .save(&partial_path(dir, shard))
@@ -422,7 +437,11 @@ impl<'a> Dispatcher<'a> {
             }
         }
 
-        let merge = merge_dir(dir, cache.map(|c| c as &dyn wcs_runtime::ResultIndex))?;
+        let merge = merge_dir_counted(
+            dir,
+            cache.map(|c| c as &dyn wcs_runtime::ResultIndex),
+            &mut TaskCounts::known(workload, plan.task_count),
+        )?;
         Ok(DispatchOutcome { merge, stats })
     }
 

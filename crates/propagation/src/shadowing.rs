@@ -14,7 +14,6 @@
 //!   symmetric-channel assumption.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wcs_stats::dist::LogNormalDb;
 use wcs_stats::rng::split_rng;
 
@@ -101,22 +100,20 @@ impl Shadowing {
 ///
 /// The draw for pair (a, b) depends only on (field seed, min(a,b),
 /// max(a,b)), so it is symmetric, stable across queries, and reproducible
-/// across runs. Values are memoised.
-#[derive(Debug, Clone)]
+/// across runs. Nothing is memoised: each query re-derives the pair's
+/// generator and draws again, so a caller that queries a pair often
+/// keeps the value itself (the simulator's `World` keeps one row of
+/// received powers per sender).
+#[derive(Debug, Clone, Copy)]
 pub struct ShadowField {
     seed: u64,
     shadowing: Shadowing,
-    cache: HashMap<(u32, u32), f64>,
 }
 
 impl ShadowField {
     /// Create a field with the given distribution and seed.
     pub fn new(shadowing: Shadowing, seed: u64) -> Self {
-        ShadowField {
-            seed,
-            shadowing,
-            cache: HashMap::new(),
-        }
+        ShadowField { seed, shadowing }
     }
 
     /// The σ of the underlying distribution.
@@ -125,21 +122,15 @@ impl ShadowField {
     }
 
     /// Linear shadowing gain for the unordered pair (a, b).
-    pub fn gain_linear(&mut self, a: u32, b: u32) -> f64 {
+    pub fn gain_linear(&self, a: u32, b: u32) -> f64 {
         10f64.powf(self.gain_db(a, b) / 10.0)
     }
 
     /// dB shadowing value for the unordered pair (a, b).
-    pub fn gain_db(&mut self, a: u32, b: u32) -> f64 {
-        let key = (a.min(b), a.max(b));
-        if let Some(&v) = self.cache.get(&key) {
-            return v;
-        }
-        let label = ((key.0 as u64) << 32) | key.1 as u64;
+    pub fn gain_db(&self, a: u32, b: u32) -> f64 {
+        let label = ((a.min(b) as u64) << 32) | a.max(b) as u64;
         let mut rng = split_rng(self.seed, label);
-        let v = self.shadowing.sample_db(&mut rng);
-        self.cache.insert(key, v);
-        v
+        self.shadowing.sample_db(&mut rng)
     }
 }
 
@@ -207,7 +198,7 @@ mod tests {
 
     #[test]
     fn field_is_symmetric_and_stable() {
-        let mut f = ShadowField::new(Shadowing::PAPER_DEFAULT, 42);
+        let f = ShadowField::new(Shadowing::PAPER_DEFAULT, 42);
         let ab = f.gain_db(3, 7);
         let ba = f.gain_db(7, 3);
         assert_eq!(ab, ba);
@@ -218,16 +209,16 @@ mod tests {
 
     #[test]
     fn field_is_deterministic_in_seed() {
-        let mut f1 = ShadowField::new(Shadowing::PAPER_DEFAULT, 42);
-        let mut f2 = ShadowField::new(Shadowing::PAPER_DEFAULT, 42);
-        let mut f3 = ShadowField::new(Shadowing::PAPER_DEFAULT, 43);
+        let f1 = ShadowField::new(Shadowing::PAPER_DEFAULT, 42);
+        let f2 = ShadowField::new(Shadowing::PAPER_DEFAULT, 42);
+        let f3 = ShadowField::new(Shadowing::PAPER_DEFAULT, 43);
         assert_eq!(f1.gain_db(0, 1), f2.gain_db(0, 1));
         assert_ne!(f1.gain_db(0, 1), f3.gain_db(0, 1));
     }
 
     #[test]
     fn field_links_are_decorrelated() {
-        let mut f = ShadowField::new(Shadowing::new(8.0), 7);
+        let f = ShadowField::new(Shadowing::new(8.0), 7);
         let mut s = Summary::new();
         for a in 0..40u32 {
             for b in (a + 1)..40u32 {

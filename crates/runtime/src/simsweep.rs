@@ -291,17 +291,26 @@ impl SimSweep {
     /// seconds-long simulation tasks, and keeping `SimSweep` plain
     /// immutable data avoids a memo cache that every axis-builder would
     /// have to invalidate. A run therefore asks `task_count()` only
-    /// when traced, and a spec may ask for at most
-    /// [`MAX_NODES`](wcs_sim::testbed::MAX_NODES) nodes.
+    /// when traced, a shard plan, dispatch or merge counts once
+    /// (`wcs_shard::TaskCounts`), and a spec may ask for at most
+    /// [`MAX_NODES`](wcs_sim::testbed::MAX_NODES) nodes. Each call is
+    /// one `sim.plan` telemetry span.
     pub fn planned_for(&self, testbed_index: usize) -> Vec<PlannedPair> {
+        let mut span = wcs_telemetry::span("sim.plan")
+            .with("nodes", self.n_nodes)
+            .start();
         let bed = Testbed::generate(self.testbed_config(testbed_index));
         let links = bed.candidate_links(self.window.0, self.window.1);
-        if links.len() < 2 {
-            return Vec::new();
-        }
-        let plan_seed = task_seed(self.seed, testbed_index as u64);
-        let cfg = self.experiment_config(0.0, None, plan_seed);
-        plan_ensemble(&links, self.points, &cfg)
+        span.add("links", links.len());
+        let planned = if links.len() < 2 {
+            Vec::new()
+        } else {
+            let plan_seed = task_seed(self.seed, testbed_index as u64);
+            let cfg = self.experiment_config(0.0, None, plan_seed);
+            plan_ensemble(&links, self.points, &cfg)
+        };
+        span.add("points", planned.len());
+        planned
     }
 }
 

@@ -340,11 +340,16 @@ pub fn run_workload<W: Workload>(
 ///
 /// Panics if any index is out of range for the workload's task list
 /// (shard manifests are validated before execution reaches this point).
+/// An empty selection is the zero-row report, made without lowering (a
+/// sim lowering plans every testbed).
 pub fn run_workload_subset<W: Workload + ?Sized>(
     w: &W,
     indices: &[usize],
     engine: &Engine,
 ) -> RunReport {
+    if indices.is_empty() {
+        return assemble(w, &[]);
+    }
     let tasks = w.lower();
     let selected: Vec<&W::Task> = indices
         .iter()

@@ -144,11 +144,8 @@ pub fn find_manifests(dir: &Path) -> Result<Vec<PathBuf>, ShardError> {
 }
 
 /// Slice a workload into `k` shards and write one manifest per shard
-/// under `dir` (created if missing). Any shard files already in `dir` —
-/// from a previous plan with a different k or strategy — are removed
-/// first, so re-planning a reused directory can never leave stale
-/// manifests or partials behind for the merge to choke on. Returns the
-/// manifest paths in shard order.
+/// under `dir` (created if missing) with [`write_manifests`]. Counts the
+/// workload's tasks once. Returns the manifest paths in shard order.
 pub fn write_plan(
     dir: &Path,
     workload: impl Into<AnyWorkload>,
@@ -157,11 +154,25 @@ pub fn write_plan(
 ) -> Result<Vec<PathBuf>, ShardError> {
     let workload = workload.into();
     let plan = ShardPlan::new(workload.task_count(), k, strategy)?;
+    write_manifests(dir, &workload, &plan)
+}
+
+/// Write one manifest per shard of `plan` (built from `workload`'s task
+/// count) under `dir` (created if missing). Any shard files already in
+/// `dir` — from a previous plan with a different k or strategy — are
+/// removed first, so re-planning a reused directory can never leave
+/// stale manifests or partials behind for the merge to choke on. Returns
+/// the manifest paths in shard order.
+pub fn write_manifests(
+    dir: &Path,
+    workload: &AnyWorkload,
+    plan: &ShardPlan,
+) -> Result<Vec<PathBuf>, ShardError> {
     let _span = wcs_telemetry::span("shard.plan")
         .with("name", workload.name())
-        .with("k", k)
-        .with("strategy", strategy.label())
-        .with("tasks", workload.task_count())
+        .with("k", plan.k)
+        .with("strategy", plan.strategy.label())
+        .with("tasks", plan.task_count)
         .start();
     std::fs::create_dir_all(dir)?;
     for entry in std::fs::read_dir(dir)? {
@@ -175,10 +186,10 @@ pub fn write_plan(
             std::fs::remove_file(entry.path())?;
         }
     }
-    let mut paths = Vec::with_capacity(k);
-    for shard in 0..k {
+    let mut paths = Vec::with_capacity(plan.k);
+    for shard in 0..plan.k {
         let path = manifest_path(dir, shard);
-        ShardManifest::new(workload.clone(), &plan, shard).save(&path)?;
+        ShardManifest::new(workload.clone(), plan, shard).save(&path)?;
         let indices = plan.indices(shard);
         wcs_telemetry::value(
             "shard.planned",

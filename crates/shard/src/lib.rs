@@ -46,10 +46,10 @@ pub mod plan;
 
 pub use driver::{
     fold_worker_runlog, heartbeat_path, manifest_path, partial_path, worker_runlog_path,
-    write_plan, WorkerInvocation,
+    write_manifests, write_plan, WorkerInvocation,
 };
-pub use manifest::ShardManifest;
-pub use merge::{merge_dir, merge_partials, MergeOutcome};
+pub use manifest::{ShardManifest, TaskCounts};
+pub use merge::{merge_dir, merge_dir_counted, merge_partials, MergeOutcome};
 pub use partial::{partial_cache_name, PartialReport};
 pub use plan::{ShardPlan, ShardStrategy};
 

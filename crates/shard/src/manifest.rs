@@ -50,17 +50,36 @@ pub struct ShardManifest {
     pub task_count: usize,
 }
 
+/// The task counts a process has already taken, one per distinct
+/// workload. A sim workload's `task_count()` plans every testbed, so a
+/// plan, a dispatch or a merge that checks many manifests of one
+/// workload counts it once through this.
+#[derive(Debug, Default)]
+pub struct TaskCounts(Vec<(AnyWorkload, usize)>);
+
+impl TaskCounts {
+    /// Seeded with a count already taken: the one a plan was built from.
+    pub fn known(workload: &AnyWorkload, task_count: usize) -> Self {
+        TaskCounts(vec![(workload.clone(), task_count)])
+    }
+
+    /// `workload.task_count()`, counted the first time it is asked for.
+    pub fn of(&mut self, workload: &AnyWorkload) -> usize {
+        if let Some(&(_, n)) = self.0.iter().find(|(w, _)| w == workload) {
+            return n;
+        }
+        let n = workload.task_count();
+        self.0.push((workload.clone(), n));
+        n
+    }
+}
+
 impl ShardManifest {
-    /// Manifest for shard `shard` of `plan` over `workload`. Panics if
-    /// the plan's task count disagrees with the workload's (the caller
-    /// built the plan *from* the workload).
+    /// Manifest for shard `shard` of `plan` over `workload`. The caller
+    /// built `plan` from this workload's task count, which is not taken
+    /// again here; [`ShardManifest::parse`] checks it on load.
     pub fn new(workload: impl Into<AnyWorkload>, plan: &ShardPlan, shard: usize) -> Self {
         let workload = workload.into();
-        assert_eq!(
-            plan.task_count,
-            workload.task_count(),
-            "plan does not match workload"
-        );
         assert!(
             shard < plan.k,
             "shard {shard} out of range (k = {})",
@@ -118,9 +137,15 @@ impl ShardManifest {
     }
 
     /// Parse a manifest document, verifying the embedded spec hash,
-    /// workload kind and shard coordinates. `path` is only used for
-    /// error messages.
+    /// workload kind, task count and shard coordinates. `path` is only
+    /// used for error messages.
     pub fn parse(text: &str, path: &Path) -> Result<Self, ShardError> {
+        Self::parse_counted(text, path, &mut TaskCounts::default())
+    }
+
+    /// [`ShardManifest::parse`], taking the workload's task count from
+    /// `counts` (so manifests of one workload count it once).
+    fn parse_counted(text: &str, path: &Path, counts: &mut TaskCounts) -> Result<Self, ShardError> {
         let parse_err = |message: String| ShardError::Parse {
             path: path.to_path_buf(),
             message,
@@ -220,11 +245,10 @@ impl ShardManifest {
                 computed,
             });
         }
-        if task_count != workload.task_count() {
+        let counted = counts.of(&workload);
+        if task_count != counted {
             return Err(parse_err(format!(
-                "task_count {} does not match the workload's {} tasks",
-                task_count,
-                workload.task_count()
+                "task_count {task_count} does not match the workload's {counted} tasks"
             )));
         }
         ShardPlan::new(task_count, k, strategy).map_err(|e| parse_err(e.to_string()))?;
@@ -244,8 +268,14 @@ impl ShardManifest {
 
     /// Load and verify a manifest file.
     pub fn load(path: &Path) -> Result<Self, ShardError> {
+        Self::load_counted(path, &mut TaskCounts::default())
+    }
+
+    /// [`ShardManifest::load`], taking the workload's task count from
+    /// `counts`.
+    pub(crate) fn load_counted(path: &Path, counts: &mut TaskCounts) -> Result<Self, ShardError> {
         let text = std::fs::read_to_string(path)?;
-        ShardManifest::parse(&text, path)
+        ShardManifest::parse_counted(&text, path, counts)
     }
 
     /// Write this manifest to `path` (temp-file rename, like every other

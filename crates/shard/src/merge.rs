@@ -21,7 +21,7 @@
 //! from its cached partial blob instead of failing the merge — only a
 //! shard the index has never seen is a genuine gap.
 
-use crate::manifest::ShardManifest;
+use crate::manifest::{ShardManifest, TaskCounts};
 use crate::partial::PartialReport;
 use crate::{driver, ShardError};
 use std::path::Path;
@@ -136,6 +136,8 @@ pub struct MergeOutcome {
     pub report: RunReport,
     /// The workload the shards were slices of (from the manifests).
     pub workload: AnyWorkload,
+    /// Its task count, as every manifest was checked against.
+    pub task_count: usize,
     /// How many shards were merged.
     pub shards: usize,
     /// How many of them were served from cached partial blobs because
@@ -151,10 +153,21 @@ pub struct MergeOutcome {
 /// (scenario hash, seed) key a single-process run would use, so the
 /// *next* `repro sweep` of this spec is a cache hit.
 pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOutcome, ShardError> {
+    merge_dir_counted(dir, index, &mut TaskCounts::default())
+}
+
+/// [`merge_dir`], checking each manifest's task count against `counts`
+/// (so the workload is counted at most once, and not at all when the
+/// caller seeded `counts` with the count it planned from).
+pub fn merge_dir_counted(
+    dir: &Path,
+    index: Option<&dyn ResultIndex>,
+    counts: &mut TaskCounts,
+) -> Result<MergeOutcome, ShardError> {
     let mut span = wcs_telemetry::span("shard.merge").start();
     let mut manifests = Vec::new();
     for path in driver::find_manifests(dir)? {
-        manifests.push(ShardManifest::load(&path)?);
+        manifests.push(ShardManifest::load_counted(&path, counts)?);
     }
     if manifests.is_empty() {
         return Err(ShardError::SpecMismatch(format!(
@@ -201,7 +214,8 @@ pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOut
             ],
         );
     }
-    let workload = manifests.swap_remove(0).workload;
+    let first = manifests.swap_remove(0);
+    let (workload, task_count) = (first.workload, first.task_count);
     let full = merge_partials(&parts)?;
     if let Some(index) = index {
         // Same tolerance as run_workload: a failed store warns (mirrored to
@@ -227,6 +241,7 @@ pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOut
     Ok(MergeOutcome {
         report,
         workload,
+        task_count,
         shards,
         shards_from_cache,
     })

@@ -667,7 +667,7 @@ mod tests {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
         // Pick two links whose senders are close (multiplexing regime).
-        let mut w = t.world();
+        let w = t.world();
         let mut best: Option<(PairExperiment, f64)> = None;
         for &l1 in &links {
             for &l2 in &links {
@@ -720,7 +720,7 @@ mod tests {
     fn far_senders_point_prefers_concurrency() {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
-        let mut w = t.world();
+        let w = t.world();
         let mut best: Option<(PairExperiment, f64)> = None;
         for &l1 in &links {
             for &l2 in &links {

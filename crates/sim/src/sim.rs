@@ -160,12 +160,15 @@ impl FlowStats {
 }
 
 struct Flow {
-    src: NodeId,
     dst: NodeId,
     rate: RatePolicy,
     /// Rate chosen for the current frame (persists across an RTS/CTS
     /// exchange and retries).
     current_rate: Bitrate,
+    /// RSSI of the link (dB over noise), which the MAC's RTS/CTS policy
+    /// reads on every outcome; the channel is static, so it is taken
+    /// once.
+    rssi_db: f64,
     seq: u64,
     stats: FlowStats,
 }
@@ -337,10 +340,10 @@ impl Simulator {
         let idx = self.flows.len();
         let base = RATES_11A[0];
         self.flows.push(Flow {
-            src,
             dst,
             rate,
             current_rate: base,
+            rssi_db: self.world.rssi_db(src, dst),
             seq: 0,
             stats: FlowStats::new(src, dst),
         });
@@ -831,7 +834,7 @@ impl Simulator {
                         let rate = self.flows[fi].current_rate;
                         self.flows[fi].stats.acked += 1;
                         self.flows[fi].rate.feedback(rate, true);
-                        let rssi = self.world.rssi_db(self.flows[fi].src, self.flows[fi].dst);
+                        let rssi = self.flows[fi].rssi_db;
                         self.macs[i].record_outcome(true, self.cfg.mac.rts_cts, rssi);
                         self.macs[i].retries = 0;
                         self.macs[i].cw = self.cfg.mac.cw_min;
@@ -853,7 +856,7 @@ impl Simulator {
         let rate = self.flows[fi].current_rate;
         self.flows[fi].stats.timeouts += 1;
         self.flows[fi].rate.feedback(rate, false);
-        let rssi = self.world.rssi_db(self.flows[fi].src, self.flows[fi].dst);
+        let rssi = self.flows[fi].rssi_db;
         self.macs[i].record_outcome(false, self.cfg.mac.rts_cts, rssi);
 
         let retry_limit = match self.cfg.mac.ack {

@@ -7,6 +7,10 @@
 //! as in §4 — by delivery rate at 6 Mbps rather than geometric distance:
 //! "rather than communicating with nodes within a given geometric range,
 //! senders communicate with nodes within some link-level metric."
+//!
+//! The channel is symmetric bit for bit (see [`crate::world`]), so the
+//! link survey ([`Testbed::candidate_links`], [`Testbed::rssi_survey`])
+//! computes each unordered pair's RSSI and delivery once.
 
 use crate::phy::{PhyConfig, ReceptionModel};
 use crate::world::{ChannelConfig, NodeId, World};
@@ -62,11 +66,14 @@ pub fn testbed_phy() -> PhyConfig {
 }
 
 /// The most nodes a testbed read from outside input may have.
-/// [`Testbed::candidate_links`] visits every directed node pair, and a
+/// [`Testbed::candidate_links`] scores every unordered node pair, and a
 /// [`World`] keeps a row of received powers per sender, so both grow as
-/// nodes²: at 500 nodes planning one ensemble takes about 0.15 s and the
-/// rows about 2 MB. A spec asking for more is refused where it is
-/// parsed, before anything is allocated.
+/// nodes². At 500 nodes, planning one ensemble (one `lower()` of the
+/// quick threshold grid) took about 25 ms on a 2-core Xeon, and a
+/// `World` with every row filled would hold 2 MB; planning fills no
+/// row, and a protocol run fills only its two senders' (8 KB). A spec
+/// asking for more is refused where it is parsed, before anything is
+/// allocated.
 pub const MAX_NODES: usize = 500;
 
 /// A generated testbed: node positions plus the frozen channel.
@@ -142,36 +149,45 @@ impl Testbed {
     /// Enumerate all directed links whose 6 Mbps delivery lies within
     /// `[min_delivery, max_delivery]` — the paper's link-level metric for
     /// picking short-range (≥0.94) and long-range (0.80–0.95) pairs.
+    /// Links come in (src, dst) order.
+    ///
+    /// The channel is symmetric bit for bit (see [`crate::world`]), so
+    /// each unordered pair's RSSI and delivery are computed once and
+    /// both of its directions are listed. Pairs are visited in (a, b)
+    /// order with a < b, so sender `s` receives its links to `d < s`
+    /// (while a = d) before those to `d > s` (while a = s), each run in
+    /// ascending `d`: concatenating the per-sender lists gives (src,
+    /// dst) order without a sort.
     pub fn candidate_links(&self, min_delivery: f64, max_delivery: f64) -> Vec<CandidateLink> {
-        let mut w = self.world();
-        let mut out = Vec::new();
-        for s in 0..self.len() {
-            for d in 0..self.len() {
-                if s == d {
-                    continue;
-                }
-                let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
-                let rssi_db = w.rssi_db(src, dst);
+        let w = self.world();
+        let mut by_src = vec![Vec::new(); self.len()];
+        for a in 0..self.len() {
+            for b in (a + 1)..self.len() {
+                let (na, nb) = (NodeId(a as u32), NodeId(b as u32));
+                let rssi_db = w.rssi_db(na, nb);
                 let p = delivery_at(rssi_db, 0);
                 if p >= min_delivery && p <= max_delivery {
-                    out.push(CandidateLink {
+                    let link = |src, dst| CandidateLink {
                         src,
                         dst,
                         delivery_6mbps: p,
                         rssi_db,
-                    });
+                    };
+                    by_src[a].push(link(na, nb));
+                    by_src[b].push(link(nb, na));
                 }
             }
         }
-        out
+        by_src.concat()
     }
 
     /// The Figure 14 survey: (distance, RSSI) for every detectable pair,
     /// censored below `threshold_db` — feed this to
     /// `wcs_stats::fit::fit_pathloss_shadowing` to recover (α, σ).
-    /// Returns `(observed, censored_distances)`.
+    /// Returns `(observed, censored_distances)`. Each unordered pair is
+    /// surveyed once.
     pub fn rssi_survey(&self, threshold_db: f64) -> (Vec<RssiSample>, Vec<f64>) {
-        let mut w = self.world();
+        let w = self.world();
         let mut obs = Vec::new();
         let mut cens = Vec::new();
         for a in 0..self.len() {
@@ -251,6 +267,52 @@ mod tests {
             assert_eq!(l.delivery_6mbps.to_bits(), p.to_bits());
             let rssi = t.world().rssi_db(l.src, l.dst);
             assert_eq!(l.rssi_db.to_bits(), rssi.to_bits());
+        }
+    }
+
+    #[test]
+    fn candidate_links_equal_the_directed_pair_loop_in_order() {
+        // The directed loop each link used to be scored by: every
+        // (src, dst) in order, RSSI and delivery computed per direction.
+        for (seed, n_nodes) in [(0xBED, 50), (7, 2), (11, 13), (2009, 80)] {
+            let t = Testbed::generate(TestbedConfig {
+                n_nodes,
+                seed,
+                ..TestbedConfig::default()
+            });
+            let w = t.world();
+            for (lo, hi) in [
+                (0.0, 1.0),
+                (0.94, 1.0),
+                (0.80, 0.95),
+                (0.3, 0.6),
+                (1.0, 1.0),
+            ] {
+                let mut want = Vec::new();
+                for s in 0..n_nodes {
+                    for d in (0..n_nodes).filter(|&d| d != s) {
+                        let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
+                        let rssi_db = w.rssi_db(src, dst);
+                        let p = delivery_at(rssi_db, 0);
+                        if p >= lo && p <= hi {
+                            want.push((src, dst, p.to_bits(), rssi_db.to_bits()));
+                        }
+                    }
+                }
+                let got: Vec<_> = t
+                    .candidate_links(lo, hi)
+                    .iter()
+                    .map(|l| {
+                        (
+                            l.src,
+                            l.dst,
+                            l.delivery_6mbps.to_bits(),
+                            l.rssi_db.to_bits(),
+                        )
+                    })
+                    .collect();
+                assert_eq!(got, want, "testbed {seed}, window [{lo}, {hi}]");
+            }
         }
     }
 

@@ -6,6 +6,13 @@
 //! normalised as in the analysis: transmit power is 1 at unit distance
 //! and the noise floor defaults to −65 dB, so "RSSI" in this simulator
 //! is dB above the noise floor, matching the paper's RSSI axes.
+//!
+//! The channel is symmetric bit for bit: the shadow draw is keyed by
+//! the unordered pair, the distance squares each coordinate difference
+//! (exact under negation) before adding them in the same order, and the
+//! product is formed in the same order, so `rx_power(a, b)` and
+//! `rx_power(b, a)` are one floating-point expression of the same
+//! operands.
 
 use serde::{Deserialize, Serialize};
 use wcs_propagation::geometry::Point2;
@@ -72,9 +79,9 @@ pub struct World {
     positions: Vec<Point2>,
     config: ChannelConfig,
     shadow: ShadowField,
-    /// Memoised received powers, one row per sender (`rx_rows[a][b]` is
-    /// the power at `b` when `a` transmits, 0 on the diagonal); a row
-    /// stays empty until its sender is first queried.
+    /// Received powers, one row per sender (`rx_rows[a][b]` is the power
+    /// at `b` when `a` transmits, 0 on the diagonal); a row stays empty
+    /// until its sender is first queried.
     rx_rows: Vec<Vec<f64>>,
 }
 
@@ -115,17 +122,17 @@ impl World {
     }
 
     /// Linear channel *gain* from `a` to `b` (path loss × frozen shadow).
-    /// Symmetric by construction.
-    pub fn gain(&mut self, a: NodeId, b: NodeId) -> f64 {
+    /// Symmetric bit for bit (see the module docs).
+    pub fn gain(&self, a: NodeId, b: NodeId) -> f64 {
         assert_ne!(a, b, "self-channel is undefined");
         let d = self.distance(a, b);
         self.config.path_loss.gain(d) * self.shadow.gain_linear(a.0, b.0)
     }
 
-    /// Received power at `b` when `a` transmits (linear).
-    pub fn rx_power(&mut self, a: NodeId, b: NodeId) -> f64 {
-        assert_ne!(a, b, "self-channel is undefined");
-        self.rx_row(a)[b.0 as usize]
+    /// Received power at `b` when `a` transmits (linear), computed
+    /// afresh; the row the simulator keeps for `a` holds the same bits.
+    pub fn rx_power(&self, a: NodeId, b: NodeId) -> f64 {
+        self.config.tx_power * self.gain(a, b)
     }
 
     /// Received power at every node when `a` transmits, indexed by node
@@ -141,7 +148,7 @@ impl World {
                     if b == a {
                         0.0
                     } else {
-                        self.config.tx_power * self.gain(a, b)
+                        self.rx_power(a, b)
                     }
                 })
                 .collect();
@@ -152,7 +159,7 @@ impl World {
 
     /// RSSI in dB above the noise floor — the quantity the paper's
     /// Figures 11/13 plot on their x axes.
-    pub fn rssi_db(&mut self, a: NodeId, b: NodeId) -> f64 {
+    pub fn rssi_db(&self, a: NodeId, b: NodeId) -> f64 {
         10.0 * (self.rx_power(a, b) / self.config.noise).log10()
     }
 
@@ -167,6 +174,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use wcs_stats::rng::split_rng;
 
     fn two_node_world(d: f64) -> World {
         World::new(
@@ -176,9 +185,25 @@ mod tests {
         )
     }
 
+    /// The received power written out from its definition: one shadow
+    /// draw per unordered pair keyed by (min, max), then path loss, then
+    /// transmit power.
+    fn oracle_rx_power(
+        positions: &[Point2],
+        cfg: ChannelConfig,
+        seed: u64,
+        a: usize,
+        b: usize,
+    ) -> f64 {
+        let label = ((a.min(b) as u64) << 32) | a.max(b) as u64;
+        let db = cfg.shadowing.sample_db(&mut split_rng(seed, label));
+        let d = positions[a].distance(&positions[b]);
+        cfg.tx_power * (cfg.path_loss.gain(d) * 10f64.powf(db / 10.0))
+    }
+
     #[test]
     fn gain_is_symmetric() {
-        let mut w = World::new(
+        let w = World::new(
             vec![Point2::new(0.0, 0.0), Point2::new(30.0, 40.0)],
             ChannelConfig::paper_testbed(),
             7,
@@ -191,15 +216,15 @@ mod tests {
     #[test]
     fn rssi_matches_snr_anchors() {
         // d = 20 at α = 3 ⇒ RSSI ≈ 26 dB above noise.
-        let mut w = two_node_world(20.0);
+        let w = two_node_world(20.0);
         assert!((w.rssi_db(NodeId(0), NodeId(1)) - 26.0).abs() < 0.2);
-        let mut w = two_node_world(120.0);
+        let w = two_node_world(120.0);
         assert!((w.rssi_db(NodeId(0), NodeId(1)) - 2.6).abs() < 0.2);
     }
 
     #[test]
     fn shadowing_is_frozen() {
-        let mut w = World::new(
+        let w = World::new(
             vec![Point2::new(0.0, 0.0), Point2::new(10.0, 0.0)],
             ChannelConfig::paper_testbed(),
             3,
@@ -220,16 +245,58 @@ mod tests {
             ChannelConfig::paper_testbed(),
             11,
         );
-        let mut unmemoised = w.clone();
         let row = w.rx_row(NodeId(1)).to_vec();
         assert_eq!(row[1], 0.0, "no self-channel");
         for j in [0u32, 2] {
-            let direct = w.config().tx_power * unmemoised.gain(NodeId(1), NodeId(j));
+            let direct = w.config().tx_power * w.gain(NodeId(1), NodeId(j));
             assert_eq!(row[j as usize].to_bits(), direct.to_bits(), "n1 -> n{j}");
             assert_eq!(w.rx_power(NodeId(1), NodeId(j)), row[j as usize]);
         }
-        // The reverse direction reads its own row, equal by symmetry.
-        assert_eq!(w.rx_power(NodeId(2), NodeId(1)), row[2]);
+        // The reverse direction's own row holds the same bits.
+        assert_eq!(w.rx_row(NodeId(2))[1].to_bits(), row[2].to_bits());
+    }
+
+    #[test]
+    fn rows_match_the_memoised_expression_bitwise() {
+        for n in [2usize, 7, 50] {
+            for (sigma_db, tx_power) in [(0.0, 1.0), (10.0, 1.0), (10.0, 0.37), (0.0, 2.5)] {
+                let cfg = ChannelConfig {
+                    shadowing: Shadowing::new(sigma_db),
+                    tx_power,
+                    ..ChannelConfig::paper_testbed()
+                };
+                let seed = 0x5AAD ^ n as u64;
+                let mut rng = split_rng(seed, 0xb1d);
+                let positions: Vec<Point2> = (0..n)
+                    .map(|_| Point2::new(rng.gen_range(0.0..180.0), rng.gen_range(0.0..90.0)))
+                    .collect();
+                let mut w = World::new(positions.clone(), cfg, seed);
+                for a in 0..n {
+                    let row = w.rx_row(NodeId(a as u32)).to_vec();
+                    assert_eq!(row.len(), n);
+                    for (b, &p) in row.iter().enumerate() {
+                        let want = if a == b {
+                            0.0
+                        } else {
+                            oracle_rx_power(&positions, cfg, seed, a, b)
+                        };
+                        assert_eq!(
+                            p.to_bits(),
+                            want.to_bits(),
+                            "n={n} σ={sigma_db} P={tx_power}: {a} -> {b}"
+                        );
+                    }
+                }
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let (na, nb) = (NodeId(a as u32), NodeId(b as u32));
+                        let want = oracle_rx_power(&positions, cfg, seed, a, b);
+                        assert_eq!(w.rx_power(na, nb).to_bits(), want.to_bits());
+                        assert_eq!(w.rx_rows[a][b].to_bits(), w.rx_rows[b][a].to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -242,14 +309,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn self_channel_rejected() {
-        let mut w = two_node_world(10.0);
+        let w = two_node_world(10.0);
         let _ = w.gain(NodeId(0), NodeId(0));
     }
 
     #[test]
     #[should_panic]
     fn self_rx_power_rejected() {
-        let mut w = two_node_world(10.0);
+        let w = two_node_world(10.0);
         let _ = w.rx_power(NodeId(1), NodeId(1));
     }
 }

@@ -88,6 +88,7 @@ pub const EVENT_NAMES: &[&str] = &[
     "dispatch.giveup",
     "dispatch.shard",
     "dispatch.run",
+    "sim.plan",
     "bench.result",
     "history.manifest",
     "history.manifest_failed",
