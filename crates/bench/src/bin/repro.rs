@@ -630,7 +630,8 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             let cache = parsed.cache();
             let cache_ref: Option<&dyn wcs_runtime::ResultIndex> =
                 cache.as_ref().map(|c| c as &dyn wcs_runtime::ResultIndex);
-            let partial = wcs_shard::partial::run_worker(&manifest, &engine, cache_ref);
+            let partial = wcs_shard::partial::run_worker(&manifest, &engine, cache_ref)
+                .unwrap_or_else(|e| fail(e));
             let path = wcs_shard::partial_path(&out_dir, manifest.shard);
             std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(e));
             partial.save(&path).unwrap_or_else(|e| fail(e));
@@ -751,7 +752,13 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     let cache = parsed.cache();
     let t0 = std::time::Instant::now();
     let dispatcher = wcs_dispatch::Dispatcher::new(transport.as_ref(), &pool, options);
-    match dispatcher.run_plan(&dir, &workload, &plan, cache.as_ref()) {
+    let result = dispatcher.run_plan(&dir, &workload, &plan, cache.as_ref());
+    // A plan directory this command made is temporary, whatever the
+    // outcome; one named with `--dir` stays.
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    match result {
         Ok(outcome) => {
             print_report(&outcome.merge.report, &parsed.format);
             // Dispatch runs land in the run history like sweeps do; the
@@ -783,9 +790,6 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 outcome.stats.deaths,
                 t0.elapsed().as_secs_f64()
             );
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
             finish(0);
         }
         Err(e @ wcs_dispatch::DispatchError::Exhausted { .. }) => {

@@ -151,6 +151,9 @@ fn exhausted_retry_budget_exits_2_with_structured_message() {
     let dir = tmpdir("giveup");
     let cache = dir.join("cache");
     let spec = write_tiny_spec(&dir);
+    // The run's own temporary directory, to see what it leaves behind.
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
     for command in RUN_COMMANDS {
         // Default --max-retries is 2 → 3 attempts; fail all three spawns.
         let out = repro()
@@ -159,6 +162,7 @@ fn exhausted_retry_budget_exits_2_with_structured_message() {
             .arg(&spec)
             .args(["-k", "2", "--no-cache", "--fault", "spawn-fail:0x3"])
             .env("WCS_CACHE_DIR", &cache)
+            .env("TMPDIR", &tmp)
             .output()
             .unwrap();
         assert_eq!(
@@ -172,6 +176,13 @@ fn exhausted_retry_budget_exits_2_with_structured_message() {
             stderr.contains("dispatch gave up on shard 0 after 3 attempt(s)"),
             "structured give-up message, got: {stderr}"
         );
+        // The plan directory it made for itself is gone after exit 2.
+        let leaked: Vec<_> = std::fs::read_dir(&tmp)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("wcs-dispatch-run-"))
+            .collect();
+        assert!(leaked.is_empty(), "{command:?} leaked {leaked:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -388,15 +399,21 @@ fn shard_plan_merge_and_dispatch_plan_a_sim_spec_once_at_any_k() {
     );
     let plan = ShardPlan::new(tasks, k, ShardStrategy::Strided).unwrap();
     for (shard, path) in paths.iter().enumerate() {
-        let manifest = ShardManifest::load(path).unwrap();
+        // Loading the manifest plans nothing; the worker checks its task
+        // count against the task list it lowers anyway.
         let before = sim_plans(&log);
-        let partial = run_worker(&manifest, &Engine::serial(), None);
+        let manifest = ShardManifest::load(path).unwrap();
+        let partial = run_worker(&manifest, &Engine::serial(), None).unwrap();
         let lowered = if plan.indices(shard).is_empty() {
             0
         } else {
             testbeds
         };
-        assert_eq!(sim_plans(&log) - before, lowered, "shard {shard}'s worker");
+        assert_eq!(
+            sim_plans(&log) - before,
+            lowered,
+            "shard {shard}'s manifest load and worker"
+        );
         partial
             .save(&wcs_shard::partial_path(&plan_dir, shard))
             .unwrap();

@@ -103,6 +103,19 @@ fn telemetry_flag_keeps_stdout_bytes_and_writes_a_parsable_runlog() {
         .events
         .iter()
         .any(|e| e.kind == EventKind::SpanExit && e.u64_field("dur_ns").is_some()));
+    // The run names the compilation its vectorized loops took, and
+    // `trace summarize` prints it.
+    let lanes = wcs_stats::lanes::compilation();
+    assert!(log
+        .events
+        .iter()
+        .any(|e| e.name == "workload.run" && e.str_field("lanes") == Some(lanes)));
+    let summary = run_ok(repro().args(["trace", "summarize"]).arg(&runlog));
+    let summary = String::from_utf8_lossy(&summary.stdout);
+    assert!(
+        summary.contains(&format!("\nlanes: {lanes}\n")),
+        "{summary}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -20,7 +20,7 @@
 //! and contention-degree carrier sense for more than two contenders,
 //! with N = 2 reducing bitwise to [`TwoPairScenario`].
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod npair;

@@ -579,16 +579,17 @@ impl NPairKernel {
 ///   per-task (i, j) → link index, and accumulates without branches;
 /// * all 3N Shannon logs are scored in one `capacity_v2_batch` pass.
 ///
-/// **One body, two compilations.** On x86-64 the body of
-/// [`NPairKernelV2::sample_and_score`] is compiled twice: once for the
-/// build's baseline target (SSE2, 2 lanes) and once inside a
-/// `#[target_feature(enable = "avx2")]` function, where the inlined
-/// normal-fill, ln, exp and capacity slice loops run 4 lanes wide. Each
-/// call takes the AVX2 copy when `is_x86_feature_detected!("avx2")`
-/// reports AVX2 (a cached check) and the baseline copy otherwise; other
-/// architectures have only the baseline copy. FMA stays off and Rust
-/// never contracts `a * b + c`, so both copies produce the same bits,
-/// which `v2_kernel_compilations_agree_bitwise` checks.
+/// **One body, two compilations.** [`NPairKernelV2::sample_and_score`]
+/// runs its body through `wcs_stats::lanes::dispatch`, the workspace's
+/// one lane-dispatch site: on x86-64 the body is compiled once for the
+/// build's baseline target (SSE2, 2 lanes) and once inside that
+/// module's AVX2 function, where the inlined normal-fill, ln, exp and
+/// capacity slice loops run 4 lanes wide, and each call takes the AVX2
+/// copy when the CPU has AVX2; other architectures have only the
+/// baseline copy. FMA stays off and Rust never contracts `a * b + c`,
+/// so both copies produce the same bits, which
+/// `v2_kernel_compilations_agree_bitwise` checks. This crate holds no
+/// `unsafe` code.
 ///
 /// Statistically identical to v1, **not** bitwise equal to it (hence
 /// the v2 canonical prefix and fresh goldens); bitwise-deterministic
@@ -704,29 +705,12 @@ impl NPairKernelV2 {
         self.sample_and_score_on(rng, true);
     }
 
-    /// The one dispatch site: the AVX2 copy of the body when `allow_avx2`
-    /// is set and the CPU has AVX2, the baseline copy otherwise. Tests
-    /// pass `false` to run the baseline copy on an AVX2 machine.
-    #[allow(unsafe_code)]
+    /// The body through `wcs_stats::lanes`: its AVX2 copy when
+    /// `allow_avx2` is set and the CPU has AVX2, the baseline copy
+    /// otherwise. Tests pass `false` to run the baseline copy on an AVX2
+    /// machine.
     fn sample_and_score_on<R: Rng + ?Sized>(&mut self, rng: &mut R, allow_avx2: bool) {
-        #[cfg(target_arch = "x86_64")]
-        if allow_avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `sample_and_score_avx2` only requires AVX2, and
-            // `is_x86_feature_detected!("avx2")` just confirmed that
-            // this CPU executes AVX2 instructions.
-            return unsafe { self.sample_and_score_avx2(rng) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = allow_avx2;
-        self.sample_and_score_body(rng);
-    }
-
-    /// The body compiled with AVX2 enabled, so its inlined slice loops
-    /// run 4 lanes wide (see the type's docs for why the bits match).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn sample_and_score_avx2<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.sample_and_score_body(rng);
+        wcs_stats::lanes::dispatch_on(SampleAndScore { kernel: self, rng }, allow_avx2);
     }
 
     #[inline(always)]
@@ -846,6 +830,20 @@ impl NPairKernelV2 {
     /// last sampled configuration.
     pub fn deferring_senders(&self) -> usize {
         self.deferring
+    }
+}
+
+/// One [`NPairKernelV2::sample_and_score`] call as a `wcs_stats::lanes`
+/// body.
+struct SampleAndScore<'a, R: ?Sized> {
+    kernel: &'a mut NPairKernelV2,
+    rng: &'a mut R,
+}
+
+impl<R: Rng + ?Sized> wcs_stats::lanes::Body for SampleAndScore<'_, R> {
+    #[inline(always)]
+    fn run(self) {
+        self.kernel.sample_and_score_body(self.rng);
     }
 }
 

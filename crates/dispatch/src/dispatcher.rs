@@ -186,7 +186,7 @@ impl<'a> Dispatcher<'a> {
         for shard in 0..k {
             if plan.indices(shard).is_empty() {
                 let manifest = ShardManifest::new(workload.clone(), plan, shard);
-                let partial = run_worker(&manifest, &Engine::serial(), None);
+                let partial = run_worker(&manifest, &Engine::serial(), None)?;
                 partial
                     .save(&partial_path(dir, shard))
                     .map_err(ShardError::from)?;

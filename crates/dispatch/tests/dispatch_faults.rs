@@ -79,7 +79,8 @@ impl Transport for ThreadExec {
             let engine = Engine::new(inv.threads);
             let cache = inv.cache_dir.clone().map(wcs_runtime::ResultCache::new);
             let cache_ref = cache.as_ref().map(|c| c as &dyn wcs_runtime::ResultIndex);
-            let partial = wcs_shard::partial::run_worker(&manifest, &engine, cache_ref);
+            let partial = wcs_shard::partial::run_worker(&manifest, &engine, cache_ref)
+                .map_err(|e| e.to_string())?;
             let dir = inv
                 .manifest
                 .parent()

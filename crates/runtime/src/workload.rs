@@ -251,10 +251,13 @@ pub fn run_workload<W: Workload>(
     // records wall time whether or not telemetry is enabled.
     let wall_t0 = std::time::Instant::now();
     // `task_count` may plan the workload, so only a traced run asks it
-    // up front; the run itself counts what it lowers or loads.
+    // up front; the run itself counts what it lowers or loads. `lanes`
+    // names the compilation the vectorized loops run (`avx2` or
+    // `baseline`), so a run log says what produced its times.
     let mut span = wcs_telemetry::span("workload.run")
         .with("name", w.name())
         .with("kind", w.kind().label())
+        .with_lazy("lanes", wcs_stats::lanes::compilation)
         .with_lazy("tasks", || w.task_count())
         .with("hash", w.scenario_hash())
         .with("seed", w.seed())
@@ -338,8 +341,7 @@ pub fn run_workload<W: Workload>(
 /// of a whole-workload run: each task's kernel is a pure function of the
 /// task alone, so slicing the task list slices the report.
 ///
-/// Panics if any index is out of range for the workload's task list
-/// (shard manifests are validated before execution reaches this point).
+/// Panics if any index is out of range for the workload's task list.
 /// An empty selection is the zero-row report, made without lowering (a
 /// sim lowering plans every testbed).
 pub fn run_workload_subset<W: Workload + ?Sized>(
@@ -347,10 +349,25 @@ pub fn run_workload_subset<W: Workload + ?Sized>(
     indices: &[usize],
     engine: &Engine,
 ) -> RunReport {
+    counted_subset(w, indices, None, engine).expect("only a given task count is checked")
+}
+
+/// [`run_workload_subset`], refusing with `Err(lowered count)` before any
+/// task runs when `task_count` is given and the lowering made another
+/// number of tasks.
+fn counted_subset<W: Workload + ?Sized>(
+    w: &W,
+    indices: &[usize],
+    task_count: Option<usize>,
+    engine: &Engine,
+) -> Result<RunReport, usize> {
     if indices.is_empty() {
-        return assemble(w, &[]);
+        return Ok(assemble(w, &[]));
     }
     let tasks = w.lower();
+    if task_count.is_some_and(|n| n != tasks.len()) {
+        return Err(tasks.len());
+    }
     let selected: Vec<&W::Task> = indices
         .iter()
         .map(|&i| {
@@ -364,7 +381,7 @@ pub fn run_workload_subset<W: Workload + ?Sized>(
         .collect();
     let block = engine.task_block_size(selected.len());
     let blocks: Vec<Vec<Vec<f64>>> = engine.map_blocks(&selected, block, |slab| w.run_block(slab));
-    assemble(w, &blocks)
+    Ok(assemble(w, &blocks))
 }
 
 /// Runtime-dispatch form of the two workload families, for call sites
@@ -420,11 +437,20 @@ impl AnyWorkload {
         }
     }
 
-    /// Run a task-index subset — dispatches to [`run_workload_subset`].
-    pub fn run_subset(&self, indices: &[usize], engine: &Engine) -> RunReport {
+    /// Run a task-index subset of a plan over `task_count` tasks, as
+    /// [`run_workload_subset`] does. The lowering is the one place a
+    /// shard worker learns the real task count, so it is checked there,
+    /// before any task runs: `Err` carries the lowered count when it is
+    /// not `task_count`. An empty subset lowers and checks nothing.
+    pub fn run_subset(
+        &self,
+        indices: &[usize],
+        task_count: usize,
+        engine: &Engine,
+    ) -> Result<RunReport, usize> {
         match self {
-            AnyWorkload::Model(s) => run_workload_subset(s, indices, engine),
-            AnyWorkload::Sim(s) => run_workload_subset(s, indices, engine),
+            AnyWorkload::Model(s) => counted_subset(s, indices, Some(task_count), engine),
+            AnyWorkload::Sim(s) => counted_subset(s, indices, Some(task_count), engine),
         }
     }
 

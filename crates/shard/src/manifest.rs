@@ -12,6 +12,13 @@
 //! corrupted in transit between hosts) is rejected instead of silently
 //! computing different numbers under the original identity.
 //!
+//! The recorded task count is checked once, by whoever holds the tasks
+//! (a sim workload's count plans every testbed): the worker against the
+//! lowered task list or the indexed full report
+//! ([`crate::partial::run_worker`]), the merge against the workload's
+//! count ([`crate::merge_dir`]). Loading bounds it by `MAX_TASKS` so an
+//! unchecked claim sizes nothing a spec could not.
+//!
 //! ```text
 //! # wcs-shard manifest v1
 //! [shard]
@@ -30,6 +37,7 @@
 use crate::plan::{ShardPlan, ShardStrategy};
 use crate::ShardError;
 use std::path::Path;
+use wcs_runtime::workload::MAX_TASKS;
 use wcs_runtime::{parse_any_spec_toml, AnyWorkload, WorkloadKind, WorkloadSpec};
 
 /// Magic first line of every manifest file.
@@ -46,7 +54,8 @@ pub struct ShardManifest {
     pub shard: usize,
     /// How the plan deals task indices to shards.
     pub strategy: ShardStrategy,
-    /// `workload.task_count()` at planning time, double-checked on load.
+    /// `workload.task_count()` at planning time, checked against the
+    /// tasks by the worker and the merge (see the module docs).
     pub task_count: usize,
 }
 
@@ -77,7 +86,8 @@ impl TaskCounts {
 impl ShardManifest {
     /// Manifest for shard `shard` of `plan` over `workload`. The caller
     /// built `plan` from this workload's task count, which is not taken
-    /// again here; [`ShardManifest::parse`] checks it on load.
+    /// again here; the worker and the merge check it (see the module
+    /// docs).
     pub fn new(workload: impl Into<AnyWorkload>, plan: &ShardPlan, shard: usize) -> Self {
         let workload = workload.into();
         assert!(
@@ -137,15 +147,10 @@ impl ShardManifest {
     }
 
     /// Parse a manifest document, verifying the embedded spec hash,
-    /// workload kind, task count and shard coordinates. `path` is only
-    /// used for error messages.
+    /// workload kind and shard coordinates. The task count is bounded
+    /// here and checked against the tasks later (see the module docs).
+    /// `path` is only used for error messages.
     pub fn parse(text: &str, path: &Path) -> Result<Self, ShardError> {
-        Self::parse_counted(text, path, &mut TaskCounts::default())
-    }
-
-    /// [`ShardManifest::parse`], taking the workload's task count from
-    /// `counts` (so manifests of one workload count it once).
-    fn parse_counted(text: &str, path: &Path, counts: &mut TaskCounts) -> Result<Self, ShardError> {
         let parse_err = |message: String| ShardError::Parse {
             path: path.to_path_buf(),
             message,
@@ -245,10 +250,9 @@ impl ShardManifest {
                 computed,
             });
         }
-        let counted = counts.of(&workload);
-        if task_count != counted {
+        if task_count as u64 > MAX_TASKS {
             return Err(parse_err(format!(
-                "task_count {task_count} does not match the workload's {counted} tasks"
+                "task_count {task_count} is over the cap of {MAX_TASKS} tasks"
             )));
         }
         ShardPlan::new(task_count, k, strategy).map_err(|e| parse_err(e.to_string()))?;
@@ -266,16 +270,40 @@ impl ShardManifest {
         })
     }
 
-    /// Load and verify a manifest file.
+    /// Load and verify a manifest file (as [`ShardManifest::parse`]).
     pub fn load(path: &Path) -> Result<Self, ShardError> {
-        Self::load_counted(path, &mut TaskCounts::default())
+        let text = std::fs::read_to_string(path)?;
+        ShardManifest::parse(&text, path)
     }
 
-    /// [`ShardManifest::load`], taking the workload's task count from
-    /// `counts`.
+    /// [`ShardManifest::load`], then its task count checked against the
+    /// workload's, taken from `counts` (so manifests of one workload
+    /// count it once).
     pub(crate) fn load_counted(path: &Path, counts: &mut TaskCounts) -> Result<Self, ShardError> {
-        let text = std::fs::read_to_string(path)?;
-        ShardManifest::parse_counted(&text, path, counts)
+        let manifest = ShardManifest::load(path)?;
+        manifest.check_task_count(counts.of(&manifest.workload), path)?;
+        Ok(manifest)
+    }
+
+    /// Refuse this manifest, read from `path`, unless its task count is
+    /// `counted`, the number of tasks its workload really has.
+    pub(crate) fn check_task_count(&self, counted: usize, path: &Path) -> Result<(), ShardError> {
+        if self.task_count == counted {
+            Ok(())
+        } else {
+            Err(self.count_mismatch(counted, path))
+        }
+    }
+
+    /// The refusal of [`ShardManifest::check_task_count`].
+    pub(crate) fn count_mismatch(&self, counted: usize, path: &Path) -> ShardError {
+        ShardError::Parse {
+            path: path.to_path_buf(),
+            message: format!(
+                "task_count {} does not match the workload's {counted} tasks",
+                self.task_count
+            ),
+        }
     }
 
     /// Write this manifest to `path` (temp-file rename, like every other
@@ -373,15 +401,43 @@ mod tests {
 
     #[test]
     fn stale_task_count_is_rejected() {
+        // The count is checked by whoever holds the tasks: a worker that
+        // lowers them or slices the indexed full report, and the merge.
+        // Each refuses a stale count with the same error, before any
+        // task runs.
+        use crate::partial::run_worker;
+        use wcs_runtime::{run_workload, Engine, ResultCache};
         let s = sweep();
         let plan = ShardPlan::new(s.task_count(), 2, ShardStrategy::Contiguous).unwrap();
         let text = ShardManifest::new(&s, &plan, 0).to_toml();
         let tampered = text.replace("task_count = 6", "task_count = 7");
         assert_ne!(text, tampered);
+        let stale = ShardManifest::parse(&tampered, &path()).unwrap();
+        let refusal = |result: Result<(), ShardError>| match result {
+            Err(ShardError::Parse { message, .. }) => message,
+            other => panic!("expected a Parse error, got {other:?}"),
+        };
+        let expected = "task_count 7 does not match the workload's 6 tasks";
+        let computed = run_worker(&stale, &Engine::serial(), None).map(|_| ());
+        assert_eq!(refusal(computed), expected);
+        let dir = std::env::temp_dir().join(format!("wcs-manifest-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(dir.join("index"));
+        run_workload(&s, &Engine::serial(), Some(&cache));
+        let sliced = run_worker(&stale, &Engine::serial(), Some(&cache)).map(|_| ());
+        assert_eq!(refusal(sliced), expected);
+        let file = dir.join("shard-0000.manifest.toml");
+        std::fs::write(&file, &tampered).unwrap();
+        let merged = ShardManifest::load_counted(&file, &mut TaskCounts::default()).map(|_| ());
+        assert_eq!(refusal(merged), expected);
+        // A count no spec lowers to is refused on load: it would size
+        // the shard's index list before any check.
+        let huge = text.replace("task_count = 6", "task_count = 1000000000000000");
         assert!(matches!(
-            ShardManifest::parse(&tampered, &path()),
+            ShardManifest::parse(&huge, &path()),
             Err(ShardError::Parse { .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -266,7 +266,7 @@ mod tests {
     fn partials(s: &Sweep, k: usize, strategy: ShardStrategy) -> Vec<PartialReport> {
         let plan = ShardPlan::new(s.task_count(), k, strategy).unwrap();
         (0..k)
-            .map(|i| run_worker(&ShardManifest::new(s, &plan, i), &Engine::serial(), None))
+            .map(|i| run_worker(&ShardManifest::new(s, &plan, i), &Engine::serial(), None).unwrap())
             .collect()
     }
 

@@ -90,11 +90,18 @@ pub(crate) fn load_cached_partial(
 /// round-trip bitwise. Freshly computed partials are stored back as
 /// index blobs so a later re-run of this plan only recomputes shards the
 /// index has never seen.
+///
+/// This is where the manifest's task count is checked, once, against
+/// what the worker holds: the full report it slices, or the task list
+/// it lowers to compute (a shard dealt no tasks lowers nothing; the
+/// merge checks its count). A wrong count is refused before any task
+/// runs. A cached partial passes the gate only with the manifest's
+/// count, and only a worker that checked it stores one.
 pub fn run_worker(
     manifest: &ShardManifest,
     engine: &Engine,
     index: Option<&dyn ResultIndex>,
-) -> PartialReport {
+) -> Result<PartialReport, ShardError> {
     let w = &manifest.workload;
     let mut span = wcs_telemetry::span("shard.worker")
         .with("shard", manifest.shard)
@@ -114,32 +121,33 @@ pub fn run_worker(
         task_count: manifest.task_count,
         report,
     };
+    // Named in a count error: the worker is not told the manifest's path.
+    let manifest_file = crate::driver::manifest_path(Path::new(""), manifest.shard);
     if let Some(index) = index {
-        let sliced = index
+        let full = index
             .load_report(w)
-            .filter(|full| {
-                full.columns == columns && full.rows.len() == manifest.task_count * rows_per_task
-            })
-            .map(|full| {
-                let mut sliced = RunReport::new(w.name(), &columns);
-                for &i in &indices {
-                    for row in &full.rows[i * rows_per_task..(i + 1) * rows_per_task] {
-                        sliced.push_row(row.clone());
-                    }
+            .filter(|full| full.columns == columns && full.rows.len() % rows_per_task == 0);
+        if let Some(full) = full {
+            manifest.check_task_count(full.rows.len() / rows_per_task, &manifest_file)?;
+            let mut sliced = RunReport::new(w.name(), &columns);
+            for &i in &indices {
+                for row in &full.rows[i * rows_per_task..(i + 1) * rows_per_task] {
+                    sliced.push_row(row.clone());
                 }
-                sliced
-            });
-        if let Some(report) = sliced {
+            }
             span.add("source", "cache-full-slice");
-            return package(report);
+            return Ok(package(sliced));
         }
         if let Some(partial) = load_cached_partial(index, manifest) {
             span.add("source", "cache-partial");
-            return partial;
+            return Ok(partial);
         }
     }
     span.add("source", "computed");
-    let partial = package(w.run_subset(&indices, engine));
+    let report = w
+        .run_subset(&indices, manifest.task_count, engine)
+        .map_err(|counted| manifest.count_mismatch(counted, &manifest_file))?;
+    let partial = package(report);
     if let Some(index) = index {
         // Same tolerance as full-report stores: warn (mirrored to
         // stderr, counted for --strict-cache), never fail.
@@ -157,7 +165,7 @@ pub fn run_worker(
             );
         }
     }
-    partial
+    Ok(partial)
 }
 
 impl PartialReport {
@@ -311,7 +319,7 @@ mod tests {
     #[test]
     fn worker_output_roundtrips_bitwise() {
         let m = manifest(1, 2);
-        let p = run_worker(&m, &Engine::serial(), None);
+        let p = run_worker(&m, &Engine::serial(), None).unwrap();
         assert_eq!(p.kind, WorkloadKind::Model);
         assert_eq!(p.report.rows.len(), m.indices().len() * 5);
         let parsed = PartialReport::parse(&p.to_text(), Path::new("x")).unwrap();
@@ -329,8 +337,8 @@ mod tests {
     #[test]
     fn worker_is_engine_thread_count_invariant() {
         let m = manifest(0, 3);
-        let serial = run_worker(&m, &Engine::serial(), None);
-        let parallel = run_worker(&m, &Engine::new(4), None);
+        let serial = run_worker(&m, &Engine::serial(), None).unwrap();
+        let parallel = run_worker(&m, &Engine::new(4), None).unwrap();
         assert_eq!(serial.report.to_csv(), parallel.report.to_csv());
     }
 
@@ -339,7 +347,7 @@ mod tests {
         // A partial without the `# workload:` header (written by an older
         // binary) is a model partial.
         let m = manifest(0, 2);
-        let text = run_worker(&m, &Engine::serial(), None).to_text();
+        let text = run_worker(&m, &Engine::serial(), None).unwrap().to_text();
         let legacy: String = text
             .lines()
             .filter(|l| !l.starts_with("# workload"))
@@ -355,13 +363,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let m = manifest(1, 3);
-        let computed = run_worker(&m, &Engine::serial(), Some(&cache));
+        let computed = run_worker(&m, &Engine::serial(), Some(&cache)).unwrap();
         assert!(
             cache.load_blob(&partial_cache_name(&m)).is_some(),
             "worker must store its partial blob"
         );
         // Serve the cached blob (identical bytes) on a re-run.
-        let served = run_worker(&m, &Engine::serial(), Some(&cache));
+        let served = run_worker(&m, &Engine::serial(), Some(&cache)).unwrap();
         assert_eq!(computed.to_text(), served.to_text());
         // A different plan shape must not alias the cached partial.
         let other = {
@@ -373,7 +381,7 @@ mod tests {
             ShardManifest::new(&sweep, &plan, 1)
         };
         assert_ne!(partial_cache_name(&m), partial_cache_name(&other));
-        let strided = run_worker(&other, &Engine::serial(), Some(&cache));
+        let strided = run_worker(&other, &Engine::serial(), Some(&cache)).unwrap();
         assert_eq!(strided.strategy, ShardStrategy::Strided);
         // Blobs never show up as cache entries.
         assert!(cache
@@ -386,7 +394,7 @@ mod tests {
     #[test]
     fn truncated_partial_is_rejected() {
         let m = manifest(0, 2);
-        let text = run_worker(&m, &Engine::serial(), None).to_text();
+        let text = run_worker(&m, &Engine::serial(), None).unwrap().to_text();
         let missing_header: String = text
             .lines()
             .filter(|l| !l.starts_with("# strategy"))

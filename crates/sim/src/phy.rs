@@ -23,12 +23,23 @@
 //! CCA, makes the node busy, and neither reads the SINR; when it ends,
 //! the node takes its one draw of the sigmoid model in node order, as if
 //! its outcome were decided and thrown away.
+//!
+//! The passes: a frame's start raises every node's ambient power,
+//! updates the reported receptions' worst SINR and tries a preamble lock
+//! at every idle node; its end lowers every ambient (clamped at +0.0)
+//! and releases the frame's locks in node order. The per-node passes
+//! are element-wise and branch-free, and both bodies run through
+//! `wcs_stats::lanes::dispatch`, so on a CPU with AVX2 they run 4 lanes
+//! wide (2 in the baseline SSE2 build) with the same bits, which
+//! `medium_compilations_agree_bitwise` checks. This crate holds no
+//! `unsafe` code.
 
 use crate::time::SimTime;
 use crate::world::{NodeId, World};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use wcs_capacity::rates::Bitrate;
+use wcs_stats::lanes::{self, Body};
 
 /// What a frame is, MAC-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,20 +233,41 @@ impl Medium {
     /// If the sender was itself locked on a frame, that reception is
     /// abandoned (half-duplex radio).
     pub fn begin_tx(&mut self, world: &mut World, tx: ActiveTx) {
-        let s = tx.sender.0 as usize;
+        self.begin_tx_on(world, tx, true);
+    }
+
+    /// [`Medium::begin_tx`] through `wcs_stats::lanes`: its passes' AVX2
+    /// copy when `allow_avx2` is set and the CPU has AVX2, the baseline
+    /// copy otherwise. Tests pass `false` to run the baseline copy on an
+    /// AVX2 machine.
+    fn begin_tx_on(&mut self, world: &mut World, tx: ActiveTx, allow_avx2: bool) {
         assert!(
-            self.state[s] != TRANSMITTING,
+            self.state[tx.sender.0 as usize] != TRANSMITTING,
             "{} already transmitting",
             tx.sender
         );
         assert!(tx.id < TRANSMITTING, "tx id {} is a node state", tx.id);
+        let row = &world.rx_row(tx.sender)[..self.state.len()];
+        lanes::dispatch_on(
+            BeginTx {
+                medium: self,
+                row,
+                tx,
+            },
+            allow_avx2,
+        );
+    }
 
+    /// The body of [`Medium::begin_tx`]; `row` is the sender's gain row.
+    #[inline(always)]
+    fn begin_passes(&mut self, row: &[f64], tx: ActiveTx) {
         // Half-duplex: a sender abandons any reception in progress.
+        let s = tx.sender.0 as usize;
         self.state[s] = TRANSMITTING;
         self.reported.retain(|r| r.node != s);
 
         let n = self.state.len();
-        let row = &world.rx_row(tx.sender)[..n];
+        let row = &row[..n];
         let ambient = &mut self.ambient[..n];
         let (noise, margin) = (self.noise, self.lock_margin);
         // Raise every ambient. The sender's own entry in its row is +0.0
@@ -298,22 +330,57 @@ impl Medium {
         rng: &mut R,
         results: &mut Vec<DecodeResult>,
     ) -> ActiveTx {
+        self.end_tx_on(world, tx_id, rng, results, true)
+    }
+
+    /// [`Medium::end_tx`] through `wcs_stats::lanes`, as
+    /// [`Medium::begin_tx_on`] is for [`Medium::begin_tx`].
+    fn end_tx_on<R: Rng + ?Sized>(
+        &mut self,
+        world: &mut World,
+        tx_id: u64,
+        rng: &mut R,
+        results: &mut Vec<DecodeResult>,
+        allow_avx2: bool,
+    ) -> ActiveTx {
         let pos = self
             .active
             .iter()
             .position(|tx| tx.id == tx_id)
             .expect("unknown tx_id");
         let tx = self.active.swap_remove(pos);
+        let row = &world.rx_row(tx.sender)[..self.state.len()];
+        let body = EndTx {
+            medium: self,
+            row,
+            tx: &tx,
+            rng,
+            results,
+        };
+        lanes::dispatch_on(body, allow_avx2);
+        tx
+    }
+
+    /// The body of [`Medium::end_tx`] for `tx`, which has left `active`;
+    /// `row` is its sender's gain row.
+    #[inline(always)]
+    fn end_passes<R: Rng + ?Sized>(
+        &mut self,
+        row: &[f64],
+        tx: &ActiveTx,
+        rng: &mut R,
+        results: &mut Vec<DecodeResult>,
+    ) {
+        let tx_id = tx.id;
         self.state[tx.sender.0 as usize] = IDLE;
         results.clear();
 
         let n = self.state.len();
-        let row = &world.rx_row(tx.sender)[..n];
         // Lower every ambient, clamping at +0.0: with many frames
         // overlapping, removals in another order than the additions can
         // leave tiny negatives. The sender's entry in its row is +0.0, so
         // its ambient keeps its bits.
-        for (a, &g) in self.ambient[..n].iter_mut().zip(row) {
+        for (a, &g) in self.ambient[..n].iter_mut().zip(&row[..n]) {
             let left = *a - g;
             *a = if left < 0.0 { 0.0 } else { left };
         }
@@ -332,12 +399,11 @@ impl Medium {
             self.skip_draws(skipped, rng);
             debug_assert_eq!(self.state[r.node], tx_id);
             self.state[r.node] = IDLE;
-            results.push(self.decide(&tx, r, rng));
+            results.push(self.decide(tx, r, rng));
             from = r.node + 1;
         }
         let skipped = release(&mut self.state[from..], tx_id);
         self.skip_draws(skipped, rng);
-        tx
     }
 
     /// Decide reported reception `r` of `tx`.
@@ -362,6 +428,7 @@ impl Medium {
 
     /// Take the draws of `count` unreported receptions (none under
     /// `HardThreshold`).
+    #[inline(always)]
     fn skip_draws<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) {
         if let ReceptionModel::Sigmoid { .. } = self.cfg.reception {
             for _ in 0..count {
@@ -378,6 +445,7 @@ impl Medium {
 
 /// Set every node of `state` locked on `tx_id` idle; returns how many
 /// there were.
+#[inline(always)]
 fn release(state: &mut [u64], tx_id: u64) -> usize {
     let mut count = 0;
     for st in state {
@@ -386,6 +454,37 @@ fn release(state: &mut [u64], tx_id: u64) -> usize {
         *st = if locked { IDLE } else { *st };
     }
     count
+}
+
+/// One [`Medium::begin_tx`] as a `wcs_stats::lanes` body.
+struct BeginTx<'a> {
+    medium: &'a mut Medium,
+    row: &'a [f64],
+    tx: ActiveTx,
+}
+
+impl Body for BeginTx<'_> {
+    #[inline(always)]
+    fn run(self) {
+        self.medium.begin_passes(self.row, self.tx);
+    }
+}
+
+/// One [`Medium::end_tx`] as a `wcs_stats::lanes` body.
+struct EndTx<'a, R: ?Sized> {
+    medium: &'a mut Medium,
+    row: &'a [f64],
+    tx: &'a ActiveTx,
+    rng: &'a mut R,
+    results: &'a mut Vec<DecodeResult>,
+}
+
+impl<R: Rng + ?Sized> Body for EndTx<'_, R> {
+    #[inline(always)]
+    fn run(self) {
+        self.medium
+            .end_passes(self.row, self.tx, self.rng, self.results);
+    }
 }
 
 #[cfg(test)]
@@ -637,6 +736,114 @@ mod tests {
                 assert!(successes > 0 && successes < 32, "{successes}");
             }
         }
+    }
+
+    #[test]
+    fn medium_compilations_agree_bitwise() {
+        // The AVX2 copy of the begin/end passes must reproduce the
+        // baseline copy bit for bit: both media see the same seeded
+        // begin/end sequence (every frame kind, up to 6 frames in
+        // flight), node counts with every partial 4-lane tail, both
+        // reception models, with and without shadowing. Without AVX2
+        // both take the baseline copy.
+        use crate::world::ChannelConfig;
+        use rand::RngCore;
+        fn snapshot(m: &Medium) -> (Vec<u64>, Vec<u64>, Vec<[u64; 4]>, Vec<ActiveTx>) {
+            let reported = m.reported.iter().map(|r| {
+                let (signal, sinr) = (r.signal.to_bits(), r.min_sinr.to_bits());
+                [r.node as u64, r.tx_id, signal, sinr]
+            });
+            (
+                m.ambient.iter().map(|a| a.to_bits()).collect(),
+                m.state.clone(),
+                reported.collect(),
+                m.active.clone(),
+            )
+        }
+        let outcomes = |results: &[DecodeResult]| -> Vec<(DecodeResult, u64)> {
+            results
+                .iter()
+                .map(|r| (*r, r.min_sinr_db.to_bits()))
+                .collect()
+        };
+        let sigmoid = ReceptionModel::Sigmoid { width_db: 1.5 };
+        let mut decoded = 0;
+        for n in [2usize, 3, 5, 17, 50, 61] {
+            for sigma_db in [0.0, 10.0] {
+                for (r, reception) in [ReceptionModel::HardThreshold, sigmoid]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let seed = (n as u64) << 8 | (sigma_db as u64) << 1 | r as u64;
+                    let mut pick = seeded_rng(seed);
+                    let positions = (0..n)
+                        .map(|_| {
+                            Point2::new(pick.gen_range(0.0..120.0), pick.gen_range(0.0..120.0))
+                        })
+                        .collect();
+                    let channel = ChannelConfig {
+                        shadowing: wcs_propagation::shadowing::Shadowing::new(sigma_db),
+                        ..ChannelConfig::paper_testbed()
+                    };
+                    let mut w = World::new(positions, channel, seed);
+                    let cfg = PhyConfig {
+                        reception,
+                        ..Default::default()
+                    };
+                    let mut plain = Medium::new(n, w.config().noise, cfg);
+                    let mut avx2 = Medium::new(n, w.config().noise, cfg);
+                    let (mut rng_plain, mut rng_avx2) = (seeded_rng(!seed), seeded_rng(!seed));
+                    let (mut res_plain, mut res_avx2) = (Vec::new(), Vec::new());
+                    for id in 0..400u64 {
+                        let idle: Vec<u32> = (0..n as u32)
+                            .filter(|&i| !plain.is_transmitting(NodeId(i)))
+                            .collect();
+                        let begin = plain.active_count() == 0
+                            || (plain.active_count() < 6
+                                && !idle.is_empty()
+                                && pick.gen_bool(0.55));
+                        let case = format!("n={n} sigma={sigma_db} {reception:?} step {id}");
+                        if begin {
+                            let sender = idle[pick.gen_range(0..idle.len())];
+                            let dst = NodeId((sender + pick.gen_range(1..n as u32)) % n as u32);
+                            let nav_until = SimTime(pick.gen_range(0..5000));
+                            let kind = match pick.gen_range(0..5) {
+                                0 => FrameKind::Data { dst, ack: true },
+                                1 => FrameKind::Data { dst, ack: false },
+                                2 => FrameKind::Ack { dst },
+                                3 => FrameKind::Rts { dst, nav_until },
+                                _ => FrameKind::Cts { dst, nav_until },
+                            };
+                            let frame = Frame {
+                                kind,
+                                rate: RATES_11A[pick.gen_range(0..RATES_11A.len())],
+                                ..data(0, 0)
+                            };
+                            let t = tx(id, sender, frame, 100);
+                            plain.begin_tx_on(&mut w, t, false);
+                            avx2.begin_tx_on(&mut w, t, true);
+                        } else {
+                            let ended = plain.active[pick.gen_range(0..plain.active_count())].id;
+                            let a = plain.end_tx_on(
+                                &mut w,
+                                ended,
+                                &mut rng_plain,
+                                &mut res_plain,
+                                false,
+                            );
+                            let b =
+                                avx2.end_tx_on(&mut w, ended, &mut rng_avx2, &mut res_avx2, true);
+                            assert_eq!(a, b, "{case}");
+                            assert_eq!(outcomes(&res_plain), outcomes(&res_avx2), "{case}");
+                            decoded += res_plain.len();
+                        }
+                        assert_eq!(snapshot(&plain), snapshot(&avx2), "{case}");
+                        assert_eq!(rng_plain.next_u64(), rng_avx2.next_u64(), "{case}");
+                    }
+                }
+            }
+        }
+        assert!(decoded > 1000, "only {decoded} decode outcomes");
     }
 
     #[test]

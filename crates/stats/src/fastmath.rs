@@ -28,10 +28,11 @@
 //! --emit asm` shows the pre-link code, which is still scalar, so look
 //! for the vector code with `objdump -d target/release/repro`. The slice
 //! kernels are `#[inline(always)]` so that every caller compiles its own
-//! copy: the v2 N-pair kernel (`wcs_capacity::NPairKernelV2`) compiles
-//! them a second time inside an AVX2 function it picks at run time, 4
-//! lanes wide where the baseline x86-64 build (SSE2) has 2. No FMA is
-//! enabled there, so both copies compute the same bits.
+//! copy: the v2 N-pair kernel (`wcs_capacity::NPairKernelV2`) runs them
+//! in a [`crate::lanes`] body, which compiles them a second time inside
+//! that module's AVX2 function, picked at run time, 4 lanes wide where
+//! the baseline x86-64 build (SSE2) has 2. No FMA is enabled there, so
+//! both copies compute the same bits.
 //!
 //! [`inv_normal_cdf`] is the one distribution-level kernel: the Acklam
 //! rational approximation of the standard normal quantile, used by the

@@ -16,20 +16,25 @@
 //! * censored maximum-likelihood fitting of the path-loss + shadowing model
 //!   (paper Figure 14) ([`fit`]),
 //! * descriptive statistics and interpolation tables ([`summary`],
-//!   [`interp`]).
+//!   [`interp`]),
+//! * the one run-time lane dispatch, which runs an element-wise loop
+//!   4 lanes wide under AVX2 and bit-identical to its baseline
+//!   compilation ([`lanes`]).
 //!
 //! The paper evaluated its model "in Maple with Monte Carlo integration"
 //! (§3.2.5); this crate is the Rust equivalent of that computational layer,
 //! with deterministic seeding so that every figure in the reproduction is
 //! bit-for-bit repeatable.
 
-#![forbid(unsafe_code)]
+// `lanes::dispatch_on` holds the workspace's one `unsafe` block.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;
 pub mod fastmath;
 pub mod fit;
 pub mod interp;
+pub mod lanes;
 pub mod montecarlo;
 pub mod optimize;
 pub mod quadrature;

@@ -82,6 +82,9 @@ pub fn summarize(log: &RunLog) -> String {
     let mut dispatch_requeues: u64 = 0;
     let mut warns: Vec<&Event> = Vec::new();
     let mut benches: Vec<&Event> = Vec::new();
+    // The compilations the runs' vectorized loops took (`lanes` on
+    // `workload.run`), in order of first appearance.
+    let mut lanes: Vec<&str> = Vec::new();
     // Engine per-block aggregates, keyed by originating shard (u64::MAX =
     // this process, i.e. an unsharded run).
     let mut engine_blocks: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new(); // (blocks, tasks, busy_ns)
@@ -191,6 +194,11 @@ pub fn summarize(log: &RunLog) -> String {
                 }
             }
             "dispatch.requeue" => dispatch_requeues += 1,
+            "workload.run" => {
+                if let Some(l) = e.str_field("lanes").filter(|l| !lanes.contains(l)) {
+                    lanes.push(l);
+                }
+            }
             "bench.result" => benches.push(e),
             _ => {}
         }
@@ -202,6 +210,9 @@ pub fn summarize(log: &RunLog) -> String {
         log.schema,
         log.events.len()
     ));
+    if !lanes.is_empty() {
+        out.push_str(&format!("lanes: {}\n", lanes.join(", ")));
+    }
 
     if !spans.is_empty() {
         out.push_str("\n== timing (span totals) ==\n");
@@ -365,6 +376,11 @@ mod tests {
             schema: SCHEMA.to_string(),
             events: vec![
                 ev(
+                    EventKind::SpanEnter,
+                    "workload.run",
+                    vec![("lanes", Value::Str("avx2".into()))],
+                ),
+                ev(
                     EventKind::SpanExit,
                     "engine.run",
                     vec![("dur_ns", Value::U64(2_500_000))],
@@ -437,6 +453,7 @@ mod tests {
         };
         let s = summarize(&log);
         assert!(s.contains("schema wcs-runlog-v1"), "{s}");
+        assert!(s.contains("\nlanes: avx2\n"), "{s}");
         assert!(s.contains("engine.run"), "{s}");
         assert!(s.contains("cache.hit"), "{s}");
         assert!(s.contains("2.0 KiB"), "{s}");

@@ -285,6 +285,7 @@ fn plan_dir(tag: &str, k: usize) -> (PathBuf, String, String) {
     for path in &paths {
         let m = ShardManifest::load(path).unwrap();
         run_worker(&m, &Engine::serial(), None)
+            .unwrap()
             .save(&partial_path(&dir, m.shard))
             .unwrap();
     }

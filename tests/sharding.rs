@@ -47,6 +47,7 @@ fn shard_and_merge(workload: &AnyWorkload, k: usize, strategy: ShardStrategy) ->
                 &engine,
                 None,
             )
+            .unwrap()
         })
         .collect();
     let full = merge_partials(&parts).expect("merge");
@@ -145,7 +146,7 @@ fn run_workers_into(dir: &std::path::Path, sweep: &Sweep, k: usize) {
     for p in &paths {
         let manifest = ShardManifest::load(p).unwrap();
         let shard = manifest.shard;
-        let partial = run_worker(&manifest, &Engine::serial(), None);
+        let partial = run_worker(&manifest, &Engine::serial(), None).unwrap();
         partial
             .save(&in_defense_of_carrier_sense::shard::partial_path(
                 dir, shard,
@@ -194,8 +195,8 @@ fn workers_slice_from_a_shared_cache_bitwise() {
     let plan = ShardPlan::new(sweep.task_count(), 2, ShardStrategy::Strided).unwrap();
     for shard in 0..2 {
         let manifest = ShardManifest::new(&sweep, &plan, shard);
-        let from_cache = run_worker(&manifest, &Engine::serial(), Some(&cache));
-        let recomputed = run_worker(&manifest, &Engine::serial(), None);
+        let from_cache = run_worker(&manifest, &Engine::serial(), Some(&cache)).unwrap();
+        let recomputed = run_worker(&manifest, &Engine::serial(), None).unwrap();
         assert_eq!(from_cache.report.to_csv(), recomputed.report.to_csv());
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -242,7 +243,8 @@ fn merge_dir_rejects_gaps_and_edited_manifests() {
         &ShardManifest::new(&sweep, &plan, 0),
         &Engine::serial(),
         None,
-    );
+    )
+    .unwrap();
     let mut parts = vec![
         PartialReport::load(&partial_path(&dir, 0)).unwrap(),
         PartialReport::load(&partial_path(&dir, 1)).unwrap(),
@@ -272,7 +274,7 @@ fn lost_worker_remerge_serves_cached_partials_and_only_reruns_the_gap() {
     for p in &paths {
         let manifest = ShardManifest::load(p).unwrap();
         let shard = manifest.shard;
-        let partial = run_worker(&manifest, &Engine::serial(), Some(&cache));
+        let partial = run_worker(&manifest, &Engine::serial(), Some(&cache)).unwrap();
         partial.save(&partial_path(&dir, shard)).unwrap();
     }
     // Lose one worker's delivered partial; the merge must fall back to

@@ -173,6 +173,7 @@ fn every_emitted_event_name_is_pinned() {
                 &Engine::serial(),
                 Some(&cache),
             )
+            .unwrap()
         })
         .collect();
     merge_partials(&parts).unwrap();
