@@ -423,7 +423,10 @@ fn suite() -> Vec<Bench> {
         acc
     }));
 
-    benches.push(bench("sim_sweep_small", 1, |iters, salt| {
+    // One sweep takes about a millisecond, so a sample runs 8 of them
+    // (32 in full mode): a one-sweep sample spread about ±20 % on one
+    // binary. The row stays in ns per sweep.
+    benches.push(bench("sim_sweep_small", 8, |iters, salt| {
         let mut acc = 0.0;
         for rep in 0..iters {
             let sweep = SimSweep::new("bench-sim-small")

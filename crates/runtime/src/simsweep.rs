@@ -18,12 +18,16 @@
 //!
 //! Only a protocol's carrier-sense runs read the CCA threshold, and
 //! only in the simulator's energy-detect check (`Simulator::medium_busy`,
-//! the place a second reader would be added and certified). So the tasks
-//! that differ only in it (one testbed, rate-axis entry and point) share
-//! one [`ProtocolSlot`]: its CCA-independent runs are claimed one at a
-//! time by whichever sibling gets there first, and a carrier-sense run is
-//! reused by every sibling whose threshold the run's [`CcaCertificate`]
-//! accepts. Every row is still the protocol run alone.
+//! the place a second reader would be added and certified). So one
+//! lowering keeps every run of its tasks in one [`RunPool`], with one
+//! slot per (testbed, rate-axis entry, point) holding the runs of that
+//! pair's protocols at all of the sweep's thresholds: each
+//! CCA-independent run is made once, by whichever task claims it, and a
+//! carrier-sense run is reused at every threshold the run's
+//! [`CcaCertificate`] accepts. A task that has claimed its own runs
+//! helps with the runs other started tasks still want before it waits
+//! on any, so no worker idles while a wanted run is unclaimed. Every
+//! row is still the protocol run alone.
 //!
 //! [`CcaCertificate`]: wcs_sim::sim::CcaCertificate
 
@@ -32,8 +36,7 @@ use crate::scenario::{axis_product, task_seed};
 use crate::workload::{Workload, WorkloadKind, WorkloadSpec};
 use std::sync::Arc;
 use wcs_sim::experiment::{
-    plan_ensemble, run_protocol, ExperimentConfig, ExperimentPoint, PlannedPair, ProtocolSlot,
-    RateStrategy,
+    plan_ensemble, ExperimentConfig, ExperimentPoint, PlannedPair, RateStrategy, RunCounts, RunPool,
 };
 use wcs_sim::testbed::{Testbed, TestbedConfig};
 use wcs_sim::time::Duration;
@@ -296,6 +299,12 @@ impl SimSweep {
     /// [`MAX_NODES`](wcs_sim::testbed::MAX_NODES) nodes. Each call is
     /// one `sim.plan` telemetry span.
     pub fn planned_for(&self, testbed_index: usize) -> Vec<PlannedPair> {
+        self.plan(testbed_index).1
+    }
+
+    /// [`SimSweep::planned_for`], also handing back the testbed it
+    /// generated.
+    fn plan(&self, testbed_index: usize) -> (Testbed, Vec<PlannedPair>) {
         let mut span = wcs_telemetry::span("sim.plan")
             .with("nodes", self.n_nodes)
             .start();
@@ -310,15 +319,15 @@ impl SimSweep {
             plan_ensemble(&links, self.points, &cfg)
         };
         span.add("points", planned.len());
-        planned
+        (bed, planned)
     }
 }
 
 /// One sim task: a planned link pair plus its grid coordinates. Seeded
 /// data (`PlannedPair` carries the run seed), so any engine worker can
-/// execute it. The one state it shares is its protocol slot, with the
-/// tasks of the same lowering that differ from it only in the CCA
-/// threshold; the slot holds only runs that each of them would make
+/// execute it. The one state it shares is its lowering's run pool, where
+/// the tasks that differ from it only in the CCA threshold share its
+/// slot; a slot holds only runs that each of them would make
 /// identically, so a task's row does not depend on who made them.
 #[derive(Debug, Clone)]
 pub struct SimTask {
@@ -337,8 +346,13 @@ pub struct SimTask {
     pub rate_index: usize,
     /// The planned link pair, with its private run seed.
     pub planned: PlannedPair,
-    /// This task's protocol runs, shared with its CCA siblings.
-    pub runs: Arc<ProtocolSlot>,
+    /// The runs of every task of the lowering. This task's protocol is
+    /// slot `slot` at threshold `cca_db`; its CCA siblings share the
+    /// slot, and while its own runs are in flight on other workers it
+    /// helps make the runs other started tasks want.
+    pub runs: Arc<RunPool>,
+    /// This task's slot in `runs`.
+    pub slot: usize,
 }
 
 impl WorkloadSpec for SimSweep {
@@ -421,20 +435,30 @@ impl Workload for SimSweep {
     /// Lowering order is the fixed nesting (testbed, CCA, rate, point):
     /// the testbed loop is outermost so appending a testbed seed extends
     /// the list without reshuffling existing tasks, and every (CCA,
-    /// rate) cell of one testbed measures the same planned pairs. Each
-    /// (testbed, rate, point) group gets one fresh protocol slot, so
-    /// nothing carries over from one lowering to the next.
+    /// rate) cell of one testbed measures the same planned pairs. The
+    /// lowering makes one fresh [`RunPool`], with one slot per (testbed,
+    /// rate, point) over the testbed its planning generated, so nothing
+    /// carries over from one lowering to the next.
     fn lower(&self) -> Vec<SimTask> {
-        let mut tasks = Vec::new();
+        let mut pool = RunPool::default();
+        // Per testbed: its planned pairs and their slots, rate-major.
+        let mut plans = Vec::with_capacity(self.testbed_seeds.len());
         for ti in 0..self.testbed_seeds.len() {
-            let planned = self.planned_for(ti);
-            let slots: Vec<Arc<ProtocolSlot>> = (self.rates.iter())
-                .flat_map(|&rate| {
-                    let cfg = self.experiment_config(0.0, Some(rate), 0);
-                    (0..planned.len())
-                        .map(move |_| Arc::new(ProtocolSlot::new(&cfg, rate.strategy())))
-                })
-                .collect();
+            let (bed, planned) = self.plan(ti);
+            let bed = Arc::new(bed);
+            let mut slots = Vec::with_capacity(self.rates.len() * planned.len());
+            for &rate in &self.rates {
+                let cfg = self.experiment_config(0.0, Some(rate), 0);
+                for &pp in &planned {
+                    let ccas = &self.cca_thresholds_db;
+                    slots.push(pool.add_slot(Arc::clone(&bed), pp, &cfg, rate.strategy(), ccas));
+                }
+            }
+            plans.push((planned, slots));
+        }
+        let runs = Arc::new(pool);
+        let mut tasks = Vec::new();
+        for (ti, (planned, slots)) in plans.iter().enumerate() {
             for &cca_db in &self.cca_thresholds_db {
                 for (ri, &rate) in self.rates.iter().enumerate() {
                     for (pi, &pp) in planned.iter().enumerate() {
@@ -446,7 +470,8 @@ impl Workload for SimSweep {
                             rate,
                             rate_index: ri,
                             planned: pp,
-                            runs: Arc::clone(&slots[ri * planned.len() + pi]),
+                            runs: Arc::clone(&runs),
+                            slot: slots[ri * planned.len() + pi],
                         });
                     }
                 }
@@ -455,17 +480,32 @@ impl Workload for SimSweep {
         tasks
     }
 
-    /// Runs the task's protocol through its slot: its carrier-sense
-    /// runs first (reusing any a CCA sibling made that certifies this
-    /// threshold), then the unclaimed CCA-independent runs, then waits
-    /// for the ones siblings are making. The row equals that of the
-    /// whole protocol run for this task alone.
+    /// The task's point from its slot of the pool (see [`RunPool`]): it
+    /// claims its own runs, helps with the runs other started tasks
+    /// want, then waits for any of its own still in flight. The row
+    /// equals that of the whole protocol run for this task alone. When
+    /// telemetry is on, the runs this call decided bump the `sim.run.*`
+    /// counters.
     fn run_task(&self, task: &SimTask) -> Vec<Vec<f64>> {
-        let bed = Testbed::generate(self.testbed_config(task.testbed_index));
-        let cfg = self.experiment_config(task.cca_db, Some(task.rate), 0);
-        let (pairs, seed, strategy) = (task.planned.pairs, task.planned.seed, task.rate.strategy());
-        let point = run_protocol(&bed, pairs, &cfg, seed, strategy, &task.runs);
+        let (point, counts) = task.runs.point(task.slot, task.cca_db);
+        if wcs_telemetry::enabled() {
+            count_runs(counts);
+        }
         vec![task_row(task, &point)]
+    }
+}
+
+/// Bump the `sim.run.*` counters by how one task's runs were decided.
+fn count_runs(counts: RunCounts) {
+    for (name, n) in [
+        ("sim.run.event_loop", counts.event_loop),
+        ("sim.run.closed_form", counts.closed_form),
+        ("sim.run.reused", counts.reused),
+        ("sim.run.skipped", counts.skipped),
+    ] {
+        if n > 0 {
+            wcs_telemetry::counter(name, n);
+        }
     }
 }
 
@@ -523,23 +563,29 @@ mod tests {
             .rates(&[RateAxis::BestFixed, RateAxis::Fixed(6.0)]);
         let tasks = s.lower();
         assert_eq!(tasks.len(), 3 * 2 * 2);
-        // Run one task: exactly its CCA siblings (same testbed, rate and
-        // point) see a filled slot; reuse never crosses a rate or point.
+        // One pool per lowering, one slot per (testbed, rate, point).
+        let pool = &tasks[0].runs;
+        assert!(tasks.iter().all(|t| Arc::ptr_eq(&t.runs, pool)));
+        assert_eq!(pool.runs_made().len(), 2 * 2);
+        // Run one task: it makes runs only in its own slot, which
+        // exactly its CCA siblings (same testbed, rate and point) share;
+        // reuse never crosses a rate or point.
         let ran = &tasks[7];
         s.run_task(ran);
         let group = |t: &SimTask| (t.testbed_index, t.rate_index, t.point_index);
+        let made = pool.runs_made();
         for t in &tasks {
             assert_eq!(
-                t.runs.runs_simulated() > 0,
+                t.slot == ran.slot,
                 group(t) == group(ran),
                 "task {}",
                 t.index
             );
-            assert_eq!(Arc::ptr_eq(&t.runs, &ran.runs), group(t) == group(ran));
+            assert_eq!(made[t.slot] > 0, group(t) == group(ran), "task {}", t.index);
         }
         assert_eq!(tasks.iter().filter(|t| group(t) == group(ran)).count(), 3);
-        // Every row, reused baselines or not, is the whole protocol run
-        // for that task alone.
+        // Every row, reused runs or not, is the whole protocol run for
+        // that task alone.
         let bed = Testbed::generate(s.testbed_config(0));
         for t in &tasks {
             let cfg = s.experiment_config(t.cca_db, Some(t.rate), 0);
@@ -547,6 +593,19 @@ mod tests {
             let alone = run_pair_experiment_with(&bed, pairs, &cfg, seed, t.rate.strategy());
             assert_eq!(s.run_task(t), vec![task_row(t, &alone)], "task {}", t.index);
         }
+    }
+
+    /// Runs made by one lowering of `s` whose tasks at `cca_db` (or all
+    /// of them) are run serially.
+    fn runs_made(s: &SimSweep, cca_db: Option<f64>) -> usize {
+        let tasks = s.lower();
+        for t in tasks
+            .iter()
+            .filter(|t| cca_db.is_none_or(|db| t.cca_db == db))
+        {
+            s.run_task(t);
+        }
+        tasks[0].runs.runs_made().iter().sum()
     }
 
     #[test]
@@ -558,14 +617,24 @@ mod tests {
         // runs whose airtime bound cannot raise a sender's best leaves
         // 27: 17 of the 45 shared runs and 10 carrier-sense runs.
         let s = crate::scenarios::sim_threshold_grid(&crate::EffortProfile::quick());
-        let tasks = s.lower();
-        assert_eq!(tasks.len(), 9);
-        for t in &tasks {
-            s.run_task(t);
-        }
-        let slots: Vec<&SimTask> = tasks.iter().filter(|t| t.cca_db == 7.0).collect();
-        let simulated: usize = slots.iter().map(|t| t.runs.runs_simulated()).sum();
-        assert_eq!(simulated, 27);
+        assert_eq!(s.lower().len(), 9);
+        assert_eq!(runs_made(&s, None), 27);
+    }
+
+    #[test]
+    fn a_subset_makes_only_its_runs() {
+        // A pool makes only the runs of the tasks asked for (a shard
+        // worker's): the quick grid's tasks at one threshold make what a
+        // grid of that threshold alone makes.
+        let s = crate::scenarios::sim_threshold_grid(&crate::EffortProfile::quick());
+        let made: Vec<usize> = (s.cca_thresholds_db.iter())
+            .map(|&db| {
+                let alone = runs_made(&s.clone().cca_thresholds_db(&[db]), None);
+                assert_eq!(runs_made(&s, Some(db)), alone, "{db} dB");
+                alone
+            })
+            .collect();
+        assert_eq!(made, vec![25, 25, 24]);
     }
 
     #[test]

@@ -180,10 +180,10 @@ pub trait Workload: WorkloadSpec + Sync {
     /// Run one task to its row block (exactly
     /// [`WorkloadSpec::rows_per_task`] rows of
     /// [`WorkloadSpec::columns`] width). Must be a pure function of
-    /// (self, task). A task may share a slot with other tasks of the
-    /// same [`Workload::lower`] call (a sim task shares its CCA-free
-    /// runs, see [`SimSweep`]), as long as whichever of them fills it
-    /// fills it with the same value; the block is then still the
+    /// (self, task). A task may share state with other tasks of the
+    /// same [`Workload::lower`] call (sim tasks share one pool of runs,
+    /// see [`SimSweep`]), as long as whichever of them fills a shared
+    /// value fills it with the same value; the block is then still the
     /// task's own, whoever ran first and whichever tasks run at all.
     fn run_task(&self, task: &Self::Task) -> Vec<Vec<f64>>;
 

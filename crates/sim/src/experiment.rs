@@ -18,37 +18,45 @@
 //! only the energy-detect check in `Simulator::medium_busy` does (a
 //! second reader there would have to join the [`CcaCertificate`]). The
 //! lone runs, the concurrency runs and the sender RSSI never read it. A
-//! sweep over thresholds therefore shares one [`ProtocolSlot`] among the
-//! protocols of a pair that differ only in the threshold: each
-//! CCA-independent run is made once, by whichever protocol claims it
-//! first, and a carrier-sense run is reused at every other threshold its
-//! certificate accepts. A reused run is the same run with the same seed,
-//! so every protocol's point is the one it would measure alone.
+//! sweep over thresholds therefore keeps every run of its protocols in
+//! one [`RunPool`]: one slot per pair (testbed, rate-axis entry, point)
+//! holds the runs of that pair's protocols at all of the sweep's
+//! thresholds. Each CCA-independent run is made once, by whichever task
+//! claims it, and a carrier-sense run is reused at every other threshold
+//! its certificate accepts. A reused run is the same run with the same
+//! seed, so every protocol's point is the one it would measure alone.
 //!
 //! The best-fixed search also skips the runs that cannot win. A sender
 //! starts each data frame at least DIFS after its own last transmission
 //! ended (its first at least DIFS after time 0), and a frame counts only
 //! if it ends within the run, so one sender delivers at most
 //! ⌊T / (DIFS + airtime)⌋ frames in a run of length T at one rate;
-//! [`pps_bound`] allows one more and divides by T. Runs are made highest
-//! bound first, and a run whose bound is at or below the best already
-//! found for every sender it could improve is not simulated: its
+//! [`pps_bound`] allows one more and divides by T. Runs are claimed
+//! highest bound first, and a run whose bound is at or below the best
+//! already found for every sender it could improve is not simulated: its
 //! throughput could not exceed that best, and a sender's best is a
 //! maximum, which does not depend on the order of its terms. So the
 //! points are the ones every rate's run would give, bit for bit. Which
-//! runs are skipped can depend on thread timing — a protocol may claim a
-//! run before a sibling's higher-rate result lands — but what the runs
-//! return cannot.
+//! runs are skipped can depend on thread timing — a task may claim a run
+//! while the higher-bound run of the same strategy is still in flight —
+//! but what the runs return cannot.
+//!
+//! A lone run at a fixed rate (the best-fixed and `fixed(x)` lone runs)
+//! is not simulated event by event: one broadcast sender alone on the
+//! medium has nothing to simulate but its backoff draws and a fixed set
+//! of PHY draws per frame, and [`lone_broadcast_run`] computes exactly
+//! what the event loop would. SampleRate lone runs, and every run with
+//! two senders, take the event loop.
 
 use crate::mac::{CcaMode, MacConfig};
 use crate::rate::RatePolicy;
-use crate::sim::{CcaCertificate, SimConfig, Simulator};
+use crate::sim::{lone_broadcast_run, CcaCertificate, SimConfig, Simulator};
 use crate::testbed::{testbed_phy, CandidateLink, Testbed};
 use crate::time::Duration;
 use crate::timing::{data_frame_airtime, DIFS};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use wcs_capacity::rates::rate_11a;
 use wcs_stats::rng::split_rng;
 
@@ -174,9 +182,14 @@ enum Strategy {
 }
 
 impl Strategy {
-    /// The CCA-independent strategies, in the order a slot interleaves
-    /// them at each rate.
-    const BASELINE: [Strategy; 3] = [Strategy::Lone1, Strategy::Lone2, Strategy::Concurrency];
+    /// A rate's first cells in a slot's claim order: the lowest
+    /// threshold's carrier-sense run, then the CCA-independent runs.
+    const FIRST: [Strategy; 4] = [
+        Strategy::CarrierSense,
+        Strategy::Lone1,
+        Strategy::Lone2,
+        Strategy::Concurrency,
+    ];
 
     /// The best so far that a run of this strategy must beat to change
     /// the point: that of the one sender a lone run measures, or the
@@ -274,8 +287,9 @@ fn best_of(runs: impl IntoIterator<Item = Option<(f64, f64)>>) -> (f64, f64) {
 }
 
 /// Run the full protocol for one pair of links under an explicit
-/// [`RateStrategy`]: [`run_protocol`] over a fresh [`ProtocolSlot`].
-/// `RateStrategy::BestFixed` is the paper's best-fixed rate selection.
+/// [`RateStrategy`]: a [`RunPool`] of one slot at
+/// `cfg.cca_threshold_db`. `RateStrategy::BestFixed` is the paper's
+/// best-fixed rate selection.
 pub fn run_pair_experiment_with(
     testbed: &Testbed,
     pairs: PairExperiment,
@@ -283,195 +297,445 @@ pub fn run_pair_experiment_with(
     seed: u64,
     rate_strategy: RateStrategy,
 ) -> ExperimentPoint {
-    let slot = ProtocolSlot::new(cfg, rate_strategy);
-    run_protocol(testbed, pairs, cfg, seed, rate_strategy, &slot)
+    let mut pool = RunPool::default();
+    let planned = PlannedPair { pairs, seed };
+    let threshold = cfg.cca_threshold_db;
+    let slot = pool.add_slot(
+        Arc::new(testbed.clone()),
+        planned,
+        cfg,
+        rate_strategy,
+        &[threshold],
+    );
+    pool.point(slot, threshold).0
 }
 
-/// One carrier-sense run kept for reuse: its certificate and its
-/// per-sender throughputs.
-type CertifiedRun = (CcaCertificate, (f64, f64));
-
-/// The runs of one pair's protocol, shared by protocols that differ
-/// only in `cfg.cca_threshold_db` (same testbed, pair, seed, rates and
-/// [`RateStrategy`]).
-///
-/// Every run is made in one order: highest [`pps_bound`] first, ties
-/// by rate index, so an unsorted or duplicated `rates_mbps` works. A run
-/// whose bound is at or below the best already found for every sender
-/// it could improve is skipped; it could not raise a maximum, so every
-/// point stays the one all the runs would give (see the module docs).
-///
-/// The CCA-independent runs — lone 1, lone 2 and concurrency, each at
-/// every rate, interleaved per rate — are claimed one at a time from a
-/// cursor, so a protocol that arrives while some are in flight runs the
-/// unclaimed ones instead of waiting. A claimed run is skipped against
-/// the runs of its strategy already completed, so which runs are made
-/// can depend on thread timing; what they return cannot. Completed
-/// carrier-sense runs are kept with their [`CcaCertificate`]s, and a
-/// protocol at another threshold reuses any run at the same rate whose
-/// certificate accepts its threshold. Which protocol makes a run never
-/// changes the run, so every protocol's point is the one it would
-/// measure alone.
+/// What deciding one run's cell gave.
 #[derive(Debug)]
-pub struct ProtocolSlot {
+enum Outcome {
+    /// Not simulated: its bound could not raise a sender's best.
+    Skipped,
+    /// The per-sender pkt/s of a completed carrier-sense run at another
+    /// threshold whose certificate accepts this one: the same run.
+    Reused((f64, f64)),
+    /// Simulated: per-sender pkt/s and, for a carrier-sense run, its
+    /// certificate.
+    Made((f64, f64), Option<CcaCertificate>),
+}
+
+impl Outcome {
+    /// The run's per-sender pkt/s, if it was not skipped.
+    fn pps(&self) -> Option<(f64, f64)> {
+        match *self {
+            Outcome::Skipped => None,
+            Outcome::Reused(pps) | Outcome::Made(pps, _) => Some(pps),
+        }
+    }
+}
+
+/// How the cells one [`RunPool::point`] call decided were decided (each
+/// cell is decided by exactly one call): the runs it made on the event
+/// loop and in closed form, and the ones it reused or skipped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Runs simulated on the event loop.
+    pub event_loop: u64,
+    /// Lone fixed-rate runs computed by [`lone_broadcast_run`].
+    pub closed_form: u64,
+    /// Carrier-sense runs reused from another threshold's certified run.
+    pub reused: u64,
+    /// Runs skipped by their airtime bound.
+    pub skipped: u64,
+}
+
+/// Where each run of a slot sits among its cells, in claim order. Per
+/// rate, highest bound first: the lowest threshold's carrier-sense run,
+/// lone 1, lone 2 and concurrency ([`Strategy::FIRST`]); after those,
+/// each higher threshold's carrier-sense runs, one per rate in the same
+/// order. Each threshold (a key) needs `4 · rates` cells: its
+/// carrier-sense runs and the CCA-independent ones.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    rates: usize,
+    keys: usize,
+}
+
+impl Layout {
+    /// Cells in the slot.
+    fn cells(self) -> usize {
+        (3 + self.keys) * self.rates
+    }
+
+    /// Cells each key needs.
+    fn needed(self) -> usize {
+        4 * self.rates
+    }
+
+    /// The cell of `strategy`'s run at rate position `pos`; `key` picks
+    /// the threshold of a carrier-sense run.
+    fn cell(self, strategy: Strategy, key: usize, pos: usize) -> usize {
+        match (strategy, key) {
+            (Strategy::CarrierSense, 0) => 4 * pos,
+            (Strategy::CarrierSense, _) => (3 + key) * self.rates + pos,
+            (Strategy::Lone1, _) => 4 * pos + 1,
+            (Strategy::Lone2, _) => 4 * pos + 2,
+            (Strategy::Concurrency, _) => 4 * pos + 3,
+        }
+    }
+
+    /// The `j`-th cell key `key` needs, in claim order.
+    fn needed_cell(self, key: usize, j: usize) -> usize {
+        let shared = 3 * self.rates;
+        match key {
+            0 => j,
+            _ if j < shared => 4 * (j / 3) + 1 + j % 3,
+            _ => (3 + key) * self.rates + j - shared,
+        }
+    }
+
+    /// Cell `c`'s run: its strategy, its key (0 for a CCA-independent
+    /// run) and its rate position.
+    fn run(self, c: usize) -> (Strategy, usize, usize) {
+        if c < 4 * self.rates {
+            (Strategy::FIRST[c % 4], 0, c / 4)
+        } else {
+            (Strategy::CarrierSense, c / self.rates - 3, c % self.rates)
+        }
+    }
+}
+
+/// One run's cell: claimed once, decided once.
+#[derive(Debug)]
+struct Claim<T> {
+    claimed: AtomicBool,
+    value: OnceLock<T>,
+}
+
+impl<T> Claim<T> {
+    fn new() -> Self {
+        Claim {
+            claimed: AtomicBool::new(false),
+            value: OnceLock::new(),
+        }
+    }
+
+    /// Decide the cell with `decide` unless another caller claimed it.
+    fn claim(&self, decide: impl FnOnce() -> T) {
+        // Relaxed: the flag only hands the cell out; its `OnceLock`
+        // publishes the value.
+        if !self.claimed.swap(true, Ordering::Relaxed) {
+            self.value.get_or_init(decide);
+        }
+    }
+
+    /// The cell's value: waits while its claimant decides it, and if
+    /// the claimant panicked, decides it with `decide` (propagating the
+    /// panic again) instead of waiting forever.
+    fn read(&self, decide: impl FnOnce() -> T) -> &T {
+        self.value.get_or_init(decide)
+    }
+}
+
+/// One slot's cells and, per key, whether it is wanted and the next of
+/// its needed cells to hand out.
+#[derive(Debug)]
+struct SlotCells<T> {
+    layout: Layout,
+    cells: Vec<Claim<T>>,
+    wanted: Vec<AtomicBool>,
+    next: Vec<AtomicUsize>,
+}
+
+/// The claim board of a [`RunPool`]: every slot's cells, and the wanted
+/// keys as (slot, key) in the order they were marked.
+#[derive(Debug)]
+struct Claims<T> {
+    slots: Vec<SlotCells<T>>,
+    open: Mutex<Vec<(usize, usize)>>,
+}
+
+impl<T> Default for Claims<T> {
+    fn default() -> Self {
+        Claims {
+            slots: Vec::new(),
+            open: Mutex::default(),
+        }
+    }
+}
+
+impl<T> Claims<T> {
+    fn add_slot(&mut self, layout: Layout) {
+        self.slots.push(SlotCells {
+            layout,
+            cells: (0..layout.cells()).map(|_| Claim::new()).collect(),
+            wanted: (0..layout.keys).map(|_| AtomicBool::new(false)).collect(),
+            next: (0..layout.keys).map(|_| AtomicUsize::new(0)).collect(),
+        });
+    }
+
+    /// A task's four steps for key `key` of `slot`, deciding each cell
+    /// this caller claims with `decide(slot, cell)`: mark the key
+    /// wanted, claim its cells, claim the other wanted keys' cells until
+    /// none is left, and only then read its own cells, in claim order.
+    fn work(&self, slot: usize, key: usize, decide: &impl Fn(usize, usize) -> T) -> Vec<&T> {
+        let own = &self.slots[slot];
+        if !own.wanted[key].swap(true, Ordering::Relaxed) {
+            lock(&self.open).push((slot, key));
+        }
+        while self.claim_next(slot, key, decide) {}
+        while let Some((s, k)) = self.next_open() {
+            self.claim_next(s, k, decide);
+        }
+        (0..own.layout.needed())
+            .map(|j| {
+                let c = own.layout.needed_cell(key, j);
+                own.cells[c].read(|| decide(slot, c))
+            })
+            .collect()
+    }
+
+    /// Hand out the next cell key `key` of `slot` needs and claim it;
+    /// false once all have been handed out.
+    fn claim_next(&self, slot: usize, key: usize, decide: &impl Fn(usize, usize) -> T) -> bool {
+        let s = &self.slots[slot];
+        // Relaxed: the cursor only hands out indices.
+        let j = s.next[key].fetch_add(1, Ordering::Relaxed);
+        if j >= s.layout.needed() {
+            return false;
+        }
+        let c = s.layout.needed_cell(key, j);
+        s.cells[c].claim(|| decide(slot, c));
+        true
+    }
+
+    /// The first wanted key with a cell not yet handed out; keys whose
+    /// cells all have been are dropped.
+    fn next_open(&self) -> Option<(usize, usize)> {
+        let mut open = lock(&self.open);
+        open.retain(|&(s, k)| {
+            let s = &self.slots[s];
+            s.next[k].load(Ordering::Relaxed) < s.layout.needed()
+        });
+        open.first().copied()
+    }
+}
+
+/// The list of wanted keys stays whole across a panicking run (no run
+/// holds the lock while it simulates), so a poisoned lock is still good.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The runs of one pair's protocols at every threshold of a sweep.
+#[derive(Debug)]
+struct RunSlot {
+    testbed: Arc<Testbed>,
+    planned: PlannedPair,
+    /// The runs' configuration; its `cca_threshold_db` is not read.
+    cfg: ExperimentConfig,
+    rate_strategy: RateStrategy,
+    /// The slot's thresholds, distinct and ascending: key `k` is
+    /// `thresholds[k]`.
+    thresholds: Vec<f64>,
     /// Each run's bound ([`RateStrategy::bound`]), by rate index.
     bounds: Vec<f64>,
-    /// Rate indices in the order runs are made: highest bound first.
+    /// Rate indices in claim order: highest bound first.
     order: Vec<usize>,
-    /// The CCA-independent runs, rate-major in `order`, strategy-minor
-    /// in [`Strategy::BASELINE`] order; `None` is a skipped run.
-    baseline: Vec<OnceLock<Option<(f64, f64)>>>,
-    /// The next baseline run no protocol has claimed.
-    next_baseline: AtomicUsize,
-    /// Completed carrier-sense runs, per rate index.
-    carrier_sense: Vec<Mutex<Vec<CertifiedRun>>>,
 }
 
-impl ProtocolSlot {
-    /// An empty slot for protocols run under `cfg` (any threshold) and
-    /// `rate_strategy`.
-    pub fn new(cfg: &ExperimentConfig, rate_strategy: RateStrategy) -> Self {
+impl RunSlot {
+    fn layout(&self) -> Layout {
+        Layout {
+            rates: self.order.len(),
+            keys: self.thresholds.len(),
+        }
+    }
+
+    /// Make `strategy`'s run at rate index `ri` (a carrier-sense run at
+    /// `cca_threshold_db`): see [`run_once`].
+    fn make(
+        &self,
+        strategy: Strategy,
+        ri: usize,
+        cca_threshold_db: f64,
+    ) -> ((f64, f64), Option<CcaCertificate>, bool) {
+        let run_seed = (self.planned.seed)
+            .wrapping_add(strategy.seed_offset())
+            .wrapping_add(ri as u64);
+        let policy = self.rate_strategy.policy(&self.cfg, ri);
+        run_once(
+            &self.testbed,
+            self.planned.pairs,
+            &self.cfg,
+            cca_threshold_db,
+            strategy,
+            &policy,
+            run_seed,
+        )
+    }
+}
+
+/// The runs of every protocol of one sweep lowering, shared by its
+/// tasks.
+///
+/// A slot holds every run of one pair's protocols (same testbed, pair,
+/// seed, rates and [`RateStrategy`]) at all of the sweep's thresholds,
+/// as cells in one fixed claim order. Per rate, highest [`pps_bound`]
+/// first (ties by rate index, so an unsorted or duplicated `rates_mbps`
+/// works), the cells are the lowest threshold's carrier-sense run, then
+/// lone 1, lone 2 and concurrency; after those come each higher
+/// threshold's carrier-sense runs. A cell is decided when it is claimed:
+/// it is skipped when its bound is at or below the best its strategy has
+/// already found for every sender it could raise (it could not raise a
+/// maximum, so every point stays the one all the runs would give),
+/// reused from a completed carrier-sense run at its rate whose
+/// [`CcaCertificate`] accepts its threshold, or made.
+///
+/// [`RunPool::point`] works in four steps: it marks its (slot,
+/// threshold) as wanted, claims its own cells, claims wanted cells of the
+/// other slots until none is left, and only then reads its own cells,
+/// waiting on those still in flight and remaking one whose claimant
+/// panicked. So no caller idles while a wanted run is unclaimed, and
+/// callers that ask for only some points (a shard worker's tasks) make
+/// only those points' runs. Which caller makes a run never changes the
+/// run, so every point is the one its protocol would measure alone.
+#[derive(Debug, Default)]
+pub struct RunPool {
+    slots: Vec<RunSlot>,
+    claims: Claims<Outcome>,
+}
+
+impl RunPool {
+    /// Add a slot for the protocols of `planned` on `testbed` under
+    /// `cfg` (its `cca_threshold_db` is not read) and `rate_strategy`,
+    /// at each of `thresholds_db`. Returns the slot's index.
+    pub fn add_slot(
+        &mut self,
+        testbed: Arc<Testbed>,
+        planned: PlannedPair,
+        cfg: &ExperimentConfig,
+        rate_strategy: RateStrategy,
+        thresholds_db: &[f64],
+    ) -> usize {
         let rates = rate_strategy.runs(cfg);
         let bounds: Vec<f64> = (0..rates).map(|ri| rate_strategy.bound(cfg, ri)).collect();
         let mut order: Vec<usize> = (0..rates).collect();
         // Stable, so equal bounds keep rate-index order.
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
-        ProtocolSlot {
+        let mut thresholds = thresholds_db.to_vec();
+        thresholds.sort_by(f64::total_cmp);
+        thresholds.dedup_by(|a, b| a.total_cmp(b).is_eq());
+        let slot = RunSlot {
+            testbed,
+            planned,
+            cfg: cfg.clone(),
+            rate_strategy,
+            thresholds,
             bounds,
             order,
-            baseline: (0..Strategy::BASELINE.len() * rates)
-                .map(|_| OnceLock::new())
-                .collect(),
-            next_baseline: AtomicUsize::new(0),
-            carrier_sense: (0..rates).map(|_| Mutex::default()).collect(),
-        }
-    }
-
-    /// How many runs the protocols sharing this slot have simulated so
-    /// far (skipped runs not counted).
-    pub fn runs_simulated(&self) -> usize {
-        let baseline = (self.baseline.iter())
-            .filter(|c| matches!(c.get(), Some(Some(_))))
-            .count();
-        let carrier_sense: usize = self.carrier_sense.iter().map(|m| lock(m).len()).sum();
-        baseline + carrier_sense
-    }
-}
-
-/// The entries of baseline strategy `Strategy::BASELINE[s]` in a list
-/// laid out like [`ProtocolSlot`]'s baseline runs.
-fn of_strategy<T>(runs: &[T], s: usize) -> impl Iterator<Item = &T> {
-    runs.iter().skip(s).step_by(Strategy::BASELINE.len())
-}
-
-/// A slot's run lists stay whole across a panicking run (no run holds
-/// the lock while it simulates), so a poisoned lock is still good.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Run the full protocol for one pair of links through `slot`, which
-/// must have been made for the same configuration but for the CCA
-/// threshold (see [`ProtocolSlot`]).
-///
-/// The carrier-sense runs go first, highest bound first, reusing any
-/// certified run, so their certificates are published early. Then the
-/// protocol helps with unclaimed CCA-independent runs and waits for the
-/// rest. Runs that cannot raise a sender's best are skipped (see
-/// [`ProtocolSlot`]). The result equals the protocol run alone, bit for
-/// bit.
-pub fn run_protocol(
-    testbed: &Testbed,
-    pairs: PairExperiment,
-    cfg: &ExperimentConfig,
-    seed: u64,
-    rate_strategy: RateStrategy,
-    slot: &ProtocolSlot,
-) -> ExperimentPoint {
-    let run = |strategy: Strategy, ri: usize| {
-        let run_seed = seed
-            .wrapping_add(strategy.seed_offset())
-            .wrapping_add(ri as u64);
-        let policy = rate_strategy.policy(cfg, ri);
-        run_once(testbed, pairs, cfg, strategy, &policy, run_seed)
-    };
-    let mut carrier_sense = (0.0, 0.0);
-    for &ri in &slot.order {
-        if slot.bounds[ri] <= Strategy::CarrierSense.to_beat(carrier_sense) {
-            continue;
-        }
-        let runs = &slot.carrier_sense[ri];
-        let known = lock(runs)
-            .iter()
-            .find(|(cert, _)| cert.certifies(cfg.cca_threshold_db))
-            .map(|&(_, pps)| pps);
-        let pps = known.unwrap_or_else(|| {
-            let (pps, cert) = run(Strategy::CarrierSense, ri);
-            lock(runs).push((cert, pps));
-            pps
-        });
-        carrier_sense = max_each(carrier_sense, pps);
-    }
-    let strategies = Strategy::BASELINE.len();
-    let baseline = claim_runs(&slot.baseline, &slot.next_baseline, |k| {
-        let (ri, s) = (slot.order[k / strategies], k % strategies);
-        let strategy = Strategy::BASELINE[s];
-        let done = best_of(of_strategy(&slot.baseline, s).map(|c| c.get().copied().flatten()));
-        (slot.bounds[ri] > strategy.to_beat(done)).then(|| run(strategy, ri).0)
-    });
-    let best = |s: usize| best_of(of_strategy(&baseline, s).copied());
-    let (lone1, _) = best(0);
-    let (_, lone2) = best(1);
-    let (c1, c2) = best(2);
-    let (s1, s2) = carrier_sense;
-    ExperimentPoint {
-        pairs,
-        sender_rssi_db: testbed.world().rssi_db(pairs.link1.src, pairs.link2.src),
-        // Taking turns: each pair gets half the time at its lone rate.
-        multiplexing_pps: (lone1 + lone2) / 2.0,
-        concurrency_pps: c1 + c2,
-        carrier_sense_pps: s1 + s2,
-    }
-}
-
-/// Make the unclaimed runs of `cells`, claiming one at a time from
-/// `cursor`, then collect every cell. The final pass uses `get_or_init`:
-/// it waits for a run another caller has in flight, and reruns one whose
-/// run panicked (propagating the panic) instead of waiting forever.
-fn claim_runs<T: Copy>(
-    cells: &[OnceLock<T>],
-    cursor: &AtomicUsize,
-    run: impl Fn(usize) -> T,
-) -> Vec<T> {
-    loop {
-        // Relaxed: the cursor only hands out indices; each cell's
-        // `OnceLock` publishes its run.
-        let k = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(cell) = cells.get(k) else {
-            break;
         };
-        cell.get_or_init(|| run(k));
+        self.claims.add_slot(slot.layout());
+        self.slots.push(slot);
+        self.slots.len() - 1
     }
-    (cells.iter().enumerate())
-        .map(|(k, cell)| *cell.get_or_init(|| run(k)))
-        .collect()
+
+    /// The point of slot `slot`'s protocol at `threshold_db`, one of the
+    /// slot's thresholds, and how the cells this call decided were
+    /// decided. The point equals the protocol run alone, bit for bit.
+    pub fn point(&self, slot: usize, threshold_db: f64) -> (ExperimentPoint, RunCounts) {
+        let s = &self.slots[slot];
+        let key = (s.thresholds.iter())
+            .position(|t| t.total_cmp(&threshold_db).is_eq())
+            .unwrap_or_else(|| panic!("{threshold_db} dB is not a threshold of slot {slot}"));
+        let counts = std::cell::Cell::new(RunCounts::default());
+        let outcomes = self
+            .claims
+            .work(slot, key, &|s, c| self.decide(s, c, &counts));
+        let layout = s.layout();
+        let runs: Vec<(Strategy, Option<(f64, f64)>)> = (outcomes.iter().enumerate())
+            .map(|(j, o)| (layout.run(layout.needed_cell(key, j)).0, o.pps()))
+            .collect();
+        let best = |strategy| best_of(runs.iter().filter(|r| r.0 == strategy).map(|r| r.1));
+        let (lone1, _) = best(Strategy::Lone1);
+        let (_, lone2) = best(Strategy::Lone2);
+        let (c1, c2) = best(Strategy::Concurrency);
+        let (s1, s2) = best(Strategy::CarrierSense);
+        let pairs = s.planned.pairs;
+        let point = ExperimentPoint {
+            pairs,
+            sender_rssi_db: s.testbed.world().rssi_db(pairs.link1.src, pairs.link2.src),
+            // Taking turns: each pair gets half the time at its lone rate.
+            multiplexing_pps: (lone1 + lone2) / 2.0,
+            concurrency_pps: c1 + c2,
+            carrier_sense_pps: s1 + s2,
+        };
+        (point, counts.get())
+    }
+
+    /// How many runs each slot has made so far (skipped and reused runs
+    /// not counted).
+    pub fn runs_made(&self) -> Vec<usize> {
+        (self.claims.slots.iter())
+            .map(|s| {
+                (s.cells.iter())
+                    .filter(|c| matches!(c.value.get(), Some(Outcome::Made(..))))
+                    .count()
+            })
+            .collect()
+    }
+
+    /// Decide cell `c` of `slot` (see [`RunPool`]), tallying how in
+    /// `counts`.
+    fn decide(&self, slot: usize, c: usize, counts: &std::cell::Cell<RunCounts>) -> Outcome {
+        let s = &self.slots[slot];
+        let cells = &self.claims.slots[slot].cells;
+        let layout = s.layout();
+        let (strategy, key, pos) = layout.run(c);
+        let ri = s.order[pos];
+        let threshold = s.thresholds[key];
+        let decided = |strategy, key, pos| cells[layout.cell(strategy, key, pos)].value.get();
+        let done =
+            best_of((0..layout.rates).map(|p| decided(strategy, key, p).and_then(Outcome::pps)));
+        // Only a made carrier-sense run carries a certificate.
+        let certified = || {
+            (0..layout.keys).find_map(|k| match decided(strategy, k, pos) {
+                Some(Outcome::Made(pps, Some(cert))) if cert.certifies(threshold) => Some(*pps),
+                _ => None,
+            })
+        };
+        let mut n = counts.get();
+        let outcome = if s.bounds[ri] <= strategy.to_beat(done) {
+            n.skipped += 1;
+            Outcome::Skipped
+        } else if let Some(pps) = certified() {
+            n.reused += 1;
+            Outcome::Reused(pps)
+        } else {
+            let (pps, cert, closed_form) = s.make(strategy, ri, threshold);
+            if closed_form {
+                n.closed_form += 1;
+            } else {
+                n.event_loop += 1;
+            }
+            Outcome::Made(pps, cert)
+        };
+        counts.set(n);
+        outcome
+    }
 }
 
-/// One run: per-sender delivered pkt/s under the given rate policy
-/// (each flow gets its own controller instance), and the run's CCA
-/// certificate.
-fn run_once(
-    testbed: &Testbed,
-    pairs: PairExperiment,
+/// The simulator configuration of one run: energy-detect carrier sense
+/// at `cca_threshold_db` for a carrier-sense run, CCA off otherwise.
+fn sim_config(
     cfg: &ExperimentConfig,
+    cca_threshold_db: f64,
     strategy: Strategy,
-    policy: &RatePolicy,
     run_seed: u64,
-) -> ((f64, f64), CcaCertificate) {
+) -> SimConfig {
     let mac = match strategy {
         Strategy::CarrierSense => MacConfig {
             cca_mode: CcaMode::EnergyDetect,
-            cca_threshold_db: cfg.cca_threshold_db,
+            cca_threshold_db,
             ..MacConfig::default()
         },
         _ => MacConfig {
@@ -479,12 +743,69 @@ fn run_once(
             ..MacConfig::default()
         },
     };
-    let sim_cfg = SimConfig {
+    SimConfig {
         phy: testbed_phy(),
         mac,
         payload_bytes: cfg.payload_bytes,
         seed: run_seed,
+    }
+}
+
+/// One run: per-sender delivered pkt/s under `policy` (each flow gets
+/// its own controller instance), a carrier-sense run's CCA certificate,
+/// and whether the run was computed in closed form. A lone run at a
+/// fixed rate is ([`lone_broadcast_run`]); every other run takes the
+/// event loop ([`event_loop_run`]).
+fn run_once(
+    testbed: &Testbed,
+    pairs: PairExperiment,
+    cfg: &ExperimentConfig,
+    cca_threshold_db: f64,
+    strategy: Strategy,
+    policy: &RatePolicy,
+    run_seed: u64,
+) -> ((f64, f64), Option<CcaCertificate>, bool) {
+    let sim_cfg = sim_config(cfg, cca_threshold_db, strategy, run_seed);
+    let (pps, cert, closed_form) = match (strategy, policy) {
+        (Strategy::Lone1 | Strategy::Lone2, &RatePolicy::Fixed(rate)) => {
+            let lone1 = strategy == Strategy::Lone1;
+            let link = if lone1 { pairs.link1 } else { pairs.link2 };
+            let d = cfg.run_duration;
+            let stats =
+                lone_broadcast_run(&mut testbed.world(), &sim_cfg, link.src, link.dst, rate, d);
+            let pps = stats.throughput_pps(d);
+            (if lone1 { (pps, 0.0) } else { (0.0, pps) }, None, true)
+        }
+        _ => {
+            let (pps, cert) = event_loop_run(testbed, pairs, cfg, strategy, policy, sim_cfg);
+            (
+                pps,
+                (strategy == Strategy::CarrierSense).then_some(cert),
+                false,
+            )
+        }
     };
+    if let RatePolicy::Fixed(rate) = policy {
+        let bound = pps_bound(cfg, rate.mbps);
+        debug_assert!(
+            pps.0 <= bound && pps.1 <= bound,
+            "{strategy:?} at {} Mbps delivered {pps:?} pkt/s, over its bound {bound}",
+            rate.mbps
+        );
+    }
+    (pps, cert, closed_form)
+}
+
+/// One run on the event loop: per-sender delivered pkt/s and the run's
+/// CCA certificate.
+fn event_loop_run(
+    testbed: &Testbed,
+    pairs: PairExperiment,
+    cfg: &ExperimentConfig,
+    strategy: Strategy,
+    policy: &RatePolicy,
+    sim_cfg: SimConfig,
+) -> ((f64, f64), CcaCertificate) {
     let mut sim = Simulator::new(testbed.world(), sim_cfg);
     let mut f1 = None;
     let mut f2 = None;
@@ -497,16 +818,7 @@ fn run_once(
     sim.run_for(cfg.run_duration);
     let pps =
         |f: Option<usize>| f.map_or(0.0, |i| sim.flow_stats(i).throughput_pps(cfg.run_duration));
-    let pps = (pps(f1), pps(f2));
-    if let RatePolicy::Fixed(rate) = policy {
-        let bound = pps_bound(cfg, rate.mbps);
-        debug_assert!(
-            pps.0 <= bound && pps.1 <= bound,
-            "{strategy:?} at {} Mbps delivered {pps:?} pkt/s, over its bound {bound}",
-            rate.mbps
-        );
-    }
-    (pps, sim.cca_certificate())
+    ((pps(f1), pps(f2)), sim.cca_certificate())
 }
 
 /// One planned-but-not-yet-run protocol task: the link pair to measure
@@ -808,6 +1120,37 @@ mod tests {
         assert_eq!(run_ensemble(&t, &links, 2, &cfg)[0], through_seam);
     }
 
+    /// A fresh pool of one slot for `p` at every threshold of `grid`,
+    /// asked for the point at each, in `order` on one thread or dealt
+    /// round-robin to `threads` threads asking at once; each point must
+    /// be `expected`'s.
+    #[allow(clippy::too_many_arguments)]
+    fn ask_pool(
+        t: &Testbed,
+        p: &PlannedPair,
+        cfg: &ExperimentConfig,
+        strategy: RateStrategy,
+        grid: &[f64],
+        order: &[usize],
+        threads: usize,
+        expected: &[ExperimentPoint],
+    ) -> RunPool {
+        let mut pool = RunPool::default();
+        let slot = pool.add_slot(Arc::new(t.clone()), *p, cfg, strategy, grid);
+        std::thread::scope(|scope| {
+            for first in 0..threads {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for &i in order.iter().skip(first).step_by(threads) {
+                        let what = format!("{strategy:?} {:?} at {} dB", p.pairs, grid[i]);
+                        assert_eq!(pool.point(slot, grid[i]).0, expected[i], "{what}");
+                    }
+                });
+            }
+        });
+        pool
+    }
+
     #[test]
     fn shared_slot_reproduces_every_threshold_alone() {
         let t = Testbed::generate(TestbedConfig::default());
@@ -832,23 +1175,16 @@ mod tests {
                 let alone: Vec<ExperimentPoint> = (grid.iter())
                     .map(|&db| run_pair_experiment_with(&t, p.pairs, &at(db), p.seed, strategy))
                     .collect();
-                for order in [&forward, &reverse, &shuffled] {
-                    let slot = ProtocolSlot::new(&base, strategy);
-                    for &i in order {
-                        let shared =
-                            run_protocol(&t, p.pairs, &at(grid[i]), p.seed, strategy, &slot);
-                        assert_eq!(
-                            shared, alone[i],
-                            "{strategy:?} {:?} at {} dB",
-                            p.pairs, grid[i]
-                        );
-                    }
-                    simulated += slot.runs_simulated();
+                for (order, threads) in
+                    [(&forward, 1), (&reverse, 1), (&shuffled, 1), (&shuffled, 4)]
+                {
+                    let pool = ask_pool(&t, &p, &base, strategy, &grid, order, threads, &alone);
+                    simulated += pool.runs_made()[0];
                     unshared += (3 + grid.len()) * strategy.runs(&base);
                     // Every kept run certifies its own threshold, and on
                     // this grid some run refuses some threshold.
-                    for runs in &slot.carrier_sense {
-                        for (cert, _) in lock(runs).iter() {
+                    for cell in &pool.claims.slots[0].cells {
+                        if let Some(Outcome::Made(_, Some(cert))) = cell.value.get() {
                             let certified = grid.iter().filter(|&&db| cert.certifies(db)).count();
                             assert!(certified > 0);
                             refused += grid.len() - certified;
@@ -958,8 +1294,8 @@ mod tests {
         assert!(closest > 0.9, "closest run reached {closest} of its bound");
     }
 
-    /// The protocol without skipping: every run at every rate, each
-    /// sender's best folded over them.
+    /// The protocol without skipping or the closed form: every run at
+    /// every rate on the event loop, each sender's best folded over them.
     fn every_rate_point(
         t: &Testbed,
         pairs: PairExperiment,
@@ -973,7 +1309,8 @@ mod tests {
                     .wrapping_add(strategy.seed_offset())
                     .wrapping_add(ri as u64);
                 let policy = rate_strategy.policy(cfg, ri);
-                Some(run_once(t, pairs, cfg, strategy, &policy, run_seed).0)
+                let sim_cfg = sim_config(cfg, cfg.cca_threshold_db, strategy, run_seed);
+                Some(event_loop_run(t, pairs, cfg, strategy, &policy, sim_cfg).0)
             }))
         };
         let (lone1, _) = best(Strategy::Lone1);
@@ -1008,6 +1345,8 @@ mod tests {
             run_duration: Duration::from_secs(1),
             ..Default::default()
         };
+        let thresholds = [0.0, 10.0, 20.0, 30.0];
+        let order: Vec<usize> = (0..thresholds.len()).collect();
         let (mut simulated, mut every) = (0, 0);
         for p in plan_ensemble(&links, 3, &base) {
             for strategy in [RateStrategy::BestFixed, RateStrategy::Adaptive] {
@@ -1021,22 +1360,33 @@ mod tests {
                         rates_mbps: rates.clone(),
                         ..base.clone()
                     };
-                    let slot = ProtocolSlot::new(&cfg, strategy);
-                    let thresholds = [0.0, 10.0, 20.0, 30.0];
-                    for db in thresholds {
-                        let at = ExperimentConfig {
-                            cca_threshold_db: db,
-                            ..cfg.clone()
-                        };
-                        let oracle = every_rate_point(&t, p.pairs, &at, p.seed, strategy);
-                        let what = format!("{strategy:?} {rates:?} at {db} dB");
-                        let alone = run_pair_experiment_with(&t, p.pairs, &at, p.seed, strategy);
-                        assert_eq!(alone, oracle, "{what}");
-                        let shared = run_protocol(&t, p.pairs, &at, p.seed, strategy, &slot);
-                        assert_eq!(shared, oracle, "{what}, shared slot");
+                    let oracles: Vec<ExperimentPoint> = (thresholds.iter())
+                        .map(|&db| {
+                            let at = ExperimentConfig {
+                                cca_threshold_db: db,
+                                ..cfg.clone()
+                            };
+                            let oracle = every_rate_point(&t, p.pairs, &at, p.seed, strategy);
+                            let alone =
+                                run_pair_experiment_with(&t, p.pairs, &at, p.seed, strategy);
+                            assert_eq!(alone, oracle, "{strategy:?} {rates:?} at {db} dB");
+                            oracle
+                        })
+                        .collect();
+                    for threads in [1, 4] {
+                        let pool = ask_pool(
+                            &t,
+                            &p,
+                            &cfg,
+                            strategy,
+                            &thresholds,
+                            &order,
+                            threads,
+                            &oracles,
+                        );
+                        simulated += pool.runs_made()[0];
+                        every += (3 + thresholds.len()) * strategy.runs(&cfg);
                     }
-                    simulated += slot.runs_simulated();
-                    every += (3 + thresholds.len()) * strategy.runs(&cfg);
                 }
             }
         }
@@ -1045,31 +1395,34 @@ mod tests {
 
     #[test]
     fn a_panicked_claim_is_rerun_not_waited_for() {
-        use std::sync::atomic::AtomicBool;
         use std::sync::{mpsc, Barrier};
-        let cells: Vec<OnceLock<usize>> = (0..4).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
+        // One slot of one rate and one threshold: four cells, every one
+        // needed by its one key.
+        let mut claims = Claims::default();
+        claims.add_slot(Layout { rates: 1, keys: 1 });
         let failed_once = AtomicBool::new(false);
         let (claimed, started) = mpsc::channel();
         let last_claimed = Barrier::new(2);
-        let run = |k: usize| {
-            if k == 0 && !failed_once.swap(true, Ordering::SeqCst) {
+        let decide = |slot: usize, c: usize| {
+            assert_eq!(slot, 0);
+            if c == 0 && !failed_once.swap(true, Ordering::SeqCst) {
                 claimed.send(()).unwrap();
                 last_claimed.wait();
                 panic!("run 0 failed");
             }
-            if k == 3 {
+            if c == 3 {
                 last_claimed.wait();
             }
-            10 * k
+            10 * c
         };
+        let work = || -> Vec<usize> { claims.work(0, 0, &decide).into_iter().copied().collect() };
         std::thread::scope(|s| {
-            // The first caller claims run 0 and fails it only once the
-            // second has claimed every other run, so the second can get
-            // run 0 only from its final pass: by rerunning it.
-            let first = s.spawn(|| claim_runs(&cells, &cursor, run));
+            // The first caller claims cell 0 and fails it only once the
+            // second has claimed every other cell, so the second can get
+            // cell 0 only when it reads its cells: by remaking it.
+            let first = s.spawn(work);
             started.recv().unwrap();
-            let second = s.spawn(|| claim_runs(&cells, &cursor, run));
+            let second = s.spawn(work);
             assert!(first.join().is_err());
             assert_eq!(second.join().unwrap(), vec![0, 10, 20, 30]);
         });

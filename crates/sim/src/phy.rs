@@ -120,6 +120,60 @@ impl Default for PhyConfig {
     }
 }
 
+impl PhyConfig {
+    /// `preamble_snr_db` as a linear power ratio.
+    pub(crate) fn lock_margin(&self) -> f64 {
+        10f64.powf(self.preamble_snr_db / 10.0)
+    }
+
+    /// Whether a frame at `rate` whose worst SINR was `min_sinr`
+    /// (linear) decodes, and that SINR in dB. The sigmoid model takes
+    /// one draw from `rng`; the hard threshold takes none.
+    pub(crate) fn decodes<R: Rng + ?Sized>(
+        &self,
+        min_sinr: f64,
+        rate: &Bitrate,
+        rng: &mut R,
+    ) -> (bool, f64) {
+        let min_sinr_db = 10.0 * min_sinr.log10();
+        let success = match self.reception {
+            ReceptionModel::HardThreshold => min_sinr_db >= rate.min_snr_db,
+            ReceptionModel::Sigmoid { width_db } => {
+                let x = (min_sinr_db - rate.min_snr_db) / width_db;
+                let p = 1.0 / (1.0 + (-x).exp());
+                rng.gen::<f64>() < p
+            }
+        };
+        (success, min_sinr_db)
+    }
+
+    /// Take the draws of `count` receptions whose outcome nothing reads
+    /// (none under the hard threshold).
+    #[inline(always)]
+    pub(crate) fn skip_draws<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) {
+        if let ReceptionModel::Sigmoid { .. } = self.reception {
+            for _ in 0..count {
+                let _ = rng.gen::<f64>();
+            }
+        }
+    }
+}
+
+/// Whether an idle node that hears a preamble at power `g` locks onto
+/// it: `g` must clear the lock margin over the noise plus everything
+/// else on the air, where `ambient` already includes `g`.
+#[inline(always)]
+pub(crate) fn clears_margin(g: f64, ambient: f64, noise: f64, margin: f64) -> bool {
+    g >= margin * (noise + (ambient - g).max(0.0))
+}
+
+/// The SINR of a signal received at power `signal` while the node's
+/// ambient power (`signal` included) is `ambient`.
+#[inline(always)]
+pub(crate) fn sinr(signal: f64, ambient: f64, noise: f64) -> f64 {
+    signal / (noise + (ambient - signal).max(0.0))
+}
+
 /// An in-flight transmission.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveTx {
@@ -197,7 +251,7 @@ impl Medium {
         Medium {
             cfg,
             noise,
-            lock_margin: 10f64.powf(cfg.preamble_snr_db / 10.0),
+            lock_margin: cfg.lock_margin(),
             ambient: vec![0.0; n],
             active: Vec::new(),
             state: vec![IDLE; n],
@@ -277,8 +331,7 @@ impl Medium {
         }
         // Interference for a locked frame = ambient − its own signal.
         for r in &mut self.reported {
-            let interf = (ambient[r.node] - r.signal).max(0.0);
-            let sinr = r.signal / (noise + interf);
+            let sinr = sinr(r.signal, ambient[r.node], noise);
             if sinr < r.min_sinr {
                 r.min_sinr = sinr;
             }
@@ -288,7 +341,7 @@ impl Medium {
         let state = &mut self.state[..n];
         for i in 0..n {
             let g = row[i];
-            let lock = (state[i] == IDLE) & (g >= margin * (noise + (ambient[i] - g).max(0.0)));
+            let lock = (state[i] == IDLE) & clears_margin(g, ambient[i], noise, margin);
             state[i] = if lock { tx.id } else { state[i] };
         }
         let reported = match tx.frame.kind {
@@ -299,13 +352,11 @@ impl Medium {
         };
         for i in reported {
             if state[i] == tx.id {
-                let signal = row[i];
-                let interf = (ambient[i] - signal).max(0.0);
                 self.reported.push(Reception {
                     node: i,
                     tx_id: tx.id,
-                    signal,
-                    min_sinr: signal / (noise + interf),
+                    signal: row[i],
+                    min_sinr: sinr(row[i], ambient[i], noise),
                 });
             }
         }
@@ -396,44 +447,25 @@ impl Medium {
             }
             let r = self.reported.remove(k);
             let skipped = release(&mut self.state[from..r.node], tx_id);
-            self.skip_draws(skipped, rng);
+            self.cfg.skip_draws(skipped, rng);
             debug_assert_eq!(self.state[r.node], tx_id);
             self.state[r.node] = IDLE;
             results.push(self.decide(tx, r, rng));
             from = r.node + 1;
         }
         let skipped = release(&mut self.state[from..], tx_id);
-        self.skip_draws(skipped, rng);
+        self.cfg.skip_draws(skipped, rng);
     }
 
     /// Decide reported reception `r` of `tx`.
     fn decide<R: Rng + ?Sized>(&self, tx: &ActiveTx, r: Reception, rng: &mut R) -> DecodeResult {
-        let min_sinr_db = 10.0 * r.min_sinr.log10();
-        let success = match self.cfg.reception {
-            ReceptionModel::HardThreshold => min_sinr_db >= tx.frame.rate.min_snr_db,
-            ReceptionModel::Sigmoid { width_db } => {
-                let x = (min_sinr_db - tx.frame.rate.min_snr_db) / width_db;
-                let p = 1.0 / (1.0 + (-x).exp());
-                rng.gen::<f64>() < p
-            }
-        };
+        let (success, min_sinr_db) = self.cfg.decodes(r.min_sinr, &tx.frame.rate, rng);
         DecodeResult {
             receiver: NodeId(r.node as u32),
             frame: tx.frame,
             sender: tx.sender,
             success,
             min_sinr_db,
-        }
-    }
-
-    /// Take the draws of `count` unreported receptions (none under
-    /// `HardThreshold`).
-    #[inline(always)]
-    fn skip_draws<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) {
-        if let ReceptionModel::Sigmoid { .. } = self.cfg.reception {
-            for _ in 0..count {
-                let _ = rng.gen::<f64>();
-            }
         }
     }
 

@@ -32,12 +32,28 @@
 //!   accepts makes every decision, draw and count the same, so it is
 //!   the same run. A second reader of the threshold would have to be
 //!   recorded in the certificate too.
+//! * **A lone broadcast sender needs no event loop.** With one saturated
+//!   flow and no ACKs, every frame starts on a silent medium (each
+//!   ambient is back at +0.0 when the last frame ends), so the same
+//!   nodes lock onto every frame and the addressee's worst SINR is the
+//!   one at the frame's start. [`lone_broadcast_run`] computes such a
+//!   run from its two streams alone: one backoff draw per frame, the
+//!   first frame starting at DIFS + b·SLOT and each later one at the
+//!   last one's end + DIFS + b·SLOT, and per frame the PHY draws in node
+//!   order (the unreported locks before the addressee, its own draw, the
+//!   rest). A frame counts if it ends by the run's end. The contract is
+//!   that it returns the flow's [`FlowStats`] exactly as
+//!   [`Simulator::run_for`] leaves them, which
+//!   `lone_runs_match_the_event_loop_bitwise` checks over random
+//!   testbeds, links, rates, payloads, run lengths and seeds.
 
 use crate::event::{Event, EventQueue};
 #[cfg(test)]
 use crate::mac::RtsCtsPolicy;
 use crate::mac::{AckPolicy, CcaMode, MacConfig, MacPhase, MacState};
-use crate::phy::{ActiveTx, DecodeResult, Frame, FrameKind, Medium, PhyConfig};
+use crate::phy::{
+    clears_margin, sinr, ActiveTx, DecodeResult, Frame, FrameKind, Medium, PhyConfig,
+};
 use crate::rate::RatePolicy;
 use crate::time::{Duration, SimTime};
 use crate::timing;
@@ -888,6 +904,58 @@ impl Simulator {
     }
 }
 
+/// The stats of the one flow `src → dst`, at the fixed `rate`, of a
+/// fresh [`Simulator`] over `world` under `cfg` after
+/// [`Simulator::run_for`]`(d)`, computed without the event loop (see the
+/// module docs). `cfg.mac.ack` must be [`AckPolicy::Broadcast`]; the CCA
+/// mode and threshold do not matter, since a lone sender always finds
+/// the medium idle.
+pub fn lone_broadcast_run(
+    world: &mut World,
+    cfg: &SimConfig,
+    src: NodeId,
+    dst: NodeId,
+    rate: Bitrate,
+    d: Duration,
+) -> FlowStats {
+    assert_ne!(src, dst);
+    assert_eq!(cfg.mac.ack, AckPolicy::Broadcast, "a lone run has no ACKs");
+    let noise = world.config().noise;
+    let margin = cfg.phy.lock_margin();
+    let row = world.rx_row(src);
+    // The lock pass of `Medium::begin_tx` on a silent medium: the
+    // sender transmits, every other node is idle and its ambient is
+    // +0.0 raised by the frame's own power.
+    let locks =
+        |i: usize| i != src.0 as usize && clears_margin(row[i], 0.0 + row[i], noise, margin);
+    let a = dst.0 as usize;
+    let before = (0..a).filter(|&i| locks(i)).count();
+    let after = (a + 1..row.len()).filter(|&i| locks(i)).count();
+    let min_sinr = locks(a).then(|| sinr(row[a], 0.0 + row[a], noise));
+
+    let mut seeds = SeedStream::new(cfg.seed);
+    let mut rng_backoff = seeds.next_rng();
+    let mut rng_phy = seeds.next_rng();
+    let air = timing::data_frame_airtime(cfg.payload_bytes, rate);
+    let t_end = SimTime::ZERO + d;
+    let mut stats = FlowStats::new(src, dst);
+    let mut idle_since = SimTime::ZERO;
+    loop {
+        let backoff = rng_backoff.gen_range(0..=cfg.mac.cw_min);
+        let end = idle_since + timing::DIFS + timing::SLOT * backoff as u64 + air;
+        if end > t_end {
+            return stats;
+        }
+        cfg.phy.skip_draws(before, &mut rng_phy);
+        let delivered = min_sinr.is_some_and(|s| cfg.phy.decodes(s, &rate, &mut rng_phy).0);
+        cfg.phy.skip_draws(after, &mut rng_phy);
+        stats.sent += 1;
+        stats.delivered += delivered as u64;
+        stats.bump_rate(rate, delivered);
+        idle_since = end;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1275,6 +1343,55 @@ mod tests {
         // configuration, not a move.
         let (first, _) = run(true);
         assert!(!first.exact && first.certifies(14.5));
+    }
+
+    #[test]
+    fn lone_runs_match_the_event_loop_bitwise() {
+        use crate::testbed::{testbed_phy, Testbed, TestbedConfig};
+        use crate::timing::MAX_PAYLOAD_BYTES;
+        use wcs_stats::rng::split_rng;
+        let mut rng = split_rng(0x10E, 0);
+        let (mut cases, mut deaf, mut lossy, mut below, mut above) = (0, 0, 0, 0, 0);
+        for _ in 0..8 {
+            let t = Testbed::generate(TestbedConfig {
+                seed: rng.gen(),
+                ..TestbedConfig::default()
+            });
+            // Every delivery in (0, 1): some addressees hear the sender
+            // too weakly to lock, and some lose frames to the sigmoid.
+            let links: Vec<_> = (t.candidate_links(0.0, 1.0).into_iter())
+                .filter(|l| l.delivery_6mbps > 0.0 && l.delivery_6mbps < 1.0)
+                .collect();
+            for case in 0..45 {
+                let link = links[rng.gen_range(0..links.len())];
+                let rate = RATES_11A[case % RATES_11A.len()];
+                let cfg = SimConfig {
+                    phy: testbed_phy(),
+                    mac: MacConfig::paper_concurrency(),
+                    payload_bytes: rng.gen_range(0..=MAX_PAYLOAD_BYTES),
+                    seed: rng.gen(),
+                };
+                let d = Duration::from_millis(rng.gen_range(100..=1500));
+                let mut s = Simulator::new(t.world(), cfg);
+                let f = s.add_flow(link.src, link.dst, RatePolicy::Fixed(rate));
+                s.run_for(d);
+                let closed = lone_broadcast_run(&mut t.world(), &cfg, link.src, link.dst, rate, d);
+                let looped = s.flow_stats(f);
+                assert_eq!(
+                    &closed, looped,
+                    "{link:?} at {} Mbps, {cfg:?}, {d:?}",
+                    rate.mbps
+                );
+                cases += 1;
+                deaf += (looped.sent > 0 && looped.delivered == 0) as usize;
+                lossy += (looped.delivered > 0 && looped.delivered < looped.sent) as usize;
+                below += (link.dst < link.src) as usize;
+                above += (link.dst > link.src) as usize;
+            }
+        }
+        assert_eq!(cases, 360);
+        assert!(deaf > 0 && lossy > 0, "{deaf} deaf and {lossy} lossy cases");
+        assert!(below > 0 && above > 0, "{below} and {above}");
     }
 
     #[test]

@@ -89,6 +89,10 @@ pub const EVENT_NAMES: &[&str] = &[
     "dispatch.shard",
     "dispatch.run",
     "sim.plan",
+    "sim.run.event_loop",
+    "sim.run.closed_form",
+    "sim.run.reused",
+    "sim.run.skipped",
     "bench.result",
     "history.manifest",
     "history.manifest_failed",

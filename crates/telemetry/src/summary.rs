@@ -283,6 +283,26 @@ pub fn summarize(log: &RunLog) -> String {
         }
     }
 
+    {
+        // How a sim sweep's protocol runs were decided: simulated on the
+        // event loop, computed in closed form, reused at another CCA
+        // threshold, or skipped by their airtime bound.
+        let run_names = [
+            "sim.run.event_loop",
+            "sim.run.closed_form",
+            "sim.run.reused",
+            "sim.run.skipped",
+        ];
+        if run_names.iter().any(|n| counters.contains_key(n)) {
+            out.push_str("\n== sim runs ==\n");
+            for name in run_names {
+                if let Some(c) = counters.get(name) {
+                    out.push_str(&format!("  {name:<28} {:>6}\n", c.total));
+                }
+            }
+        }
+    }
+
     if !shards.is_empty() {
         out.push_str("\n== shards ==\n");
         out.push_str(&format!(

@@ -232,3 +232,41 @@ fn cache_counters_register_without_a_collector() {
     assert!(telemetry::counter_total("cache.store") > store_before);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sim_run_counters_add_up_to_the_runs_a_serial_grid_makes() {
+    let _g = GLOBAL.lock().unwrap();
+    telemetry::uninstall();
+    let grid = builtin("sim-threshold-grid");
+    let untraced = grid.run(&Engine::serial(), None).report.to_csv();
+
+    let mem = Arc::new(telemetry::jsonl::MemoryCollector::default());
+    telemetry::install(mem.clone());
+    let traced = grid.run(&Engine::serial(), None).report.to_csv();
+    telemetry::uninstall();
+    assert_eq!(untraced, traced, "telemetry changed the sim report");
+
+    // Each protocol run a serial quick grid decides bumps one counter:
+    // the 27 it makes, on the event loop or in closed form, and the ones
+    // it reuses at another threshold or skips by their airtime bound.
+    let log = telemetry::jsonl::RunLog {
+        schema: telemetry::jsonl::SCHEMA.to_string(),
+        events: mem.snapshot(),
+    };
+    let total = |name: &str| -> u64 {
+        (log.events.iter())
+            .filter(|e| e.kind == telemetry::EventKind::Counter && e.name == name)
+            .map(|e| e.u64_field("delta").unwrap())
+            .sum()
+    };
+    let (event_loop, closed_form) = (total("sim.run.event_loop"), total("sim.run.closed_form"));
+    assert_eq!(event_loop + closed_form, 27);
+    assert!(event_loop > 0 && closed_form > 0);
+    assert!(total("sim.run.reused") > 0 && total("sim.run.skipped") > 0);
+    let summary = telemetry::summary::summarize(&log);
+    assert!(summary.contains("== sim runs =="), "{summary}");
+    let shown = (summary.lines())
+        .find_map(|l| l.trim().strip_prefix("sim.run.closed_form"))
+        .map(str::trim);
+    assert_eq!(shown, Some(closed_form.to_string().as_str()), "{summary}");
+}
