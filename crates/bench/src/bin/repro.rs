@@ -73,8 +73,8 @@
 //! `dispatch run` (also spelled `shard run`: one command, two names)
 //! drives the whole plan → worker → merge pipeline. A `wcs-dispatch`
 //! state machine deals the shards to a pool of host slots
-//! (`--hosts FILE`, or by default one local subprocess slot per
-//! non-empty shard, at most one per core; empty shards need no worker),
+//! (`--hosts FILE`, or by default one local subprocess slot per shard,
+//! at most one per core; a plan deals at most one shard per task),
 //! watches per-worker heartbeat files, requeues shards whose workers
 //! die or go silent, and retries transient spawn failures with capped
 //! exponential backoff. The merged report is still bitwise identical to
@@ -584,22 +584,23 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 parsed.stream_layout,
             );
             let k = parsed.require_k("shard plan");
+            let plan = wcs_shard::ShardPlan::new(workload.task_count(), k, parsed.strategy)
+                .unwrap_or_else(|e| fail(e));
             let dir = parsed
                 .dir
                 .clone()
-                .unwrap_or_else(|| default_plan_dir(&workload, k, parsed.strategy));
-            let plan = wcs_shard::ShardPlan::new(workload.task_count(), k, parsed.strategy)
-                .unwrap_or_else(|e| fail(e));
+                .unwrap_or_else(|| default_plan_dir(&workload, plan.k, parsed.strategy));
             let paths =
                 wcs_shard::write_manifests(&dir, &workload, &plan).unwrap_or_else(|e| fail(e));
             for p in &paths {
                 println!("{}", p.display());
             }
             eprintln!(
-                "[shard plan {} ({}): {} tasks over {k} {} shards in {}]",
+                "[shard plan {} ({}): {} tasks over {} {} shards in {}]",
                 workload.name(),
                 workload.kind(),
                 plan.task_count,
+                plan.k,
                 parsed.strategy.label(),
                 dir.display()
             );
@@ -684,8 +685,8 @@ const DISPATCH_USAGE: &str = "usage: repro dispatch run <scenario|--spec FILE> -
        (repro shard run takes the same arguments)";
 
 /// `repro dispatch run` (and `repro shard run`): the dispatcher over a
-/// shard plan, on local slots (one per non-empty shard, at most one per
-/// core) unless `--hosts` names a pool.
+/// shard plan, on local slots (one per shard, at most one per core)
+/// unless `--hosts` names a pool.
 fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     if args.is_empty() {
         usage_exit(DISPATCH_USAGE);
@@ -708,25 +709,24 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
         ..parsed.dispatch
     };
-    // The one task count of this dispatch: it sizes the local pool, the
-    // plan and the run-history entry, and the merge checks against it.
-    let tasks = workload.task_count();
+    // The one task count of this dispatch: it sizes the plan and the
+    // run-history entry, and the merge checks against it.
+    let plan = wcs_shard::ShardPlan::new(workload.task_count(), k, parsed.strategy)
+        .unwrap_or_else(|e| fail(e));
     let pool = match &parsed.hosts {
         Some(path) => {
             wcs_dispatch::HostPool::load(path).unwrap_or_else(|e| usage_exit(&e.to_string()))
         }
-        // No hosts file: one local subprocess slot per shard that has
-        // tasks (the dispatcher writes empty shards itself), at most one
+        // No hosts file: one local subprocess slot per shard, at most one
         // per core.
         None => {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            wcs_dispatch::HostPool::local(k.min(tasks).min(cores))
+            wcs_dispatch::HostPool::local(plan.k.min(cores))
         }
     };
     if pool.total_slots() == 0 {
         usage_exit("hosts file contributes no worker slots");
     }
-    let plan = wcs_shard::ShardPlan::new(tasks, k, parsed.strategy).unwrap_or_else(|e| fail(e));
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
     let base: Box<dyn wcs_dispatch::Transport> = Box::new(wcs_dispatch::SshExec::new(exe));
     let transport: Box<dyn wcs_dispatch::Transport> = if parsed.faults.is_empty() {
@@ -769,7 +769,7 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 let run_outcome = wcs_runtime::workload::WorkloadOutcome {
                     report: outcome.merge.report.clone(),
                     cache_hit: false,
-                    tasks_run: tasks,
+                    tasks_run: plan.task_count,
                     store_failed: false,
                 };
                 wcs_runtime::history::append_run_manifest(
@@ -780,9 +780,10 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 );
             }
             eprintln!(
-                "[dispatch {} ({}): {k} shards over {} slots, {} assigns, {} requeues, {} retries, {} deaths, {:.1}s]",
+                "[dispatch {} ({}): {} shards over {} slots, {} assigns, {} requeues, {} retries, {} deaths, {:.1}s]",
                 workload.name(),
                 workload.kind(),
+                plan.k,
                 pool.total_slots(),
                 outcome.stats.assignments,
                 outcome.stats.requeues,

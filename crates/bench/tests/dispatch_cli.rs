@@ -218,8 +218,8 @@ fn hosts_file_local_slots_drive_the_pool() {
 }
 
 #[test]
-fn empty_shards_start_no_worker() {
-    let dir = tmpdir("empty");
+fn more_shards_than_tasks_start_one_worker_per_task() {
+    let dir = tmpdir("one-task");
     let spec = dir.join("one-task.toml");
     std::fs::write(
         &spec,
@@ -246,8 +246,8 @@ fn empty_shards_start_no_worker() {
         String::from_utf8_lossy(&dispatched.stdout),
         "a 1-task spec at k = 6 diverged from the single-process run"
     );
-    // Five of the six shards hold no task: they get no worker and no
-    // slot.
+    // Asked for six shards of one task, the plan deals one: one
+    // manifest, one slot, one worker.
     let log = std::fs::read_to_string(&runlog).unwrap();
     assert_eq!(
         log.matches("\"name\":\"dispatch.assign\"").count(),
@@ -256,7 +256,7 @@ fn empty_shards_start_no_worker() {
     );
     let stderr = String::from_utf8_lossy(&dispatched.stderr);
     assert!(
-        stderr.contains("6 shards over 1 slots, 1 assigns"),
+        stderr.contains("1 shards over 1 slots, 1 assigns"),
         "{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -398,20 +398,16 @@ fn shard_plan_merge_and_dispatch_plan_a_sim_spec_once_at_any_k() {
         "write_plan plans each testbed once"
     );
     let plan = ShardPlan::new(tasks, k, ShardStrategy::Strided).unwrap();
+    assert_eq!((plan.k, paths.len()), (tasks, tasks), "one shard per task");
     for (shard, path) in paths.iter().enumerate() {
         // Loading the manifest plans nothing; the worker checks its task
-        // count against the task list it lowers anyway.
+        // count against the task list it lowers.
         let before = sim_plans(&log);
         let manifest = ShardManifest::load(path).unwrap();
         let partial = run_worker(&manifest, &Engine::serial(), None).unwrap();
-        let lowered = if plan.indices(shard).is_empty() {
-            0
-        } else {
-            testbeds
-        };
         assert_eq!(
             sim_plans(&log) - before,
-            lowered,
+            testbeds,
             "shard {shard}'s manifest load and worker"
         );
         partial

@@ -27,12 +27,10 @@ use crate::DispatchError;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use wcs_runtime::{AnyWorkload, Engine, WorkloadSpec};
-use wcs_shard::partial::run_worker;
+use wcs_runtime::{AnyWorkload, WorkloadSpec};
 use wcs_shard::{
     fold_worker_runlog, heartbeat_path, manifest_path, merge_dir_counted, partial_path,
-    worker_runlog_path, MergeOutcome, ShardError, ShardManifest, ShardPlan, ShardStrategy,
-    TaskCounts, WorkerInvocation,
+    worker_runlog_path, MergeOutcome, ShardPlan, ShardStrategy, WorkerInvocation,
 };
 use wcs_telemetry::metrics::{gauge_add, record_ns, GaugeId, HistId};
 use wcs_telemetry::Value;
@@ -141,10 +139,10 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Plan `workload` into `k` shards under `dir`, run every shard to
-    /// delivery (retrying/requeuing as needed), and merge. The merged
-    /// report is bitwise identical to a single-process run of the same
-    /// workload.
+    /// Plan `workload` into at most `k` shards (one per task) under
+    /// `dir`, run every shard to delivery (retrying/requeuing as
+    /// needed), and merge. The merged report is bitwise identical to a
+    /// single-process run of the same workload.
     pub fn run(
         &self,
         dir: &Path,
@@ -160,7 +158,8 @@ impl<'a> Dispatcher<'a> {
 
     /// [`Dispatcher::run`] for a `plan` the caller built from
     /// `workload`'s task count. That count is the only one a dispatch
-    /// takes: the merge checks every manifest against it.
+    /// takes: the merge checks the shard set against it. Every shard
+    /// goes to a worker.
     pub fn run_plan(
         &self,
         dir: &Path,
@@ -180,25 +179,13 @@ impl<'a> Dispatcher<'a> {
             .with("transport", self.transport.label())
             .start();
         wcs_shard::write_manifests(dir, workload, plan)?;
-        // A shard dealt no tasks gets no worker: its zero-row partial is
-        // written here, through the path a worker takes.
-        let mut pending = VecDeque::new();
-        for shard in 0..k {
-            if plan.indices(shard).is_empty() {
-                let manifest = ShardManifest::new(workload.clone(), plan, shard);
-                let partial = run_worker(&manifest, &Engine::serial(), None)?;
-                partial
-                    .save(&partial_path(dir, shard))
-                    .map_err(ShardError::from)?;
-            } else {
-                pending.push_back(Pending {
-                    shard,
-                    attempt: 1,
-                    eligible: Instant::now(),
-                });
-            }
-        }
-        let shards = pending.len();
+        let mut pending: VecDeque<Pending> = (0..k)
+            .map(|shard| Pending {
+                shard,
+                attempt: 1,
+                eligible: Instant::now(),
+            })
+            .collect();
 
         // Flatten the pool into slots; slot i belongs to host slot_host[i].
         let mut slot_host = Vec::with_capacity(total_slots);
@@ -222,7 +209,7 @@ impl<'a> Dispatcher<'a> {
         let mut stats = DispatchStats::default();
         let mut delivered = 0usize;
 
-        while delivered < shards {
+        while delivered < k {
             let now = Instant::now();
 
             // Assign eligible pending shards to free slots. Not-yet-
@@ -432,7 +419,7 @@ impl<'a> Dispatcher<'a> {
                 });
             }
 
-            if delivered < shards {
+            if delivered < k {
                 std::thread::sleep(self.options.poll_interval);
             }
         }
@@ -440,7 +427,7 @@ impl<'a> Dispatcher<'a> {
         let merge = merge_dir_counted(
             dir,
             cache.map(|c| c as &dyn wcs_runtime::ResultIndex),
-            &mut TaskCounts::known(workload, plan.task_count),
+            Some(plan.task_count),
         )?;
         Ok(DispatchOutcome { merge, stats })
     }

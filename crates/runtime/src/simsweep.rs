@@ -294,8 +294,8 @@ impl SimSweep {
     /// seconds-long simulation tasks, and keeping `SimSweep` plain
     /// immutable data avoids a memo cache that every axis-builder would
     /// have to invalidate. A run therefore asks `task_count()` only
-    /// when traced, a shard plan, dispatch or merge counts once
-    /// (`wcs_shard::TaskCounts`), and a spec may ask for at most
+    /// when traced, a shard plan, dispatch or merge counts once, and a
+    /// spec may ask for at most
     /// [`MAX_NODES`](wcs_sim::testbed::MAX_NODES) nodes. Each call is
     /// one `sim.plan` telemetry span.
     pub fn planned_for(&self, testbed_index: usize) -> Vec<PlannedPair> {

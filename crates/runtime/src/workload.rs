@@ -342,8 +342,6 @@ pub fn run_workload<W: Workload>(
 /// task alone, so slicing the task list slices the report.
 ///
 /// Panics if any index is out of range for the workload's task list.
-/// An empty selection is the zero-row report, made without lowering (a
-/// sim lowering plans every testbed).
 pub fn run_workload_subset<W: Workload + ?Sized>(
     w: &W,
     indices: &[usize],
@@ -361,9 +359,6 @@ fn counted_subset<W: Workload + ?Sized>(
     task_count: Option<usize>,
     engine: &Engine,
 ) -> Result<RunReport, usize> {
-    if indices.is_empty() {
-        return Ok(assemble(w, &[]));
-    }
     let tasks = w.lower();
     if task_count.is_some_and(|n| n != tasks.len()) {
         return Err(tasks.len());
@@ -441,7 +436,7 @@ impl AnyWorkload {
     /// [`run_workload_subset`] does. The lowering is the one place a
     /// shard worker learns the real task count, so it is checked there,
     /// before any task runs: `Err` carries the lowered count when it is
-    /// not `task_count`. An empty subset lowers and checks nothing.
+    /// not `task_count`.
     pub fn run_subset(
         &self,
         indices: &[usize],

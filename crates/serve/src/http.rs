@@ -7,7 +7,7 @@
 //! hatch for the `text/event-stream` row feed. Anything outside that
 //! subset is rejected up front rather than half-supported.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request body. Spec files are a few hundred bytes;
@@ -15,7 +15,7 @@ use std::net::TcpStream;
 pub const MAX_BODY: usize = 1 << 20;
 
 /// Largest accepted header section (request line + all header lines).
-const MAX_HEAD: usize = 64 * 1024;
+pub const MAX_HEAD: usize = 64 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -57,19 +57,24 @@ pub enum ReadOutcome {
     Request(Request),
     /// The peer closed without sending anything.
     Closed,
-    /// The declared body exceeds [`MAX_BODY`] (respond 413).
+    /// The head exceeds [`MAX_HEAD`] or the declared body exceeds
+    /// [`MAX_BODY`] (respond 413).
     TooLarge,
     /// Not parseable as HTTP/1.x (respond 400).
     Malformed,
 }
 
 /// Read and parse one request. I/O errors bubble; protocol problems are
-/// data, not errors (see [`ReadOutcome`]).
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<ReadOutcome> {
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(ReadOutcome::Closed);
-    }
+/// data, not errors (see [`ReadOutcome`]). The head is read through one
+/// [`MAX_HEAD`]-byte budget, so a line that never ends costs at most
+/// that much memory, and the body is read only up to its declared
+/// length: one request reads at most `MAX_HEAD + MAX_BODY` bytes.
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
+    let mut head = reader.by_ref().take(MAX_HEAD as u64);
+    let request_line = match head_line(&mut head)? {
+        Ok(line) => line,
+        Err(outcome) => return Ok(outcome),
+    };
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -81,17 +86,13 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<ReadOutcome
     let method = method.to_ascii_uppercase();
 
     let mut headers = Vec::new();
-    let mut head_bytes = request_line.len();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(ReadOutcome::Malformed); // EOF inside the header block
-        }
-        head_bytes += line.len();
-        if head_bytes > MAX_HEAD {
-            return Ok(ReadOutcome::TooLarge);
-        }
-        let line = line.trim_end_matches(['\r', '\n']);
+        let line = match head_line(&mut head)? {
+            Ok(line) => line,
+            // The stream ended inside the header block.
+            Err(ReadOutcome::Closed) => return Ok(ReadOutcome::Malformed),
+            Err(outcome) => return Ok(outcome),
+        };
         if line.is_empty() {
             break;
         }
@@ -111,7 +112,13 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<ReadOutcome
         Some(Ok(n)) if n > MAX_BODY => return Ok(ReadOutcome::TooLarge),
         Some(Ok(n)) => {
             let mut body = vec![0u8; n];
-            reader.read_exact(&mut body)?;
+            match reader.read_exact(&mut body) {
+                // The stream ended inside the declared body.
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                    return Ok(ReadOutcome::Malformed)
+                }
+                read => read?,
+            }
             body
         }
     };
@@ -140,6 +147,29 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<ReadOutcome
         headers,
         body,
     }))
+}
+
+/// The next line of a request head, read through `head` (the reader
+/// capped at what is left of [`MAX_HEAD`]), without its line ending. A
+/// line the cap cuts off is `TooLarge`; one the end of the stream cuts
+/// off is `Closed` if it is empty and `Malformed` otherwise, as is a
+/// line that is not UTF-8.
+fn head_line<R: BufRead>(head: &mut io::Take<R>) -> io::Result<Result<String, ReadOutcome>> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') {
+        return Ok(Err(if head.limit() == 0 {
+            ReadOutcome::TooLarge
+        } else if line.is_empty() {
+            ReadOutcome::Closed
+        } else {
+            ReadOutcome::Malformed
+        }));
+    }
+    while matches!(line.last(), Some(b'\r' | b'\n')) {
+        line.pop();
+    }
+    Ok(String::from_utf8(line).map_err(|_| ReadOutcome::Malformed))
 }
 
 /// Decode `%XX` escapes and `+`-for-space. Invalid escapes pass through
@@ -219,6 +249,60 @@ pub fn sse_preamble(stream: &mut TcpStream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_line_that_never_ends_is_too_large_after_the_head_budget() {
+        let flood = vec![b'A'; 10 << 20];
+        let mut unread = &flood[..];
+        assert!(matches!(
+            read_request(&mut unread).unwrap(),
+            ReadOutcome::TooLarge
+        ));
+        let read = flood.len() - unread.len();
+        assert!(read <= MAX_HEAD + 1, "read {read} bytes");
+        // So is a header line that never ends, and a head of many short
+        // header lines past the budget.
+        let mut long_header = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        long_header.extend(&flood[..MAX_HEAD]);
+        let many = format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(MAX_HEAD / 4));
+        for head in [&long_header[..], many.as_bytes()] {
+            assert!(matches!(
+                read_request(&mut &head[..]).unwrap(),
+                ReadOutcome::TooLarge
+            ));
+        }
+    }
+
+    #[test]
+    fn heads_read_as_requests_or_outcomes() {
+        let read = |text: &str| read_request(&mut text.as_bytes()).unwrap();
+        match read("POST /v1/jobs?x=1 HTTP/1.1\r\nContent-Length: 2\r\n\r\nab") {
+            ReadOutcome::Request(req) => {
+                assert_eq!(
+                    (req.method.as_str(), req.path.as_str()),
+                    ("POST", "/v1/jobs")
+                );
+                assert_eq!(req.query_param("x"), Some("1"));
+                assert_eq!(req.body, b"ab");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(read(""), ReadOutcome::Closed));
+        for cut in [
+            "GET / HTTP/1.1",
+            "GET / HTTP/1.1\r\nHost: x\r\n",
+            "GET / HTTP/1.1\r\nHost",
+            "POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nab",
+            "GET / FTP/1.0\r\n\r\n",
+        ] {
+            assert!(matches!(read(cut), ReadOutcome::Malformed), "{cut:?}");
+        }
+        let big = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        assert!(matches!(read(&big), ReadOutcome::TooLarge));
+    }
 
     #[test]
     fn percent_decoding_is_permissive() {

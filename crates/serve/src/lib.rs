@@ -357,7 +357,8 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
             413,
             "Payload Too Large",
             &format!(
-                "{{\"error\":\"body too large (limit {} bytes)\"}}",
+                "{{\"error\":\"request too large (limits: head {} bytes, body {} bytes)\"}}",
+                http::MAX_HEAD,
                 http::MAX_BODY
             ),
         ),

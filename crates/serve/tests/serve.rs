@@ -601,6 +601,27 @@ fn full_queue_refuses_with_503_and_health_metrics_respond() {
 }
 
 #[test]
+fn an_endless_head_line_gets_413_and_the_daemon_keeps_serving() {
+    let dir = tmpdir("endless");
+    let server = server_over(&dir, test_cfg());
+    let addr = server.addr();
+    // A request line that fills the whole head budget and never ends.
+    // Exactly the budget, so the daemon reads all of it and its close
+    // cannot reset the connection before the reply is read.
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(&vec![b'A'; wcs_serve::http::MAX_HEAD])
+        .expect("send");
+    let mut response = String::new();
+    s.read_to_string(&mut response).expect("read");
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response:.80}");
+    assert!(response.contains("too large"), "{response}");
+    let (status, body) = http(addr, "GET", "/v1/healthz", &[], "");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn per_job_runlogs_are_valid_wcs_runlog_v1() {
     let parent = tmpdir("joblogs");
     let cache = parent.join("cache");

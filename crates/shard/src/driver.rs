@@ -143,9 +143,10 @@ pub fn find_manifests(dir: &Path) -> Result<Vec<PathBuf>, ShardError> {
     Ok(out)
 }
 
-/// Slice a workload into `k` shards and write one manifest per shard
-/// under `dir` (created if missing) with [`write_manifests`]. Counts the
-/// workload's tasks once. Returns the manifest paths in shard order.
+/// Slice a workload into at most `k` shards (one per task, see
+/// [`ShardPlan::new`]) and write one manifest per shard under `dir`
+/// (created if missing) with [`write_manifests`]. Counts the workload's
+/// tasks once. Returns the manifest paths in shard order.
 pub fn write_plan(
     dir: &Path,
     workload: impl Into<AnyWorkload>,

@@ -13,10 +13,11 @@
 //!
 //! The moving parts:
 //!
-//! * a [`ShardPlan`] slicing the task index space
-//!   contiguously or strided ([`plan`]) — strided balances heterogeneous
-//!   N-pair grids, where per-task cost grows O(N²), much better than
-//!   contiguous slices (property-checked in [`plan`]'s tests),
+//! * a [`ShardPlan`] slicing the task index space into at most one
+//!   shard per task, contiguously or strided ([`plan`]) — strided
+//!   balances heterogeneous N-pair grids, where per-task cost grows
+//!   O(N²), much better than contiguous slices (property-checked in
+//!   [`plan`]'s tests),
 //! * on-disk **shard manifests** ([`manifest`]): one TOML-ish file per
 //!   shard that round-trips the full sweep spec (via
 //!   [`wcs_runtime::spec`]) plus the shard coordinates, with the sweep's
@@ -48,7 +49,7 @@ pub use driver::{
     fold_worker_runlog, heartbeat_path, manifest_path, partial_path, worker_runlog_path,
     write_manifests, write_plan, WorkerInvocation,
 };
-pub use manifest::{ShardManifest, TaskCounts};
+pub use manifest::ShardManifest;
 pub use merge::{merge_dir, merge_dir_counted, merge_partials, MergeOutcome};
 pub use partial::{partial_cache_name, PartialReport};
 pub use plan::{ShardPlan, ShardStrategy};

@@ -12,12 +12,13 @@
 //! corrupted in transit between hosts) is rejected instead of silently
 //! computing different numbers under the original identity.
 //!
-//! The recorded task count is checked once, by whoever holds the tasks
-//! (a sim workload's count plans every testbed): the worker against the
-//! lowered task list or the indexed full report
-//! ([`crate::partial::run_worker`]), the merge against the workload's
-//! count ([`crate::merge_dir`]). Loading bounds it by `MAX_TASKS` so an
-//! unchecked claim sizes nothing a spec could not.
+//! The recorded task count is checked by whoever holds the tasks (a sim
+//! workload's count plans every testbed): each worker against the task
+//! list it lowers or the indexed full report it slices
+//! ([`crate::partial::run_worker`]), and the merge once for the whole
+//! set ([`crate::merge_dir`]). Loading bounds it by `MAX_TASKS` so an
+//! unchecked claim sizes nothing a spec could not, and refuses a `k`
+//! that [`ShardPlan::new`] would not deal for it.
 //!
 //! ```text
 //! # wcs-shard manifest v1
@@ -57,30 +58,6 @@ pub struct ShardManifest {
     /// `workload.task_count()` at planning time, checked against the
     /// tasks by the worker and the merge (see the module docs).
     pub task_count: usize,
-}
-
-/// The task counts a process has already taken, one per distinct
-/// workload. A sim workload's `task_count()` plans every testbed, so a
-/// plan, a dispatch or a merge that checks many manifests of one
-/// workload counts it once through this.
-#[derive(Debug, Default)]
-pub struct TaskCounts(Vec<(AnyWorkload, usize)>);
-
-impl TaskCounts {
-    /// Seeded with a count already taken: the one a plan was built from.
-    pub fn known(workload: &AnyWorkload, task_count: usize) -> Self {
-        TaskCounts(vec![(workload.clone(), task_count)])
-    }
-
-    /// `workload.task_count()`, counted the first time it is asked for.
-    pub fn of(&mut self, workload: &AnyWorkload) -> usize {
-        if let Some(&(_, n)) = self.0.iter().find(|(w, _)| w == workload) {
-            return n;
-        }
-        let n = workload.task_count();
-        self.0.push((workload.clone(), n));
-        n
-    }
 }
 
 impl ShardManifest {
@@ -147,8 +124,9 @@ impl ShardManifest {
     }
 
     /// Parse a manifest document, verifying the embedded spec hash,
-    /// workload kind and shard coordinates. The task count is bounded
-    /// here and checked against the tasks later (see the module docs).
+    /// workload kind and shard coordinates (the plan's `k` included).
+    /// The task count is bounded here and checked against the tasks
+    /// later (see the module docs).
     /// `path` is only used for error messages.
     pub fn parse(text: &str, path: &Path) -> Result<Self, ShardError> {
         let parse_err = |message: String| ShardError::Parse {
@@ -255,7 +233,7 @@ impl ShardManifest {
                 "task_count {task_count} is over the cap of {MAX_TASKS} tasks"
             )));
         }
-        ShardPlan::new(task_count, k, strategy).map_err(|e| parse_err(e.to_string()))?;
+        ShardPlan::recorded(task_count, k, strategy).map_err(|e| parse_err(e.to_string()))?;
         if shard >= k {
             return Err(parse_err(format!(
                 "shard index {shard} out of range for k = {k}"
@@ -274,15 +252,6 @@ impl ShardManifest {
     pub fn load(path: &Path) -> Result<Self, ShardError> {
         let text = std::fs::read_to_string(path)?;
         ShardManifest::parse(&text, path)
-    }
-
-    /// [`ShardManifest::load`], then its task count checked against the
-    /// workload's, taken from `counts` (so manifests of one workload
-    /// count it once).
-    pub(crate) fn load_counted(path: &Path, counts: &mut TaskCounts) -> Result<Self, ShardError> {
-        let manifest = ShardManifest::load(path)?;
-        manifest.check_task_count(counts.of(&manifest.workload), path)?;
-        Ok(manifest)
     }
 
     /// Refuse this manifest, read from `path`, unless its task count is
@@ -426,9 +395,10 @@ mod tests {
         run_workload(&s, &Engine::serial(), Some(&cache));
         let sliced = run_worker(&stale, &Engine::serial(), Some(&cache)).map(|_| ());
         assert_eq!(refusal(sliced), expected);
-        let file = dir.join("shard-0000.manifest.toml");
-        std::fs::write(&file, &tampered).unwrap();
-        let merged = ShardManifest::load_counted(&file, &mut TaskCounts::default()).map(|_| ());
+        let plan_dir = dir.join("plan");
+        std::fs::create_dir_all(&plan_dir).unwrap();
+        std::fs::write(crate::manifest_path(&plan_dir, 0), &tampered).unwrap();
+        let merged = crate::merge_dir(&plan_dir, None).map(|_| ());
         assert_eq!(refusal(merged), expected);
         // A count no spec lowers to is refused on load: it would size
         // the shard's index list before any check.

@@ -1,13 +1,15 @@
 //! Deterministic index-order merge of shard partials.
 //!
 //! The merge trusts nothing. [`merge_dir`] loads each manifest of a plan
-//! directory once and passes each shard's partial through the one gate
-//! in [`crate::partial`], which checks it against that manifest. Then
-//! [`merge_partials`] checks the set: every partial must carry the
-//! **same** workload kind (model and sim shards are never mixed),
-//! canonical spec string (full string, not just the hash), seed, shard
-//! count, strategy, task count and column layout; the shard indices must
-//! tile `0..k` with no duplicates (overlap) and no holes (gap); and every
+//! directory once, counts the workload's tasks once, and passes each
+//! shard's partial through the one gate in [`crate::partial`], which
+//! checks it against that manifest. Then [`merge_partials`] checks the
+//! set: every partial must carry the **same** workload kind (model and
+//! sim shards are never mixed), canonical spec string (full string, not
+//! just the hash), seed, shard count, strategy, task count and column
+//! layout; the shard count must be the one a plan deals for that task
+//! count, and the shard indices must tile `0..k` with no duplicates
+//! (overlap) and no holes (gap); and every
 //! partial's row count must equal its slice length × the workload's
 //! per-task row block size. Nothing is allocated in proportion to a
 //! count a partial claims until its rows back that count. Only then are
@@ -21,7 +23,7 @@
 //! from its cached partial blob instead of failing the merge — only a
 //! shard the index has never seen is a genuine gap.
 
-use crate::manifest::{ShardManifest, TaskCounts};
+use crate::manifest::ShardManifest;
 use crate::partial::PartialReport;
 use crate::{driver, ShardError};
 use std::path::Path;
@@ -70,8 +72,8 @@ pub fn merge_partials(parts: &[PartialReport]) -> Result<RunReport, ShardError> 
             )));
         }
     }
-    // The plan refuses an impossible k before it sizes anything.
-    let plan = crate::plan::ShardPlan::new(first.task_count, k, first.strategy)?;
+    // The plan refuses a k it would not deal before it sizes anything.
+    let plan = crate::plan::ShardPlan::recorded(first.task_count, k, first.strategy)?;
     // Exactly one partial per shard index: duplicates are overlapping
     // slices, absences are gaps. (Parsing rejects shard >= k, but a
     // programmatically built PartialReport can still carry one.)
@@ -136,7 +138,7 @@ pub struct MergeOutcome {
     pub report: RunReport,
     /// The workload the shards were slices of (from the manifests).
     pub workload: AnyWorkload,
-    /// Its task count, as every manifest was checked against.
+    /// Its task count, as the shard set was checked against.
     pub task_count: usize,
     /// How many shards were merged.
     pub shards: usize,
@@ -153,31 +155,35 @@ pub struct MergeOutcome {
 /// (scenario hash, seed) key a single-process run would use, so the
 /// *next* `repro sweep` of this spec is a cache hit.
 pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOutcome, ShardError> {
-    merge_dir_counted(dir, index, &mut TaskCounts::default())
+    merge_dir_counted(dir, index, None)
 }
 
-/// [`merge_dir`], checking each manifest's task count against `counts`
-/// (so the workload is counted at most once, and not at all when the
-/// caller seeded `counts` with the count it planned from).
+/// [`merge_dir`] with the workload's task count already taken: a
+/// dispatch passes the count it planned from, so the merge counts
+/// nothing. `None` counts the first manifest's workload once.
 pub fn merge_dir_counted(
     dir: &Path,
     index: Option<&dyn ResultIndex>,
-    counts: &mut TaskCounts,
+    task_count: Option<usize>,
 ) -> Result<MergeOutcome, ShardError> {
     let mut span = wcs_telemetry::span("shard.merge").start();
-    let mut manifests = Vec::new();
-    for path in driver::find_manifests(dir)? {
-        manifests.push(ShardManifest::load_counted(&path, counts)?);
+    let paths = driver::find_manifests(dir)?;
+    let mut manifests = Vec::with_capacity(paths.len());
+    for path in &paths {
+        manifests.push(ShardManifest::load(path)?);
     }
-    if manifests.is_empty() {
+    let Some(first) = manifests.first() else {
         return Err(ShardError::SpecMismatch(format!(
             "no shard manifests in {}",
             dir.display()
         )));
-    }
-    // Each partial is checked against its own manifest here, and the set
-    // against itself by merge_partials, so manifests that disagree with
-    // each other are refused there.
+    };
+    // Only the first manifest is checked against the count: each partial
+    // is checked against its own manifest here, and the set against
+    // itself (one spec, one task count) by merge_partials, so manifests
+    // that disagree with each other are refused there.
+    let counted = task_count.unwrap_or_else(|| first.workload.task_count());
+    first.check_task_count(counted, &paths[0])?;
     let mut parts = Vec::with_capacity(manifests.len());
     let mut shards_from_cache = 0;
     for manifest in &manifests {

@@ -93,10 +93,11 @@ pub(crate) fn load_cached_partial(
 ///
 /// This is where the manifest's task count is checked, once, against
 /// what the worker holds: the full report it slices, or the task list
-/// it lowers to compute (a shard dealt no tasks lowers nothing; the
-/// merge checks its count). A wrong count is refused before any task
-/// runs. A cached partial passes the gate only with the manifest's
-/// count, and only a worker that checked it stores one.
+/// it lowers to compute. Every shard holds at least one task (bar the
+/// one shard of a zero-task workload, which lowers its empty list all
+/// the same), so every worker checks. A wrong count is refused before
+/// any task runs. A cached partial passes the gate only with the
+/// manifest's count, and only a worker that checked it stores one.
 pub fn run_worker(
     manifest: &ShardManifest,
     engine: &Engine,

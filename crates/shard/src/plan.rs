@@ -1,5 +1,11 @@
 //! Partitioning the task index space into K shards.
 //!
+//! A plan never deals more shards than tasks: asked for K shards of N
+//! tasks it deals min(K, N), so every shard has a worker's worth of
+//! work (a zero-task workload gets one empty shard). Manifests and
+//! partials record the dealt K, and a set whose K is not what the plan
+//! deals for its task count is refused.
+//!
 //! Both strategies partition `0..task_count` exactly (every index in
 //! exactly one shard), so an index-order merge of all K slices
 //! reconstructs the full task list. The choice only affects load balance:
@@ -50,18 +56,18 @@ impl ShardStrategy {
 pub struct ShardPlan {
     /// Number of tasks being partitioned.
     pub task_count: usize,
-    /// Number of shards.
+    /// Number of shards: the `k` asked for, at most one per task.
     pub k: usize,
     /// How indices are dealt to shards.
     pub strategy: ShardStrategy,
 }
 
 impl ShardPlan {
-    /// A plan splitting `task_count` tasks into `k` shards. `k` must be
-    /// at least 1 and at most [`MAX_TASKS`]; shards beyond the task count
-    /// come out empty (legal — their partial reports merge as zero
-    /// rows), and no spec lowers to more than `MAX_TASKS` tasks, so a
-    /// larger `k` would only add empty shards, one manifest file each.
+    /// A plan splitting `task_count` tasks into at most `k` shards. `k`
+    /// must be at least 1 and at most [`MAX_TASKS`] (no spec lowers to
+    /// more tasks). The plan deals `min(k, max(task_count, 1))` shards,
+    /// so every shard holds a task, except the one shard of a
+    /// zero-task workload.
     pub fn new(task_count: usize, k: usize, strategy: ShardStrategy) -> Result<Self, ShardError> {
         if k == 0 || k as u64 > MAX_TASKS {
             return Err(ShardError::SpecMismatch(format!(
@@ -70,9 +76,27 @@ impl ShardPlan {
         }
         Ok(ShardPlan {
             task_count,
-            k,
+            k: k.min(task_count.max(1)),
             strategy,
         })
+    }
+
+    /// The plan a manifest or partial set records: refused unless
+    /// [`ShardPlan::new`] deals exactly `k` shards for `task_count`
+    /// tasks (only an older binary or a hand edit writes another `k`).
+    pub(crate) fn recorded(
+        task_count: usize,
+        k: usize,
+        strategy: ShardStrategy,
+    ) -> Result<Self, ShardError> {
+        let plan = ShardPlan::new(task_count, k, strategy)?;
+        if plan.k != k {
+            return Err(ShardError::SpecMismatch(format!(
+                "k = {k} is not the {} shard(s) a plan deals {task_count} tasks",
+                plan.k
+            )));
+        }
+        Ok(plan)
     }
 
     /// The task indices of shard `shard` (ascending). Panics if
@@ -152,14 +176,28 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_tasks_leaves_empty_tails() {
-        let plan = ShardPlan::new(2, 5, ShardStrategy::Contiguous).unwrap();
-        assert_eq!(plan.indices(0).len(), 1);
-        assert_eq!(plan.indices(1).len(), 1);
-        for s in 2..5 {
-            assert_eq!(plan.indices(s).len(), 0);
+    fn more_shards_than_tasks_deal_one_shard_per_task() {
+        for strategy in [ShardStrategy::Contiguous, ShardStrategy::Strided] {
+            let plan = ShardPlan::new(2, 5, strategy).unwrap();
+            assert_eq!(plan.k, 2);
+            assert_eq!(plan.indices(0), vec![0]);
+            assert_eq!(plan.indices(1), vec![1]);
+            assert_partition(&plan);
+            // Only a zero-task workload has an empty shard, and just one.
+            let empty = ShardPlan::new(0, 5, strategy).unwrap();
+            assert_eq!(empty.k, 1);
+            assert!(empty.indices(0).is_empty());
+            assert_partition(&empty);
         }
-        assert_partition(&plan);
+        // A recorded k is refused unless `new` deals it.
+        assert!(ShardPlan::recorded(2, 2, ShardStrategy::Strided).is_ok());
+        assert!(ShardPlan::recorded(0, 1, ShardStrategy::Strided).is_ok());
+        for (tasks, k) in [(2, 5), (0, 2), (2, 0)] {
+            assert!(matches!(
+                ShardPlan::recorded(tasks, k, ShardStrategy::Contiguous),
+                Err(ShardError::SpecMismatch(_))
+            ));
+        }
     }
 
     #[test]

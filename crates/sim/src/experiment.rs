@@ -880,23 +880,6 @@ pub fn plan_ensemble(
     planned
 }
 
-/// Sample `n_points` node-disjoint link pairs from `links` and run the
-/// best-fixed protocol on each, serially: [`plan_ensemble`], then
-/// [`run_pair_experiment_with`] per planned pair. The parallel harnesses
-/// (`wcs-bench`, the `wcs-runtime` sim workload) fan the same planned
-/// pairs out on the engine and produce identical points.
-pub fn run_ensemble(
-    testbed: &Testbed,
-    links: &[CandidateLink],
-    n_points: usize,
-    cfg: &ExperimentConfig,
-) -> Vec<ExperimentPoint> {
-    plan_ensemble(links, n_points, cfg)
-        .iter()
-        .map(|p| run_pair_experiment_with(testbed, p.pairs, cfg, p.seed, RateStrategy::BestFixed))
-        .collect()
-}
-
 /// Aggregate an ensemble into the paper's summary-table numbers.
 pub fn summarize(points: &[ExperimentPoint]) -> StrategySummary {
     assert!(!points.is_empty());
@@ -910,59 +893,24 @@ pub fn summarize(points: &[ExperimentPoint]) -> StrategySummary {
     }
 }
 
-/// The §5 informal experiment: on short-range pairs, compare
-/// (a) base-rate throughput, (b) bitrate adaptation alone (best fixed
-/// rate under carrier sense), (c) perfect exposed-terminal exploitation
-/// at base rate (best of CS/concurrency at 6 Mbps), and (d) both.
-/// The paper finds (b) ≈ 2× (a), (c) ≈ +10 %, and (d) ≈ +3 % over (b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExposedVsRate {
-    /// Mean combined pkt/s at the 6 Mbps base rate under carrier sense.
-    pub base_rate_cs_pps: f64,
-    /// Mean combined pkt/s at the best fixed rate under carrier sense.
-    pub adapted_cs_pps: f64,
-    /// Mean combined pkt/s at 6 Mbps with perfect concurrency
-    /// exploitation (max of CS and concurrency per point).
-    pub base_rate_exposed_pps: f64,
-    /// Mean combined pkt/s with both (max of CS and concurrency, best
-    /// rate).
-    pub adapted_exposed_pps: f64,
-}
-
-/// Run the §5 comparison over an ensemble of short-range points.
-pub fn exposed_vs_rate(
-    testbed: &Testbed,
-    links: &[CandidateLink],
-    n_points: usize,
-    cfg: &ExperimentConfig,
-) -> ExposedVsRate {
-    let base_cfg = ExperimentConfig {
-        rates_mbps: vec![6.0],
-        ..cfg.clone()
-    };
-    let base_points = run_ensemble(testbed, links, n_points, &base_cfg);
-    let full_points = run_ensemble(testbed, links, n_points, cfg);
-    let mean = |f: &dyn Fn(&ExperimentPoint) -> f64, pts: &[ExperimentPoint]| {
-        pts.iter().map(f).sum::<f64>() / pts.len() as f64
-    };
-    ExposedVsRate {
-        base_rate_cs_pps: mean(&|p| p.carrier_sense_pps, &base_points),
-        adapted_cs_pps: mean(&|p| p.carrier_sense_pps, &full_points),
-        base_rate_exposed_pps: mean(
-            &|p| p.carrier_sense_pps.max(p.concurrency_pps),
-            &base_points,
-        ),
-        adapted_exposed_pps: mean(
-            &|p| p.carrier_sense_pps.max(p.concurrency_pps),
-            &full_points,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testbed::TestbedConfig;
+
+    /// `n` planned pairs under the best-fixed protocol, run in plan
+    /// order.
+    fn best_fixed_points(
+        t: &Testbed,
+        links: &[CandidateLink],
+        n: usize,
+        cfg: &ExperimentConfig,
+    ) -> Vec<ExperimentPoint> {
+        plan_ensemble(links, n, cfg)
+            .iter()
+            .map(|p| run_pair_experiment_with(t, p.pairs, cfg, p.seed, RateStrategy::BestFixed))
+            .collect()
+    }
 
     fn quick_cfg() -> ExperimentConfig {
         // Shorter runs and a reduced sweep keep unit tests fast; the full
@@ -1075,7 +1023,7 @@ mod tests {
     fn ensemble_summary_has_cs_near_optimal() {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
-        let points = run_ensemble(&t, &links, 6, &quick_cfg());
+        let points = best_fixed_points(&t, &links, 6, &quick_cfg());
         assert_eq!(points.len(), 6);
         let s = summarize(&points);
         assert!(s.cs_fraction() > 0.80, "CS {} of optimal", s.cs_fraction());
@@ -1092,8 +1040,8 @@ mod tests {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
         let cfg = quick_cfg();
-        let a = run_ensemble(&t, &links, 2, &cfg);
-        let b = run_ensemble(&t, &links, 2, &cfg);
+        let a = best_fixed_points(&t, &links, 2, &cfg);
+        let b = best_fixed_points(&t, &links, 2, &cfg);
         assert_eq!(a, b);
     }
 
@@ -1113,11 +1061,6 @@ mod tests {
             let fixed = run(RateStrategy::BestFixed);
             assert!(a.optimal_pps() > 0.25 * fixed.optimal_pps());
         }
-        // BestFixed through the _with seam is the ensemble's path, bitwise.
-        let p = &planned[0];
-        let through_seam =
-            run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, RateStrategy::BestFixed);
-        assert_eq!(run_ensemble(&t, &links, 2, &cfg)[0], through_seam);
     }
 
     /// A fresh pool of one slot for `p` at every threshold of `grid`,
@@ -1433,17 +1376,17 @@ mod tests {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
         let cfg = quick_cfg();
-        let serial = run_ensemble(&t, &links, 3, &cfg);
+        let forward = best_fixed_points(&t, &links, 3, &cfg);
         let planned = plan_ensemble(&links, 3, &cfg);
         assert_eq!(planned.len(), 3);
         // Execute planned tasks in reverse, then restore order: results
-        // must match the serial run exactly (task independence).
+        // must match the forward run exactly (task independence).
         let mut reversed: Vec<ExperimentPoint> = planned
             .iter()
             .rev()
             .map(|p| run_pair_experiment_with(&t, p.pairs, &cfg, p.seed, RateStrategy::BestFixed))
             .collect();
         reversed.reverse();
-        assert_eq!(serial, reversed);
+        assert_eq!(forward, reversed);
     }
 }

@@ -541,6 +541,7 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
     use crate::jsonl::MemoryCollector;
+    use std::sync::PoisonError;
 
     // The facade is process-global state; tests that install a collector
     // serialize on this lock so cargo's parallel test threads cannot
@@ -549,7 +550,7 @@ mod tests {
 
     #[test]
     fn disabled_facade_is_inert_but_counters_register() {
-        let _g = GLOBAL.lock().unwrap();
+        let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
         uninstall();
         assert!(!enabled());
         let before = counter_total("test.inert");
@@ -564,7 +565,7 @@ mod tests {
 
     #[test]
     fn spans_counters_and_warns_reach_the_collector() {
-        let _g = GLOBAL.lock().unwrap();
+        let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
         let mem = Arc::new(MemoryCollector::default());
         install(mem.clone());
         {

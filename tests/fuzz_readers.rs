@@ -1,8 +1,8 @@
 //! Mutation fuzzing of every reader of the reproduction's files and of
-//! the dispatcher's command-line input: result-store entries, shard
+//! the dispatcher's and the daemon's input: result-store entries, shard
 //! partials (as plan-directory files and as index blobs), shard
-//! manifests, run logs, run manifests, hosts files, fault specs and spec
-//! files.
+//! manifests, run logs, run manifests, hosts files, fault specs, spec
+//! files and HTTP request heads.
 //!
 //! Each property takes a valid document, applies one to three seeded
 //! edits (truncation, a deleted or doubled line, a number swapped for a
@@ -23,8 +23,8 @@ use in_defense_of_carrier_sense::runtime::{
     WorkloadKind, WorkloadOutcome, WorkloadSpec,
 };
 use in_defense_of_carrier_sense::shard::{
-    merge_dir, partial::run_worker, partial_cache_name, partial_path, write_plan, PartialReport,
-    ShardManifest, ShardPlan, ShardStrategy,
+    merge_dir, merge_partials, partial::run_worker, partial_cache_name, partial_path, write_plan,
+    PartialReport, ShardError, ShardManifest, ShardPlan, ShardStrategy,
 };
 use in_defense_of_carrier_sense::telemetry::json::{event_from_json, event_to_json};
 use in_defense_of_carrier_sense::telemetry::jsonl::{parse_runlog, parse_runlog_lenient, SCHEMA};
@@ -32,6 +32,7 @@ use in_defense_of_carrier_sense::telemetry::{metrics, summary, Event, EventKind,
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use wcs_dispatch::{fault::parse_spec, HostPool};
+use wcs_serve::http::{read_request, MAX_BODY, MAX_HEAD};
 
 /// Numbers a mutation splices in place of a digit run.
 const NUMBERS: &[&str] = &[
@@ -221,8 +222,30 @@ const HOSTS: &str = "# fleet\n\
                      exec slots=4 exe=/opt/bin/repro ssh user@hostB  # comment\n\
                      exec fetch=\"scp hostC:{path} {path}\" ssh user@hostC\n";
 
+/// Request heads the daemon reads: a GET with a query string and a POST
+/// of a spec body.
+const HEADS: [&str; 2] = [
+    "GET /v1/results?kind=sim&limit=5 HTTP/1.1\r\nHost: x\r\nLast-Event-ID: 3\r\n\r\n",
+    "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 24\r\n\r\nname = \"fuzz\"\nseed = 11\n",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn http_heads_read_to_an_outcome_within_their_budget(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::new(seed);
+        let head = HEADS[(rng.next_u64() % HEADS.len() as u64) as usize];
+        let mut input = mutate(head, &mut rng).into_bytes();
+        // Half the cases run on into a flood that never ends a line.
+        if rng.next_u64().is_multiple_of(2) {
+            input.resize(input.len() + MAX_HEAD + MAX_BODY, b'A');
+        }
+        let mut unread = &input[..];
+        let outcome = read_request(&mut unread);
+        prop_assert!(outcome.is_ok(), "{outcome:?}");
+        prop_assert!(input.len() - unread.len() <= MAX_HEAD + MAX_BODY);
+    }
 
     #[test]
     fn cache_entry_reader_never_panics(seed in 0u64..u64::MAX) {
@@ -375,6 +398,53 @@ fn every_number_a_partial_or_manifest_header_claims_is_checked() {
         std::fs::write(&path, doc).unwrap();
     }
     assert!(merge_dir(&dir, None).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shard_count_the_plan_would_not_deal_is_refused() {
+    // An older binary dealt empty shards: a 2-task workload at k = 3
+    // got a zero-row third shard. Its manifests and its partial set
+    // tile that plan, and each is refused with a structured error.
+    let sweep = tiny_sweep().sigmas(&[0.0]).topologies(&[Topology::TwoPair]);
+    assert_eq!(sweep.task_count(), 2);
+    let dir = tmpdir("k-over-tasks");
+    let paths = write_plan(&dir, &sweep, 3, ShardStrategy::Contiguous).unwrap();
+    assert_eq!(paths.len(), 2, "one shard per task");
+    let text = std::fs::read_to_string(&paths[0]).unwrap();
+    let over = text.replacen("k = 2\n", "k = 3\n", 1);
+    assert_ne!(over, text);
+    assert!(matches!(
+        ShardManifest::parse(&over, Path::new("x")),
+        Err(ShardError::Parse { .. })
+    ));
+    std::fs::write(&paths[0], &over).unwrap();
+    assert!(matches!(
+        merge_dir(&dir, None),
+        Err(ShardError::Parse { .. })
+    ));
+    let plan = ShardPlan::new(2, 2, ShardStrategy::Contiguous).unwrap();
+    let mut parts: Vec<PartialReport> = (0..2)
+        .map(|i| {
+            run_worker(
+                &ShardManifest::new(&sweep, &plan, i),
+                &Engine::serial(),
+                None,
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut empty = parts[0].clone();
+    empty.shard = 2;
+    empty.report.rows.clear();
+    parts.push(empty);
+    for p in &mut parts {
+        p.k = 3;
+    }
+    assert!(matches!(
+        merge_partials(&parts),
+        Err(ShardError::SpecMismatch(_))
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -532,7 +602,7 @@ proptest! {
             ShardStrategy::Strided
         };
         let plan = ShardPlan::new(workload.task_count(), k, strategy).unwrap();
-        let m = ShardManifest::new(workload, &plan, (rng.next_u64() % k as u64) as usize);
+        let m = ShardManifest::new(workload, &plan, (rng.next_u64() % plan.k as u64) as usize);
         let text = m.to_toml();
         let back = ShardManifest::parse(&text, Path::new("x")).unwrap();
         prop_assert_eq!(&back, &m);

@@ -33,7 +33,7 @@ fn tiny_scenarios() -> Vec<Sweep> {
 
 fn shard_and_merge(workload: &AnyWorkload, k: usize, strategy: ShardStrategy) -> String {
     let plan = ShardPlan::new(workload.task_count(), k, strategy).unwrap();
-    let parts: Vec<PartialReport> = (0..k)
+    let parts: Vec<PartialReport> = (0..plan.k)
         .map(|i| {
             // Alternate worker thread counts: shard determinism must not
             // depend on every worker using the same engine width.
@@ -348,7 +348,7 @@ proptest! {
         let strategy = if strided == 0 { ShardStrategy::Contiguous } else { ShardStrategy::Strided };
         let plan = ShardPlan::new(sweep.task_count(), k, strategy).unwrap();
         let mut covered: Vec<usize> = Vec::new();
-        for shard in 0..k {
+        for shard in 0..plan.k {
             let m = ShardManifest::new(&sweep, &plan, shard);
             let parsed = ShardManifest::parse(
                 &m.to_toml(),

@@ -22,7 +22,7 @@ use in_defense_of_carrier_sense::shard::{
 };
 use in_defense_of_carrier_sense::telemetry;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -59,7 +59,7 @@ fn run_with_cache(
 
 #[test]
 fn telemetry_on_and_off_produce_identical_bytes() {
-    let _g = GLOBAL.lock().unwrap();
+    let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::uninstall();
     for name in ["figure4-family", "npair-scaling"] {
         let workload = builtin(name);
@@ -97,7 +97,7 @@ fn telemetry_on_and_off_produce_identical_bytes() {
 
 #[test]
 fn flight_recorder_and_live_histograms_keep_bytes_identical() {
-    let _g = GLOBAL.lock().unwrap();
+    let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::uninstall();
     use telemetry::metrics::{self, GaugeId, HistId};
     let workload = builtin("figure4-family");
@@ -149,7 +149,7 @@ fn flight_recorder_and_live_histograms_keep_bytes_identical() {
 
 #[test]
 fn every_emitted_event_name_is_pinned() {
-    let _g = GLOBAL.lock().unwrap();
+    let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mem = Arc::new(telemetry::jsonl::MemoryCollector::default());
     telemetry::install(mem.clone());
 
@@ -217,7 +217,7 @@ fn every_emitted_event_name_is_pinned() {
 
 #[test]
 fn cache_counters_register_without_a_collector() {
-    let _g = GLOBAL.lock().unwrap();
+    let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::uninstall();
     let dir = tmpdir("counters");
     let cache = ResultCache::new(&dir);
@@ -235,7 +235,7 @@ fn cache_counters_register_without_a_collector() {
 
 #[test]
 fn sim_run_counters_add_up_to_the_runs_a_serial_grid_makes() {
-    let _g = GLOBAL.lock().unwrap();
+    let _g = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::uninstall();
     let grid = builtin("sim-threshold-grid");
     let untraced = grid.run(&Engine::serial(), None).report.to_csv();
